@@ -10,11 +10,11 @@ functions of the kernel's exponential scale t = pi*c/2, consistent with
 commuting_ode.
 """
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from .special_functions import elliptic_K
+from .special_functions import agm, elliptic_K
 from .commuting_ode import family_parameter, _u_closed_form
 
 __all__ = [
@@ -126,12 +126,7 @@ def widom_slope(c: float) -> float:
     if c <= 0:
         raise ValueError("c must be positive")
     k = 1 / math.cosh(math.pi * c)
-    a, b = 1.0, k
-    for _ in range(60):
-        if abs(a - b) <= 1e-15 * a:
-            break
-        a, b = 0.5 * (a + b), math.sqrt(a * b)
-    return 2.0 * a * elliptic_K(k)
+    return 2.0 * agm(1.0, k) * elliptic_K(k)
 
 
 def fit_log_slope(ms, rhos) -> float:
@@ -212,8 +207,7 @@ def build_report(c: float, m_max: int = 12, n: int = None) -> BoundsReport:
     from .commuting_ode import galerkin_eigensystem
 
     ny = nystrom_eigensystem(c, n=n, m_max=m_max)
-    n_b = max(140, 2 * (m_max + 1) + 30)
-    ode = galerkin_eigensystem(c, n_b=n_b, m_max=m_max)
+    ode = galerkin_eigensystem(c, m_max=m_max)
     fine = np.linspace(-1.0, 1.0, 2001)
     rows = []
     rhos = []
@@ -244,11 +238,3 @@ def build_report(c: float, m_max: int = 12, n: int = None) -> BoundsReport:
     return BoundsReport(c=c, m_max=m_max, rows=rows,
                         widom_slope=widom_slope(c), slope_fit=fit)
 
-
-if __name__ == "__main__":
-    assert abs(beta(1.0) - math.pi / 4) < 1e-15
-    assert abs(theta(1.0) - math.pi * math.exp(-math.pi / 2)) < 1e-15
-    assert abs(recompute_c0() - C0) < 5e-5
-    rep = build_report(0.5, m_max=8)
-    ok = all(r["lower_combined"] <= r["rho_computed"] for r in rep.rows)
-    print("bounds self-check ok; lower bounds hold:", ok)

@@ -26,7 +26,7 @@ from . import __version__
 from . import bounds as bounds_lib
 from .extrapolation import (adaptive_N, builtin_case, cutoff_estimate,
                             l2_error, n_max, rate_sweep, ObservationWindow)
-from .sech_operator import OperatorParams, SampledFunction
+from .sech_operator import OperatorParams, SampledFunction, nystrom_grid_size
 from .special_functions import gauss_legendre
 from .svd_assembly import compute_svd, svd_to_json_dict, triplets_from_json_dict
 
@@ -92,9 +92,10 @@ def cache_dir() -> str:
 
 
 def svd_cache_key(b: float, c: float, m_max: int, n) -> str:
-    if n is None:
-        n = max(200, 20 * (m_max + 1))   # the solver default, spelled out
-    enc = f"b={b:.17g}|c={c:.17g}|m_max={m_max:d}|n={n:d}"
+    """Hash of the package version and the resolved parameters, so a
+    document written by an older algorithm is never served."""
+    enc = (f"version={__version__}|b={b:.17g}|c={c:.17g}|m_max={m_max:d}"
+           f"|n={nystrom_grid_size(m_max, n):d}")
     return hashlib.sha256(enc.encode("ascii")).hexdigest()
 
 

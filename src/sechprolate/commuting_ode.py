@@ -20,7 +20,7 @@ from scipy.optimize import brentq
 
 from .special_functions import (
     QuadratureGrid,
-    elliptic_K,
+    agm,
     gauss_legendre,
     legendre_derivative_table,
     legendre_table,
@@ -34,6 +34,7 @@ __all__ = [
     "build_transform",
     "q_c_potential",
     "galerkin_eigensystem",
+    "galerkin_basis_size",
     "weak_form_chi",
     "commutation_residual",
     "family_parameter",
@@ -59,15 +60,12 @@ def case1_coefficients(c: float, x):
 
 
 def _u_closed_form(t: float) -> float:
-    # U = K(tanh 2t) / (t sqrt(1+cosh 4t)), K in the modulus convention.
-    k = math.tanh(2 * t)
-    if 1.0 - k < 5e-16:
-        # modulus rounds to 1; K(k) ~ log(4/sqrt(1-k^2)) = log(4 cosh 2t)
-        K = math.log(2.0) + 2 * t + math.log1p(math.exp(-4 * t))
-    else:
-        K = elliptic_K(k)
+    # U = K(tanh 2t) / (t sqrt(1+cosh 4t)), K in the modulus convention. The
+    # complementary modulus is exactly sech 2t; forming it as
+    # sqrt(1 - tanh(2t)^2) would cancel (U off by 2e-8 relative at c = 4).
     if 4 * t > 700:
         raise ValueError("parameter too large for the transform normalizer")
+    K = math.pi / (2.0 * agm(1.0, 1.0 / math.cosh(2 * t)))
     return K / (t * math.sqrt(1.0 + math.cosh(4 * t)))
 
 
@@ -191,17 +189,20 @@ class OdeSpectrum:
     _map_cache: dict = field(default_factory=dict, repr=False)
 
     def _mapped(self, x: np.ndarray):
-        key = (x.shape, float(x[0]), float(x[-1]), x.size)
+        key = (x.shape, x.tobytes())
         got = self._map_cache.get(key)
         if got is not None:
             return got
         tr = self.transform
         sv = np.array([tr.s(xx) for xx in x])
         Xv = math.pi * (0.5 - sv / tr.U)
-        Yv = np.sin(Xv)
+        # at |x| = 1, p is exactly 0 while 1 - Y^2 only rounds near 0, so
+        # the endpoints take Y = +-1 and the limit F(1) outright
+        inside = np.abs(x) < 1.0
+        Yv = np.where(inside, np.sin(Xv), np.sign(x))
         p, _ = case1_coefficients(self.c, x)
         with np.errstate(divide="ignore", invalid="ignore"):
-            Fv = np.where(1 - Yv ** 2 > 1e-280,
+            Fv = np.where(inside & (1 - Yv ** 2 > 1e-280),
                           (p / (1 - Yv ** 2)) ** 0.25,
                           tr.F(1.0))
         PY = legendre_table(self.n_b - 1, np.clip(Yv, -1.0, 1.0))
@@ -220,7 +221,18 @@ class OdeSpectrum:
         return SampledFunction(self.grid, self.g_values[:, m].copy())
 
 
-def galerkin_eigensystem(c: float, n_b: int = 140, m_max: int = 20) -> OdeSpectrum:
+def galerkin_basis_size(m_max: int, n_b: int = None) -> int:
+    """Legendre basis size of the Galerkin eigensolvers for indices
+    0..m_max: n_b if given, else max(140, 2 (m_max+1) + 30); at least
+    2 (m_max+1) + 10 is required."""
+    if n_b is None:
+        n_b = max(140, 2 * (m_max + 1) + 30)
+    if n_b < 2 * (m_max + 1) + 10:
+        raise ValueError("basis too small for the requested number of eigenpairs")
+    return n_b
+
+
+def galerkin_eigensystem(c: float, n_b: int = None, m_max: int = 20) -> OdeSpectrum:
     """Legendre-Galerkin eigensolve of the flattened operator.
 
     In the normalized Legendre basis the leading part is the diagonal
@@ -230,8 +242,7 @@ def galerkin_eigensystem(c: float, n_b: int = 140, m_max: int = 20) -> OdeSpectr
     """
     if c <= 0:
         raise ValueError("c must be positive")
-    if n_b < 2 * (m_max + 1) + 10:
-        raise ValueError("basis too small for the requested number of eigenpairs")
+    n_b = galerkin_basis_size(m_max, n_b)
     tr = build_transform(c)
     qgrid = gauss_legendre(n_b + 32)
     qvals = np.array([q_c_potential(tr, y) for y in qgrid.nodes])
@@ -266,15 +277,14 @@ def galerkin_eigensystem(c: float, n_b: int = 140, m_max: int = 20) -> OdeSpectr
     return spec
 
 
-def weak_form_chi(c: float, n_b: int = 140, m_max: int = 20) -> np.ndarray:
+def weak_form_chi(c: float, n_b: int = None, m_max: int = 20) -> np.ndarray:
     """Independent eigenvalue route: Galerkin on the UNtransformed operator.
 
     Assembles <p P'_j, P'_k> + <q P_j, P_k> directly in x. Used as a
     cross-check oracle for galerkin_eigensystem; the potential-form route is
     the production one because its matrix is better conditioned.
     """
-    if n_b < 2 * (m_max + 1) + 10:
-        raise ValueError("basis too small for the requested number of eigenpairs")
+    n_b = galerkin_basis_size(m_max, n_b)
     qgrid = gauss_legendre(n_b + 100)
     p, q = case1_coefficients(c, qgrid.nodes)
     P = legendre_table(n_b - 1, qgrid.nodes)
@@ -313,11 +323,3 @@ def commutation_residual(c: float, g: SampledFunction, chi: float) -> float:
     den = math.sqrt(float(np.sum(inner.weights * gv ** 2)))
     return num / den if den > 0 else float("inf")
 
-
-if __name__ == "__main__":
-    tr = build_transform(1.0)
-    assert abs(tr.Y(1.0) - 1.0) < 1e-12 and abs(tr.Y(0.0)) < 1e-12
-    spec = galerkin_eigensystem(1.0, n_b=90, m_max=8)
-    r = commutation_residual(1.0, spec.eigenfunction(3), spec.chi[3])
-    assert r < 1e-6, r
-    print("commuting_ode self-check ok")

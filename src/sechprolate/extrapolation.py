@@ -65,11 +65,6 @@ class CutoffEstimate:
                          for m in range(n_lo + 1, n_hi + 1)))
 
 
-def _sinc(x: np.ndarray) -> np.ndarray:
-    # sin(pi x)/(pi x) with the limit at 0
-    return np.sinc(x)
-
-
 def builtin_case(case_id: str, delta: float = None, n_window: int = 2048):
     """Benchmark instances: (a) f = 0.5/cosh(2x), b=1, delta=0.05;
     (b) f = sinc(2x)/6, b=1/6.5, delta=0.01. Both c=0.5, x0=0, noise
@@ -83,7 +78,7 @@ def builtin_case(case_id: str, delta: float = None, n_window: int = 2048):
         b, dflt = 1 / 6.5, 0.01
 
         def truth(x):
-            return _sinc(2.0 * np.asarray(x, dtype=float)) / 6.0
+            return np.sinc(2.0 * np.asarray(x, dtype=float)) / 6.0
     else:
         raise ValueError(f"unknown case {case_id!r}; use 'a' or 'b'")
     c, x0 = 0.5, 0.0
@@ -264,11 +259,3 @@ def rate_sweep(case_id: str, delta_list, oracle_rule: str = "polynomial",
     return {"case": case_id, "rule": oracle_rule, "kappa": kappa,
             "rows": rows, "slope_bar": slope_bar, "slope_hat": slope_hat}
 
-
-if __name__ == "__main__":
-    obs, truth, params = builtin_case("a")
-    svd = compute_svd(params, m_max=8)
-    nh, diag = adaptive_N(obs, svd)
-    est = cutoff_estimate(obs, svd, 2)
-    print("case a: N_hat =", nh, " err(N=2) =",
-          l2_error(est.grid, est.values, truth))

@@ -155,7 +155,7 @@ def sinc_nystrom(c: float, n: int = 400, m_max: int = 12):
     lam, V = np.linalg.eigh(Al.astype(np.float64))
     lam = lam[::-1].copy()
     V = V[:, ::-1].copy()
-    refine_eigh_block(Al, lam, V)
+    refine_eigh_block(Al, lam, V, m_max + 1)
     lam = lam[: m_max + 1]
     V = V[:, : m_max + 1]
     g = V / np.sqrt(grid.weights)[:, None]
@@ -200,15 +200,3 @@ def pswf_cutoff_estimate(obs: ObservationWindow, basis: PswfBasis, N: int,
     vals = _invert_transform(F, xu, wu, obs.x0, s_grid)
     return s_grid, vals
 
-
-if __name__ == "__main__":
-    # at c=4 every m <= 8 sits far above the dense-solver trust floor
-    basis = pswf_basis(4.0, m_max=8)
-    lam, g, grid = sinc_nystrom(4.0, n=300, m_max=8)
-    worst = 0.0
-    for m in range(9):
-        psi = pswf_values(basis, m, grid.nodes)
-        worst = max(worst, math.sqrt(float(np.sum(grid.weights * (psi - g[:, m]) ** 2))))
-    rel = np.max(np.abs(lam - 4.0 * basis.mu ** 2) / lam)
-    print(f"pswf self-check: basis-vs-nystrom L2 {worst:.2e}, eigenvalue rel {rel:.2e}")
-    assert worst < 1e-6 and rel < 1e-6

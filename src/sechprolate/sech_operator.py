@@ -3,9 +3,10 @@
 Q_c acts on L2(-1,1) with kernel pi*c*sech(pi*c*(x-y)/2). It factors as
 c*F F* where F maps L2(cosh(b.)) to L2(-1,1) by restricting the Fourier
 transform to a window, with effective parameter c/b. The Nystrom
-discretization below carries an extended-precision refinement pass so that
-eigenvectors stay usable down to eigenvalues around 1e-10, and the Rayleigh
-integral form recovers eigenvalues far below what a dense solver can see.
+discretization below refines its small eigenpairs by residual correction in
+extended precision, so that eigenvectors stay accurate down to eigenvalues
+around 1e-10, and the Rayleigh integral form recovers eigenvalues far below
+what a dense solver can see.
 """
 import math
 import warnings
@@ -27,11 +28,19 @@ __all__ = [
     "verify_factorization",
     "panel_grid",
     "refine_eigh_block",
+    "nystrom_grid_size",
     "TRUST_FLOOR_FACTOR",
+    "REFINE_WINDOW",
+    "REFINE_SWEEPS",
 ]
 
 # eigenvalues below TRUST_FLOOR_FACTOR * eps * rho_0 are roundoff-dominated
 TRUST_FLOOR_FACTOR = 1e3
+# float64 eigenpairs with eigenvalues in this window are refined in
+# longdouble; above it float64 vectors are accurate enough, below it the
+# pairs are roundoff noise that no refinement recovers
+REFINE_WINDOW = (1e-15, 1e-4)
+REFINE_SWEEPS = 2
 
 
 @dataclass(frozen=True)
@@ -78,105 +87,46 @@ def panel_grid(edges, nodes_per_panel: int = 24) -> QuadratureGrid:
         half = 0.5 * (b - a)
         xs.append(half * base.nodes + 0.5 * (a + b))
         ws.append(half * base.weights)
-    return QuadratureGrid(np.concatenate(xs), np.concatenate(ws), (edges[0], edges[-1]))
+    return QuadratureGrid(np.concatenate(xs), np.concatenate(ws),
+                          (float(edges[0]), float(edges[-1])))
 
 
-# ---------------------------------------------------------------------------
-# extended-precision helpers for the Nystrom refinement pass.
-# LAPACK only does float64; this block is small (a few dozen columns), so a
-# handwritten Cholesky + cyclic Jacobi in longdouble is fast enough.
-
-def _cholesky_ld(G):
-    k = G.shape[0]
-    L = np.zeros_like(G)
-    for i in range(k):
-        for j in range(i):
-            L[i, j] = (G[i, j] - L[i, :j] @ L[j, :j]) / L[j, j]
-        d = G[i, i] - L[i, :i] @ L[i, :i]
-        if d <= 0:
-            raise np.linalg.LinAlgError("refinement Gram matrix not positive definite")
-        L[i, i] = np.sqrt(d)
-    return L
-
-
-def _solve_lower_ld(L, B):
-    # forward substitution, L X = B
-    k = L.shape[0]
-    X = np.array(B, dtype=np.longdouble, copy=True)
-    for i in range(k):
-        X[i] -= L[i, :i] @ X[:i]
-        X[i] /= L[i, i]
-    return X
-
-
-def _jacobi_eigh_ld(Bin, max_sweeps=20):
-    B = np.array(Bin, dtype=np.longdouble, copy=True)
-    k = B.shape[0]
-    V = np.eye(k, dtype=np.longdouble)
-    for _ in range(max_sweeps):
-        off = np.sqrt(np.sum(np.tril(B, -1) ** 2))
-        diag = np.sqrt(np.sum(np.diag(B) ** 2))
-        if off <= 1e-36 * (diag + 1e-300):
-            break
-        for i in range(k - 1):
-            for j in range(i + 1, k):
-                bij = B[i, j]
-                if abs(bij) <= 1e-40 * (abs(B[i, i]) + abs(B[j, j]) + 1e-300):
-                    continue
-                theta = (B[j, j] - B[i, i]) / (2 * bij)
-                if theta != 0:
-                    t = np.sign(theta) / (abs(theta) + np.sqrt(theta * theta + 1))
-                else:
-                    t = np.longdouble(1)
-                cth = 1 / np.sqrt(1 + t * t)
-                sth = t * cth
-                bi = B[:, i].copy()
-                bj = B[:, j].copy()
-                B[:, i] = cth * bi - sth * bj
-                B[:, j] = sth * bi + cth * bj
-                bi = B[i, :].copy()
-                bj = B[j, :].copy()
-                B[i, :] = cth * bi - sth * bj
-                B[j, :] = sth * bi + cth * bj
-                B[i, j] = 0.0
-                B[j, i] = 0.0
-                vi = V[:, i].copy()
-                vj = V[:, j].copy()
-                V[:, i] = cth * vi - sth * vj
-                V[:, j] = sth * vi + cth * vj
-    d = np.diag(B).copy()
-    idx = np.argsort(d)
-    return d[idx], V[:, idx]
-
-
-def refine_eigh_block(A_ld, lam, V, window=(1e-15, 1e-4)):
-    """Rayleigh-Ritz refinement in 80-bit arithmetic, in place.
+def refine_eigh_block(A_ld, lam, V, count):
+    """Residual-correction refinement of small eigenpairs, in place.
 
     lam (descending) and V come from a float64 eigh of A_ld.astype(float64).
-    Eigenpairs with lam inside the window (padded by a few neighbors) are
-    re-diagonalized against the longdouble matrix, which repairs the
-    roundoff-limited eigenVECTORS of small eigenvalues.
+    Float64 eigenVECTORS of eigenvalues near 1e-10 carry errors of order
+    eps/gap, about 1e-6. Each of the first `count` pairs whose eigenvalue
+    lies in REFINE_WINDOW gets REFINE_SWEEPS sweeps of
+    x += V (V^T r) / (mu - lam), where r = A_ld x - mu x and the Rayleigh
+    quotient mu are formed in longdouble and the target's own direction is
+    left out (Dongarra, Moler & Wilkinson, SIAM J. Numer. Anal. 20, 1983).
+    The refined mu and x replace the float64 pair.
     """
-    n = lam.size
-    idx = np.where((lam > window[0]) & (lam < window[1]))[0]
+    idx = np.nonzero((lam[:count] > REFINE_WINDOW[0])
+                     & (lam[:count] < REFINE_WINDOW[1]))[0]
     if idx.size == 0:
         return
-    i0 = max(int(idx[0]) - 3, 0)
-    i1 = min(int(idx[-1]) + 4, n)
-    S = V[:, i0:i1].astype(np.longdouble)
-    B = S.T @ (A_ld @ S)
-    G = S.T @ S
-    L = _cholesky_ld(G)
-    Bw = _solve_lower_ld(L, _solve_lower_ld(L, B.T).T)
-    d, W = _jacobi_eigh_ld(Bw)
-    d = d[::-1]
-    W = W[:, ::-1]
-    # back-substitute L^T y = W by flipping to a forward solve
-    Y = _solve_lower_ld(L.T[::-1, ::-1], W[::-1, :])[::-1, :]
-    Z = S @ Y
-    Z /= np.sqrt(np.sum(Z * Z, axis=0))[None, :]
-    lam[i0:i1] = d.astype(np.float64)
-    V[:, i0:i1] = Z.astype(np.float64)
+    own = (idx, np.arange(idx.size))
+    X = V[:, idx].astype(np.longdouble)
+    AX = A_ld @ X
+    for _ in range(REFINE_SWEEPS):
+        mu = np.sum(X * AX, axis=0)          # the columns of X are unit
+        C = V.T @ (AX - X * mu).astype(np.float64)
+        D = mu.astype(np.float64)[None, :] - lam[:, None]
+        C[own] = 0.0
+        D[own] = 1.0
+        step = C / D
+        X += V @ step
+        # A_ld V = V diag(lam) up to float64 roundoff, which the small step
+        # scales far below the longdouble residual
+        AX += V @ (lam[:, None] * step)
+        nrm = np.sqrt(np.sum(X * X, axis=0))
+        X /= nrm
+        AX /= nrm
+    mu = np.sum(X * AX, axis=0)
+    lam[idx] = mu
+    V[:, idx] = X
 
 
 @dataclass
@@ -198,37 +148,34 @@ class NystromSpectrum:
     def eigenfunction(self, m: int) -> SampledFunction:
         return SampledFunction(self.grid, self.g_values[:, m].copy())
 
-    @property
-    def eigenfunctions(self):
-        return [self.eigenfunction(m) for m in range(self.m_max + 1)]
-
-    def evaluate_g(self, m: int, x) -> np.ndarray:
-        """Nystrom natural interpolation g(x) = (1/rho) * int K(x,y) g(y) dy."""
-        x = np.atleast_1d(np.asarray(x, dtype=float))
-        Kx = kernel(self.c, x[:, None], self.grid.nodes[None, :])
-        return (Kx @ (self.grid.weights * self.g_values[:, m])) / self.eigenvalues[m]
-
     def trace_error(self):
         return abs(float(self.eigenvalues.sum()) - 2 * math.pi * self.c)
 
 
-def nystrom_eigensystem(c: float, n: int = None, m_max: int = 12,
-                        refine: bool = True) -> NystromSpectrum:
-    """Spectral discretization of Q_c on an n-point Gauss grid.
-
-    The matrix is symmetrized with weight square roots so the eigenvectors
-    come out orthogonal; node values are recovered as u/sqrt(w). A dense
-    float64 eigh resolves eigenvalues down to about 1e-13*rho_0; eigenpairs
-    with eigenvalues in (1e-15, 1e-4) are then refined by a Rayleigh-Ritz
-    pass in 80-bit arithmetic, which is what makes the eigenVECTORS good to
-    ~1e-6 down to eigenvalues around 1e-10.
-    """
-    if c <= 0:
-        raise ValueError("c must be positive")
+def nystrom_grid_size(m_max: int, n: int = None) -> int:
+    """Gauss grid size of the dense eigensolver for indices 0..m_max: n if
+    given, else max(200, 20 (m_max+1)); at least 4 (m_max+1) is required."""
     if n is None:
         n = max(200, 20 * (m_max + 1))
     if n < 4 * (m_max + 1):
         raise ValueError("grid too small for the requested number of eigenpairs")
+    return n
+
+
+def nystrom_eigensystem(c: float, n: int = None, m_max: int = 12) -> NystromSpectrum:
+    """Spectral discretization of Q_c on an n-point Gauss grid.
+
+    The matrix is symmetrized with weight square roots so the eigenvectors
+    come out orthogonal; node values are recovered as u/sqrt(w). A dense
+    float64 eigh resolves eigenvalues down to about 1e-13*rho_0; the pairs
+    m <= m_max with eigenvalues in REFINE_WINDOW are then refined by
+    residual correction against the longdouble matrix (refine_eigh_block),
+    which makes the eigenVECTORS good to ~1e-9 down to eigenvalues around
+    1e-10.
+    """
+    if c <= 0:
+        raise ValueError("c must be positive")
+    n = nystrom_grid_size(m_max, n)
     grid = gauss_legendre(n)
     xl = grid.nodes.astype(np.longdouble)
     wl = grid.weights.astype(np.longdouble)
@@ -244,8 +191,7 @@ def nystrom_eigensystem(c: float, n: int = None, m_max: int = 12,
     lam = lam[::-1].copy()
     V = V[:, ::-1].copy()
 
-    if refine:
-        refine_eigh_block(Al, lam, V)
+    refine_eigh_block(Al, lam, V, m_max + 1)
 
     trust_floor = TRUST_FLOOR_FACTOR * np.finfo(np.float64).eps * lam[0]
     mm = min(m_max, n - 1)
@@ -359,10 +305,3 @@ def verify_factorization(params: OperatorParams, h: SampledFunction) -> float:
         return 0.0
     return num / den
 
-
-if __name__ == "__main__":
-    spec = nystrom_eigensystem(1.0, n=200, m_max=8)
-    assert spec.trace_error() < 1e-10 * 2 * math.pi
-    r = rho_rayleigh(1.0, spec.eigenfunction(3))
-    assert abs(r - spec.eigenvalues[3]) < 1e-8 * spec.eigenvalues[3]
-    print("sech_operator self-check ok")

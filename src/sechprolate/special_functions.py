@@ -16,6 +16,7 @@ __all__ = [
     "legendre_normalized",
     "legendre_table",
     "legendre_derivative_table",
+    "agm",
     "elliptic_K",
     "spherical_bessel_ratio",
 ]
@@ -146,21 +147,27 @@ def legendre_derivative_table(m_max: int, x) -> np.ndarray:
     return ders
 
 
+def agm(a: float, b: float) -> float:
+    """Arithmetic-geometric mean of a, b >= 0; K(k) = pi / (2 agm(1, k'))
+    with k' = sqrt(1 - k^2) the complementary modulus."""
+    for _ in range(60):
+        if abs(a - b) <= 1e-15 * a:
+            break
+        a, b = 0.5 * (a + b), math.sqrt(a * b)
+    return a
+
+
 def elliptic_K(k: float) -> float:
     """Complete elliptic integral of the first kind, modulus convention.
 
     K(k) = int_0^{pi/2} (1-k^2 sin^2 t)^{-1/2} dt, by the arithmetic-geometric
     mean. Note the argument is the modulus k, not the parameter m = k^2.
+    Near k = 1, 1 - k^2 cancels; callers that know k' exactly should use
+    pi / (2 agm(1, k')) instead.
     """
     if not 0.0 <= k < 1.0:
         raise ValueError("modulus must lie in [0, 1)")
-    a = 1.0
-    b = math.sqrt(1.0 - k * k)
-    for _ in range(60):
-        if abs(a - b) <= 1e-15 * a:
-            break
-        a, b = 0.5 * (a + b), math.sqrt(a * b)
-    return math.pi / (2.0 * a)
+    return math.pi / (2.0 * agm(1.0, math.sqrt(1.0 - k * k)))
 
 
 def spherical_bessel_ratio(k: int, z: float) -> float:
@@ -207,10 +214,3 @@ def spherical_bessel_ratio(k: int, z: float) -> float:
         return math.sin(z) / z
     return target * scale
 
-
-if __name__ == "__main__":
-    g = gauss_legendre(4)
-    assert abs(np.sum(g.weights * g.nodes**6) - 2.0 / 7.0) < 1e-14
-    assert abs(elliptic_K(0.0) - math.pi / 2) < 1e-15
-    assert abs(spherical_bessel_ratio(0, math.pi)) < 1e-14
-    print("special_functions self-check ok")

@@ -18,6 +18,7 @@ from .sech_operator import (
     SampledFunction,
     apply_adjoint,
     nystrom_eigensystem,
+    panel_grid,
     rho_rayleigh,
 )
 from .commuting_ode import galerkin_eigensystem
@@ -61,15 +62,7 @@ def phi_grid(b: float, nodes_per_panel: int = 16) -> QuadratureGrid:
     while edges[-1] < 22.0:
         edges.append(min(edges[-1] * 1.6, 22.0))
     edges = np.array(edges) / b
-    edges = np.concatenate([-edges[::-1], edges[1:]])
-    base = gauss_legendre(nodes_per_panel)
-    xs, ws = [], []
-    for a, bb in zip(edges[:-1], edges[1:]):
-        half = 0.5 * (bb - a)
-        xs.append(half * base.nodes + 0.5 * (a + bb))
-        ws.append(half * base.weights)
-    return QuadratureGrid(np.concatenate(xs), np.concatenate(ws),
-                          (float(edges[0]), float(edges[-1])))
+    return panel_grid(np.concatenate([-edges[::-1], edges[1:]]), nodes_per_panel)
 
 
 def compute_svd(params: OperatorParams, m_max: int, n: int = None,
@@ -86,8 +79,6 @@ def compute_svd(params: OperatorParams, m_max: int, n: int = None,
     need_ode = any(ny.eigenvalues[m] <= ny.trust_floor for m in range(m_max + 1))
     ode = None
     if need_ode:
-        if n_b is None:
-            n_b = max(140, 2 * (m_max + 1) + 30)
         ode = galerkin_eigensystem(cp, n_b=n_b, m_max=m_max)
     xgrid = phi_grid(params.b, nodes_per_panel)
     floor = 8 * max(cp, 1.0) * math.exp(-RAYLEIGH_TAIL_MULTIPLE)
@@ -204,12 +195,3 @@ def _infer_panel_nodes(nodes: np.ndarray, b: float) -> int:
         raise ValueError("phi grid size is not a multiple of the panel count")
     return nodes.size // n_panels
 
-
-if __name__ == "__main__":
-    p = OperatorParams(b=1.0, c=1.0)
-    tr = compute_svd(p, m_max=8)
-    assert all(abs(t.sigma * t.sigma * p.c - t.rho) < 1e-12 * t.rho for t in tr)
-    nrm = [math.sqrt(float(np.sum(t.phi.grid.weights * np.cosh(p.b * t.phi.grid.nodes)
-                                  * np.abs(t.phi.values) ** 2))) for t in tr]
-    assert all(abs(x - 1) < 1e-4 for x in nrm), nrm
-    print("svd_assembly self-check ok")

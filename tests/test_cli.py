@@ -11,6 +11,7 @@ import pytest
 from click.testing import CliRunner
 
 import sechprolate.bounds as bounds_lib
+import sechprolate.cli as cli
 from sechprolate.cli import main
 from sechprolate.svd_assembly import rescale_phi, triplets_from_json_dict
 
@@ -88,6 +89,14 @@ def test_svd_usage_errors(tmp_path, cache):
 
     res = run_cli(cache, "svd", "--c", "1")
     assert res.exit_code == 2
+
+
+def test_svd_cache_key_changes_with_version(monkeypatch):
+    key = cli.svd_cache_key(1.0, 1.0, 12, None)
+    # the default n is resolved before hashing
+    assert cli.svd_cache_key(1.0, 1.0, 12, 260) == key
+    monkeypatch.setattr(cli, "__version__", "0.0.0")
+    assert cli.svd_cache_key(1.0, 1.0, 12, None) != key
 
 
 def test_svd_scaling_law_across_runs(tmp_path, cache):

@@ -6,6 +6,7 @@ import pytest
 from sechprolate.bounds import R_of_c, U_bounds
 from sechprolate.commuting_ode import (build_transform, case1_coefficients,
                                        commutation_residual, family_parameter,
+                                       galerkin_basis_size,
                                        galerkin_eigensystem, q_c_potential,
                                        weak_form_chi)
 from sechprolate.sech_operator import SampledFunction, nystrom_eigensystem
@@ -122,6 +123,54 @@ def test_cross_method_eigenfunctions(ode_c1, ny_c1):
         b = ode_c1.evaluate_g(m, x)
         err = math.sqrt(np.sum(w * (a - b) ** 2))
         assert err < 1e-6, f"m={m}: {err:.2e}"
+
+
+@pytest.mark.filterwarnings("ignore:near-degenerate")
+@pytest.mark.parametrize("c, m_max", [(0.5, 20), (0.5, 21), (1.0, 30), (4.0, 30)])
+def test_cross_route_eigenfunctions_deep(c, m_max):
+    """Dense route against the commuting-operator route wherever rho > 1e-10.
+    At c = 0.5 and 1 these grid sizes (n follows m_max) are where float64
+    eigenvectors alone missed 1e-6; at c = 4 the miss came from the
+    normalizer U of the Liouville map."""
+    ny = nystrom_eigensystem(c, m_max=m_max)
+    ode = galerkin_eigensystem(c, n_b=galerkin_basis_size(m_max), m_max=m_max)
+    x, w = ny.grid.nodes, ny.grid.weights
+    checked = 0
+    for m in range(m_max + 1):
+        if ny.eigenvalues[m] > 1e-10:
+            err = math.sqrt(np.sum(w * (ny.g_values[:, m] - ode.evaluate_g(m, x)) ** 2))
+            assert err <= 1e-6, f"m={m}: {err:.2e}"
+            checked += 1
+    assert checked >= 10
+
+
+@pytest.mark.parametrize("c", [0.5, 2.0, 4.0, 5.0])
+def test_u_normalizer_matches_quadrature(c):
+    # U = int_{-1}^{1} p^{-1/2} = 2 s(0); the closed form must not lose the
+    # complementary modulus sech(2t) to cancellation at large c
+    tr = build_transform(c)
+    assert 2 * tr.s(0.0) == pytest.approx(tr.U, rel=1e-13)
+
+
+def test_evaluate_g_distinguishes_grids_with_equal_ends(ode_c1):
+    # equal size and equal first and last points, different interiors
+    k = np.arange(201)
+    equi = np.linspace(-1.0, 1.0, 201)
+    cheb = -np.cos(np.pi * k / 200)
+    for m in (0, 3):
+        ode_c1.evaluate_g(m, equi)
+        got = ode_c1.evaluate_g(m, cheb)
+        pointwise = np.array([ode_c1.evaluate_g(m, xx)[0] for xx in cheb])
+        assert np.max(np.abs(got - pointwise)) < 1e-12
+
+
+def test_evaluate_g_endpoint_limit_at_large_c():
+    # at c >= 3.55, 1 - Y(-1)^2 rounds to ~1e-26 instead of 0 while p(-1) = 0
+    ode = galerkin_eigensystem(4.0, m_max=8)
+    for m in range(9):
+        lo, hi = ode.evaluate_g(m, np.array([-1.0, 1.0]))
+        assert np.isfinite(lo) and np.isfinite(hi)
+        assert lo == pytest.approx((-1) ** m * hi, rel=1e-8)
 
 
 def test_parity_alternation(ode_c1):
