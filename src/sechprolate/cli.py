@@ -351,9 +351,9 @@ def read_window_csv(path: str):
               help="smoothness exponent for the exponential rule")
 @click.option("--n-window", type=click.IntRange(64, 15000), default=2048,
               show_default=True, help="window quadrature size")
-@click.option("--nfft", type=int, default=4096, show_default=True,
-              help="inverse-transform resolution")
-@click.option("--report-points", type=int, default=None,
+@click.option("--nfft", type=click.IntRange(2, None), default=4096,
+              show_default=True, help="inverse-transform resolution")
+@click.option("--report-points", type=click.IntRange(2, None), default=None,
               help="reconstruction grid size (default: nfft)")
 @click.option("--out", type=click.Path(file_okay=False), default=".",
               show_default=True)

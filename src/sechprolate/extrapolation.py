@@ -14,8 +14,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .special_functions import gauss_legendre
-from .sech_operator import OperatorParams, SampledFunction
-from .svd_assembly import compute_svd, evaluate_g, evaluate_phi
+from .sech_operator import OperatorParams, SampledFunction, apply_adjoint
+from .svd_assembly import compute_svd, legendre_expansion
 from .bounds import beta
 
 __all__ = [
@@ -92,14 +92,21 @@ def builtin_case(case_id: str, delta: float = None, n_window: int = 2048):
 
 
 def coefficients(obs: ObservationWindow, svd: list) -> np.ndarray:
-    """d_m = <f_delta(c.+x0), g_m> on the window, for every m in the svd."""
+    """d_m = <f_delta(c.+x0), g_m> on the window, for every m in the svd.
+
+    All g_m are expanded at once on their shared grid, so the window is
+    projected once per call.
+    """
     if np.any(np.isnan(obs.samples.grid.weights)):
         raise ValueError("observation grid carries no quadrature weights")
     if abs(obs.c - svd[0].c) > 1e-12:
         raise ValueError("observation window and svd have different c")
-    wv = obs.samples.grid.weights * obs.samples.values
-    return np.array([float(evaluate_g(t, obs.samples.grid.nodes) @ wv)
-                     for t in svd])
+    gg = svd[0].g.grid
+    if any(not np.array_equal(t.g.grid.nodes, gg.nodes) for t in svd):
+        raise ValueError("the svd triplets do not share one g grid")
+    G = legendre_expansion(gg, np.stack([t.g.values for t in svd]),
+                           obs.samples.grid.nodes)
+    return G @ (obs.samples.grid.weights * obs.samples.values)
 
 
 def sigma_penalty(params: OperatorParams, delta: float, N: int) -> float:
@@ -121,8 +128,8 @@ def n_max(delta: float) -> int:
     return int(math.floor(math.log(1.0 / delta)))
 
 
-def _uniform_transform_grid(svd: list, nfft: int):
-    T = svd[0].phi.grid.interval[1]
+def _uniform_transform_grid(T: float, nfft: int):
+    """nfft uniform nodes on [-T, T] with trapezoid weights."""
     xu = np.linspace(-T, T, nfft)
     wu = np.full(nfft, xu[1] - xu[0])
     wu[0] *= 0.5
@@ -131,13 +138,33 @@ def _uniform_transform_grid(svd: list, nfft: int):
 
 
 def _invert_transform(F_vals, xu, wu, x0, s_grid):
-    # f(s) = int exp(-i (x0 - s) x) F(x) dx, trapezoid on the uniform grid
-    out = np.empty(s_grid.size, dtype=complex)
-    for i in range(0, s_grid.size, 512):
-        s = s_grid[i:i + 512]
-        ph = np.exp(-1j * np.outer(x0 - s, xu))
-        out[i:i + 512] = ph @ (wu * F_vals)
-    return out
+    """f(s) = int exp(-i (x0 - s) x) F(x) dx by the trapezoid rule on the
+    uniform grid xu, at every point of the uniform grid s_grid.
+
+    Written about the grid centres, x_j = xc + j dx and s_k = sc + k ds with
+    centred indices j, k, the sum is the chirp-z transform
+    sum_j a_j exp(i dx ds j k) (Rabiner, Schafer & Rader 1969). Bluestein's
+    identity j k = (j^2 + k^2 - (k - j)^2) / 2 turns it into one FFT
+    convolution. The centred indices keep the chirp phases, and with them
+    the roundoff, small.
+    """
+    n, M = xu.size, s_grid.size
+    if n < 2 or M < 2:
+        raise ValueError("transform and report grids need at least 2 points")
+    dx = (xu[-1] - xu[0]) / (n - 1)
+    ds = (s_grid[-1] - s_grid[0]) / (M - 1)
+    xc = 0.5 * (xu[0] + xu[-1])
+    uc = x0 - 0.5 * (s_grid[0] + s_grid[-1])
+    al = dx * ds
+    j = np.arange(n) - 0.5 * (n - 1)
+    k = np.arange(M) - 0.5 * (M - 1)
+    a = wu * F_vals * np.exp(1j * (0.5 * al * j * j - uc * dx * j))
+    d = np.arange(1 - n, M) + 0.5 * (n - M)           # k - j
+    L = 1 << (n + M - 2).bit_length()
+    chirp = np.exp(-0.5j * al * d * d)
+    conv = np.fft.ifft(np.fft.fft(a, L) * np.fft.fft(chirp, L))
+    return conv[n - 1: n - 1 + M] * np.exp(
+        1j * (0.5 * al * k * k + ds * xc * k - uc * xc))
 
 
 def cutoff_estimate(obs: ObservationWindow, svd: list, N: int,
@@ -145,25 +172,25 @@ def cutoff_estimate(obs: ObservationWindow, svd: list, N: int,
                     report_halfwidth: float = 6.0) -> CutoffEstimate:
     """Spectral cut-off estimate at level N.
 
-    The transform-side estimate F = sum_{m<=N} (d_m/sigma_m) phi_m is
-    sampled on a uniform grid over the phi support and inverted by a
-    trapezoid-corrected discrete Fourier transform; since F and all its
-    derivatives are ~1e-9 at the grid ends, the trapezoid rule is
-    spectrally accurate here.
+    The transform-side estimate F = sum_{m<=N} (d_m/sigma_m) phi_m is linear
+    in the g_m, so it is one adjoint applied to sum_m (d_m/sigma_m^2) g_m,
+    sampled on a uniform grid over the phi support. That is inverted by the
+    trapezoid rule, evaluated on the uniform report grid as a chirp-z
+    transform; since F and all its derivatives are ~1e-9 at the grid ends,
+    the trapezoid rule is spectrally accurate here.
     """
     last_trusted = max((t.m for t in svd if t.trusted), default=-1)
     if N > last_trusted:
         raise ValueError(f"truncation level {N} exceeds trusted index {last_trusted}")
     d = coefficients(obs, svd)
-    coef = d[: N + 1] / np.array([t.sigma for t in svd[: N + 1]])
+    sigma = np.array([t.sigma for t in svd[: N + 1]])
+    coef = d[: N + 1] / sigma
     pg = svd[0].phi.grid
-    F_panel = np.zeros(pg.nodes.size, dtype=complex)
-    for m in range(N + 1):
-        F_panel += coef[m] * svd[m].phi.values
-    xu, wu = _uniform_transform_grid(svd, nfft)
-    F_u = np.zeros(xu.size, dtype=complex)
-    for m in range(N + 1):
-        F_u += coef[m] * evaluate_phi(svd[m], xu)
+    F_panel = coef @ np.stack([t.phi.values for t in svd[: N + 1]])
+    h = SampledFunction(svd[0].g.grid, (coef / sigma)
+                        @ np.stack([t.g.values for t in svd[: N + 1]]))
+    xu, wu = _uniform_transform_grid(pg.interval[1], nfft)
+    F_u = apply_adjoint(OperatorParams(b=svd[0].b, c=svd[0].c), h, xu).values
     s_grid = np.linspace(obs.x0 - report_halfwidth, obs.x0 + report_halfwidth,
                          report_points)
     vals = _invert_transform(F_u, xu, wu, obs.x0, s_grid)

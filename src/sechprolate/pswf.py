@@ -20,7 +20,8 @@ from .special_functions import (
     spherical_bessel_ratio,
 )
 from .sech_operator import SampledFunction, refine_eigh_block
-from .extrapolation import ObservationWindow, _invert_transform
+from .extrapolation import (ObservationWindow, _invert_transform,
+                            _uniform_transform_grid)
 
 __all__ = [
     "PswfBasis",
@@ -185,11 +186,7 @@ def pswf_cutoff_estimate(obs: ObservationWindow, basis: PswfBasis, N: int,
     Psi_obs = np.stack([pswf_values(basis, m, ng.nodes) for m in range(N + 1)])
     d = Psi_obs @ (ng.weights * obs.samples.values)
     coef = np.conj(basis.phase[: N + 1]) / basis.mu[: N + 1] * d
-    T = 22.0 / scale_b
-    xu = np.linspace(-T, T, nfft)
-    wu = np.full(nfft, xu[1] - xu[0])
-    wu[0] *= 0.5
-    wu[-1] *= 0.5
+    xu, wu = _uniform_transform_grid(22.0 / scale_b, nfft)
     inside = np.abs(scale_b * xu) <= 1.0
     F = np.zeros(xu.size, dtype=complex)
     Pin = np.stack([pswf_values(basis, m, scale_b * xu[inside])

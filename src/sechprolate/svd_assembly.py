@@ -11,6 +11,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.polynomial.legendre import legvander
 
 from .special_functions import QuadratureGrid, gauss_legendre
 from .sech_operator import (
@@ -28,6 +29,7 @@ __all__ = [
     "compute_svd",
     "rescale_phi",
     "phi_grid",
+    "legendre_expansion",
     "evaluate_g",
     "evaluate_phi",
     "svd_to_json_dict",
@@ -120,33 +122,36 @@ def rescale_phi(b: float, c: float, triplet: SvdTriplet) -> SvdTriplet:
                       trusted=triplet.trusted)
 
 
-def evaluate_g(triplet: SvdTriplet, s) -> np.ndarray:
-    """g_m off-grid through its normalized-Legendre expansion.
+def legendre_expansion(grid: QuadratureGrid, values, s) -> np.ndarray:
+    """Values at s of the normalized-Legendre expansions of samples on a
+    Gauss grid; `values` holds one function per row (or is a single one).
 
-    The samples sit on an n-point Gauss grid, so the projection
-    a_k = sum_i w_i g(x_i) Pbar_k(x_i) is quadrature-exact well past the
-    effective Legendre bandwidth of these eigenfunctions (about m + O(1)
-    modes), and the evaluation cost and accuracy are uniform in m. The
-    alternative identity g = K g / rho amplifies sampling error by 1/rho
-    and is useless for the deep, small-rho indices this route must serve.
+    The projection a_k = sum_i w_i v(x_i) Pbar_k(x_i) is quadrature-exact
+    well past the effective Legendre bandwidth of the g_m (about m + O(1)
+    modes), so the evaluation cost and accuracy are uniform in m.
     """
     s = np.atleast_1d(np.asarray(s, dtype=float))
     if np.any(np.abs(s) > 1.0):
         raise ValueError("g is defined on [-1, 1]")
-    nodes = triplet.g.grid.nodes
-    deg = min(nodes.size // 2, 180)
+    deg = min(grid.nodes.size // 2, 180)
     norms = np.sqrt(np.arange(deg + 1) + 0.5)
-    V = np.polynomial.legendre.legvander(nodes, deg) * norms
-    a = V.T @ (triplet.g.grid.weights * triplet.g.values)
-    return (np.polynomial.legendre.legvander(s, deg) * norms) @ a
+    a = (grid.weights * values) @ (legvander(grid.nodes, deg) * norms)
+    return a @ (legvander(s, deg) * norms).T
+
+
+def evaluate_g(triplet: SvdTriplet, s) -> np.ndarray:
+    """g_m off-grid through its normalized-Legendre expansion.
+
+    The alternative identity g = K g / rho amplifies sampling error by 1/rho
+    and is useless for the deep, small-rho indices this route must serve.
+    """
+    return legendre_expansion(triplet.g.grid, triplet.g.values, s)
 
 
 def evaluate_phi(triplet: SvdTriplet, x) -> np.ndarray:
     """phi_m at arbitrary real points, from its defining adjoint integral."""
-    x = np.atleast_1d(np.asarray(x, dtype=float))
-    ph = np.exp(-1j * triplet.c * x[:, None] * triplet.g.grid.nodes[None, :])
-    vals = ph @ (triplet.g.grid.weights * triplet.g.values)
-    return vals / np.cosh(triplet.b * x) / triplet.sigma
+    params = OperatorParams(b=triplet.b, c=triplet.c)
+    return apply_adjoint(params, triplet.g, x).values / triplet.sigma
 
 
 def svd_to_json_dict(triplets: list) -> dict:
@@ -168,18 +173,25 @@ def svd_to_json_dict(triplets: list) -> dict:
 
 def triplets_from_json_dict(doc: dict) -> list:
     """Rebuild triplets; quadrature weights are regenerated from the grid
-    shapes (they are not serialized)."""
+    shapes (they are not serialized). Every entry must sit on the grids of
+    the first one, so all triplets share one g grid and one phi grid."""
     b, c = float(doc["b"]), float(doc["c"])
+    entries = doc["entries"]
+    if not entries:
+        raise ValueError("svd document has no entries")
+    ggrid = gauss_legendre(len(entries[0]["g"]["nodes"]))
+    pgrid = phi_grid(b, nodes_per_panel=_infer_panel_nodes(
+        len(entries[0]["phi"]["nodes"]), b))
     out = []
-    for e in doc["entries"]:
+    for e in entries:
         gnodes = np.array(e["g"]["nodes"])
-        ggrid = gauss_legendre(gnodes.size)
-        if not np.allclose(ggrid.nodes, gnodes, atol=1e-12):
+        if gnodes.shape != ggrid.nodes.shape \
+                or not np.allclose(ggrid.nodes, gnodes, atol=1e-12):
             raise ValueError("g grid is not the standard Gauss grid")
         g = SampledFunction(ggrid, np.array(e["g"]["values"]))
         pnodes = np.array(e["phi"]["nodes"])
-        pgrid = phi_grid(b, nodes_per_panel=_infer_panel_nodes(pnodes, b))
-        if not np.allclose(pgrid.nodes, pnodes, atol=1e-9 / b):
+        if pnodes.shape != pgrid.nodes.shape \
+                or not np.allclose(pgrid.nodes, pnodes, atol=1e-9 / b):
             raise ValueError("phi grid does not match the standard panel grid")
         phi = SampledFunction(pgrid, np.array(e["phi"]["re"])
                               + 1j * np.array(e["phi"]["im"]))
@@ -189,9 +201,8 @@ def triplets_from_json_dict(doc: dict) -> list:
     return out
 
 
-def _infer_panel_nodes(nodes: np.ndarray, b: float) -> int:
+def _infer_panel_nodes(size: int, b: float) -> int:
     n_panels = len(phi_grid(b, nodes_per_panel=1))
-    if nodes.size % n_panels:
+    if size % n_panels:
         raise ValueError("phi grid size is not a multiple of the panel count")
-    return nodes.size // n_panels
-
+    return size // n_panels

@@ -231,7 +231,8 @@ def test_extrapolate_usage_errors(tmp_path, cache):
         ["extrapolate", "--case", "a", "--sweep", "--adaptive"],
         ["extrapolate", "--input", str(window), "--adaptive"],
         ["extrapolate", "--input", str(window), "--sweep"],
-    ]
+    ] + [["extrapolate", "--case", "a", "--N", "1", opt, v]
+         for opt in ("--nfft", "--report-points") for v in ("0", "1")]
     for args in bad_args:
         res = run_cli(cache, *args, "--out", str(tmp_path / "u"))
         assert res.exit_code == 2, args

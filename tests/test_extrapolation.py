@@ -5,13 +5,15 @@ import numpy as np
 import pytest
 
 from sechprolate.bounds import beta
-from sechprolate.extrapolation import (ObservationWindow, adaptive_N,
+from sechprolate.extrapolation import (ObservationWindow, _invert_transform,
+                                       _uniform_transform_grid, adaptive_N,
                                        builtin_case, coefficients,
                                        cutoff_estimate, l2_error, n_max,
                                        rate_sweep, sigma_penalty)
 from sechprolate.sech_operator import OperatorParams, SampledFunction
 from sechprolate.special_functions import QuadratureGrid, gauss_legendre
-from sechprolate.svd_assembly import compute_svd, evaluate_g
+from sechprolate.svd_assembly import (SvdTriplet, compute_svd, evaluate_g,
+                                      evaluate_phi)
 
 
 def scaled_window(obs, lam):
@@ -100,6 +102,70 @@ def test_coefficients_grid_mismatch(case_a):
                              samples=SampledFunction(g, np.zeros(64)))
     with pytest.raises(ValueError):
         coefficients(obs2, svd)
+
+
+def test_coefficients_batched_equals_per_triplet_loop(case_a):
+    obs, _, _, svd = case_a
+    wv = obs.samples.grid.weights * obs.samples.values
+    ref = np.array([evaluate_g(t, obs.samples.grid.nodes) @ wv for t in svd])
+    d = coefficients(obs, svd)
+    assert np.max(np.abs(d - ref)) <= 1e-13 * np.max(np.abs(ref))
+
+
+def test_coefficients_reject_differing_g_grids(case_a):
+    obs, _, _, svd = case_a
+    t = svd[3]
+    g2 = gauss_legendre(t.g.grid.nodes.size + 2)
+    moved = SvdTriplet(m=t.m, b=t.b, c=t.c, sigma=t.sigma, rho=t.rho,
+                       g=SampledFunction(g2, evaluate_g(t, g2.nodes)),
+                       phi=t.phi, trusted=t.trusted)
+    with pytest.raises(ValueError, match="g grid"):
+        coefficients(obs, svd[:3] + [moved] + svd[4:])
+
+
+@pytest.mark.parametrize("b", [1.0, 1 / 6.5])
+@pytest.mark.parametrize("nfft, report_points",
+                         [(4096, 301), (4096, 1201), (4096, 4096), (2047, 1201)])
+def test_chirp_z_inverse_matches_dense_longdouble(b, nfft, report_points):
+    """The chirp-z inverse against the dense trapezoid sum in longdouble,
+    on every 37th report point and both ends, with an off-centre window."""
+    x0 = 0.37
+    xu, wu = _uniform_transform_grid(22.0 / b, nfft)
+    F = np.exp(0.3j * xu) / np.cosh(b * xu) * (1.0 + 0.2 * np.sin(2.0 * xu))
+    s_grid = np.linspace(x0 - 6.0, x0 + 6.0, report_points)
+    vals = _invert_transform(F, xu, wu, x0, s_grid)
+    idx = np.unique(np.r_[np.arange(0, report_points, 37), report_points - 1])
+    ph = ((np.longdouble(x0) - s_grid[idx].astype(np.longdouble))[:, None]
+          * xu.astype(np.longdouble)[None, :])
+    wF = wu.astype(np.longdouble) * F.real.astype(np.longdouble)
+    wG = wu.astype(np.longdouble) * F.imag.astype(np.longdouble)
+    # exp(-i ph) (Fr + i Fi) = (cos ph Fr + sin ph Fi) + i (cos ph Fi - sin ph Fr)
+    ref_re = np.cos(ph) @ wF + np.sin(ph) @ wG
+    ref_im = np.cos(ph) @ wG - np.sin(ph) @ wF
+    ref = ref_re.astype(float) + 1j * ref_im.astype(float)
+    assert np.max(np.abs(vals[idx] - ref)) <= 1e-12 * np.max(np.abs(ref))
+
+
+def test_inverse_needs_two_points_per_grid():
+    xu, wu = _uniform_transform_grid(22.0, 64)
+    with pytest.raises(ValueError):
+        _invert_transform(np.ones(64), xu, wu, 0.0, np.array([0.0]))
+
+
+def test_fused_transform_side_equals_sum_of_modes(case_a):
+    """One adjoint of the combined g equals the sum of coef_m * phi_m, both
+    on the stored panel grid and, through the linear inverse, on the line."""
+    obs, _, _, svd = case_a
+    N, nfft = 4, 1024
+    est = cutoff_estimate(obs, svd, N, nfft=nfft, report_points=601)
+    coef = est.d / np.array([t.sigma for t in svd[: N + 1]])
+    xu, wu = _uniform_transform_grid(svd[0].phi.grid.interval[1], nfft)
+    F_u = sum(coef[m] * evaluate_phi(svd[m], xu) for m in range(N + 1))
+    ref = _invert_transform(F_u, xu, wu, obs.x0, est.grid)
+    assert np.max(np.abs(est.values - ref)) <= 1e-13 * np.max(np.abs(ref))
+    F_panel = sum(coef[m] * svd[m].phi.values for m in range(N + 1))
+    assert np.max(np.abs(est.F.values - F_panel)) \
+        <= 1e-13 * np.max(np.abs(F_panel))
 
 
 def test_sigma_penalty_formula(case_a):

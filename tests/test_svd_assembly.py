@@ -157,6 +157,9 @@ def test_json_round_trip(svd_b1_c1):
     doc = json.loads(json.dumps(svd_to_json_dict(svd_b1_c1)))
     back = triplets_from_json_dict(doc)
     assert len(back) == len(svd_b1_c1)
+    # one g grid and one phi grid per document
+    assert all(t.g.grid is back[0].g.grid for t in back)
+    assert all(t.phi.grid is back[0].phi.grid for t in back)
     for t_in, t_out in zip(svd_b1_c1, back):
         assert t_out.sigma == t_in.sigma
         assert t_out.rho == t_in.rho
