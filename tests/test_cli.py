@@ -4,6 +4,9 @@ files and their exact round-trips, exit codes, and byte reproducibility."""
 import hashlib
 import json
 import math
+import os
+import subprocess
+import sys
 import warnings
 
 import numpy as np
@@ -97,6 +100,19 @@ def test_svd_cache_key_changes_with_version(monkeypatch):
     assert cli.svd_cache_key(1.0, 1.0, 12, 260) == key
     monkeypatch.setattr(cli, "__version__", "0.0.0")
     assert cli.svd_cache_key(1.0, 1.0, 12, None) != key
+
+
+def test_cli_import_loads_no_scipy():
+    # scipy is a test-only dependency: a fresh interpreter importing the
+    # command line must not load any of it
+    pkg_root = os.path.dirname(os.path.dirname(cli.__file__))
+    paths = [pkg_root] + [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(paths))
+    code = ("import sys, sechprolate.cli; "
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+    res = subprocess.run([sys.executable, "-c", code], env=env,
+                         capture_output=True, text=True, timeout=120, check=True)
+    assert res.stdout.strip() == "[]"
 
 
 def test_svd_scaling_law_across_runs(tmp_path, cache):

@@ -2,7 +2,9 @@ import math
 
 import numpy as np
 import pytest
+from scipy.integrate import quad
 
+from sechprolate import commuting_ode
 from sechprolate.bounds import R_of_c, U_bounds
 from sechprolate.commuting_ode import (build_transform, case1_coefficients,
                                        commutation_residual, family_parameter,
@@ -144,12 +146,55 @@ def test_cross_route_eigenfunctions_deep(c, m_max):
     assert checked >= 10
 
 
-@pytest.mark.parametrize("c", [0.5, 2.0, 4.0, 5.0])
+@pytest.mark.parametrize("c", [0.5, 2.0, 4.0, 5.0, 8.0, 16.0])
 def test_u_normalizer_matches_quadrature(c):
     # U = int_{-1}^{1} p^{-1/2} = 2 s(0); the closed form must not lose the
-    # complementary modulus sech(2t) to cancellation at large c
+    # complementary modulus sech(2t) to cancellation at large c, and the
+    # s-rule must keep its accuracy there (abs=0: U is 3.5e-11 at c = 8)
     tr = build_transform(c)
-    assert 2 * tr.s(0.0) == pytest.approx(tr.U, rel=1e-13)
+    assert 2 * tr.s(0.0) == pytest.approx(tr.U, rel=1e-13, abs=0.0)
+
+
+@pytest.mark.parametrize("c", [0.25, 4.0, 8.0])
+def test_vectorised_map_matches_scalar_calls(c):
+    tr = build_transform(c)
+    x = np.concatenate([np.linspace(-1.0, 1.0, 41), [-1 + 1e-13, 1 - 1e-13]])
+    y = np.concatenate([np.linspace(-1.0, 1.0, 41),
+                        1 - np.logspace(-15, -1, 8), [-1 + 1e-9]])
+    for fn, pts in ((tr.s, x), (tr.Y_inverse, y), (tr.F, y),
+                    (lambda v: q_c_potential(tr, v), y)):
+        got = fn(pts)
+        assert got.shape == pts.shape
+        assert np.array_equal(got, [fn(float(v)) for v in pts])
+    assert np.max(np.abs(tr.Y(tr.Y_inverse(y)) - y)) <= 1e-12
+
+
+@pytest.mark.parametrize("c", [0.25, 1.0, 4.0])
+def test_s_against_scipy_quad(c):
+    # independent form: int_x^1 (p / (1-xi))^(-1/2) (1-xi)^(-1/2) by QUADPACK
+    # with the algebraic endpoint weight
+    t = family_parameter(c)
+
+    def smooth(xi):
+        h = 1.0 - xi
+        shc = math.sinh(2 * t * h) / h if h > 0 else 2 * t
+        return (2.0 * math.sinh(2 * t * (1 + xi)) * shc) ** -0.5
+
+    # QUADPACK's weighted rule itself loses digits as [x, 1] shrinks (1e-8
+    # relative at length 2^-40), so the points stay away from x = 1
+    xs = np.array([-0.99, -0.5, 0.0, 0.3, 0.9, 0.99])
+    ref = [quad(smooth, x, 1.0, weight="alg", wvar=(0.0, -0.5),
+                epsabs=0.0, epsrel=1e-13)[0] for x in xs]
+    assert build_transform(c).s(xs) == pytest.approx(ref, rel=1e-13, abs=0.0)
+
+
+def test_y_inverse_raises_rather_than_return_unconverged(monkeypatch):
+    tr = build_transform(1.0)
+    with pytest.raises(ArithmeticError):
+        tr.Y_inverse(np.array([0.5, np.nan]))
+    monkeypatch.setattr(commuting_ode, "_NEWTON_MAX_ITER", 1)
+    with pytest.raises(ArithmeticError):
+        tr.Y_inverse(0.5)
 
 
 def test_evaluate_g_distinguishes_grids_with_equal_ends(ode_c1):
