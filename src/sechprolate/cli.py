@@ -47,9 +47,24 @@ def fmt_cell(x) -> str:
     return format(float(x), ".17g")
 
 
+_FLOAT_TYPES = frozenset((float, np.float64))
+
+
 def csv_bytes(header, rows) -> bytes:
+    """CSV text with one line per row. A row of floats only is formatted
+    by one "%.17g,..." string, which gives the same bytes as fmt_cell on
+    each cell; any other row goes through fmt_cell."""
     lines = [",".join(header)]
-    lines.extend(",".join(fmt_cell(x) for x in row) for row in rows)
+    row_formats = {}
+    for row in rows:
+        row = tuple(row)
+        if _FLOAT_TYPES.issuperset(map(type, row)):
+            fmt = row_formats.get(len(row))
+            if fmt is None:
+                fmt = row_formats[len(row)] = ",".join(["%.17g"] * len(row))
+            lines.append(fmt % row)
+        else:
+            lines.append(",".join(fmt_cell(x) for x in row))
     return ("\n".join(lines) + "\n").encode("ascii")
 
 
@@ -440,12 +455,12 @@ def extrapolate(case_id, input_path, b, c, x0, deltas, adaptive, n_level,
                             "Sigma": diag["Sigma"].tolist(),
                             "q": diag["q"].tolist(),
                             "criterion": diag["criterion"].tolist()})
-            level = n_hat
+            level, d = n_hat, diag["d"]
         else:
             results["N"] = n_level
-            level = n_level
+            level, d = n_level, None
         est = cutoff_estimate(obs, triplets, level, nfft=nfft,
-                              report_points=report_points)
+                              report_points=report_points, d=d)
         if truth is not None:
             results["error_l2"] = l2_error(est.grid, est.values, truth)
         os.makedirs(out, exist_ok=True)

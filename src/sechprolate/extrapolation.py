@@ -169,8 +169,12 @@ def _invert_transform(F_vals, xu, wu, x0, s_grid):
 
 def cutoff_estimate(obs: ObservationWindow, svd: list, N: int,
                     nfft: int = 4096, report_points: int = 1201,
-                    report_halfwidth: float = 6.0) -> CutoffEstimate:
+                    report_halfwidth: float = 6.0,
+                    d: np.ndarray = None) -> CutoffEstimate:
     """Spectral cut-off estimate at level N.
+
+    d is coefficients(obs, svd) if the caller already has it (adaptive_N
+    returns it in its diagnostics); otherwise the window is projected here.
 
     The transform-side estimate F = sum_{m<=N} (d_m/sigma_m) phi_m is linear
     in the g_m, so it is one adjoint applied to sum_m (d_m/sigma_m^2) g_m,
@@ -182,7 +186,10 @@ def cutoff_estimate(obs: ObservationWindow, svd: list, N: int,
     last_trusted = max((t.m for t in svd if t.trusted), default=-1)
     if N > last_trusted:
         raise ValueError(f"truncation level {N} exceeds trusted index {last_trusted}")
-    d = coefficients(obs, svd)
+    if d is None:
+        d = coefficients(obs, svd)
+    elif np.shape(d) != (len(svd),):
+        raise ValueError("d must hold one coefficient per svd triplet")
     sigma = np.array([t.sigma for t in svd[: N + 1]])
     coef = d[: N + 1] / sigma
     pg = svd[0].phi.grid
@@ -238,7 +245,7 @@ def adaptive_N(obs: ObservationWindow, svd: list, variant: str = "plus",
     crit = B + Sig
     n_hat = int(np.argmin(crit))   # argmin returns the first (smallest) index
     diagnostics = {"B": B, "Sigma": Sig, "q": q, "criterion": crit,
-                   "n_max": nm, "variant": variant}
+                   "n_max": nm, "variant": variant, "d": d}
     return n_hat, diagnostics
 
 
@@ -269,10 +276,10 @@ def rate_sweep(case_id: str, delta_list, oracle_rule: str = "polynomial",
         else:
             nbar = math.log(1.0 / dl) / (kappa + be)
         nbar = min(int(math.floor(nbar)), last_trusted)
-        est_bar = cutoff_estimate(obs, svd, nbar)
+        nhat, diag = adaptive_N(obs, svd, variant=variant, params=params)
+        est_bar = cutoff_estimate(obs, svd, nbar, d=diag["d"])
         err_bar = l2_error(est_bar.grid, est_bar.values, truth)
-        nhat, _ = adaptive_N(obs, svd, variant=variant, params=params)
-        est_hat = cutoff_estimate(obs, svd, nhat)
+        est_hat = cutoff_estimate(obs, svd, nhat, d=diag["d"])
         err_hat = l2_error(est_hat.grid, est_hat.values, truth)
         rows.append({"delta": dl, "N_bar": nbar, "err_bar": err_bar,
                      "N_hat": nhat, "err_hat": err_hat})

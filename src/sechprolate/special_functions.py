@@ -5,6 +5,7 @@ Newton iteration, normalized Legendre polynomials by recurrence, complete
 elliptic integral by the AGM, and spherical Bessel functions by stable
 downward recurrence.
 """
+import functools
 import math
 from dataclasses import dataclass
 
@@ -50,12 +51,20 @@ def gauss_legendre(n: int, interval=(-1.0, 1.0)) -> QuadratureGrid:
     Nodes found by Newton iteration on P_n starting from the Chebyshev-type
     guesses cos(pi*(i+3/4)/(n+1/2)); one half computed, then mirrored so the
     rule is exactly symmetric.
+
+    Rules are memoised on (n, lo, hi), so repeated calls return the same
+    grid, whose nodes and weights are read-only: copy before writing.
     """
     lo, hi = float(interval[0]), float(interval[1])
     if n < 1:
         raise ValueError("need at least one quadrature node")
     if not lo < hi:
         raise ValueError("interval endpoints must satisfy lo < hi")
+    return _gauss_legendre_rule(int(n), lo, hi)
+
+
+@functools.lru_cache(maxsize=64)
+def _gauss_legendre_rule(n: int, lo: float, hi: float) -> QuadratureGrid:
     if n == 1:
         x = np.array([0.0])
         w = np.array([2.0])
@@ -83,7 +92,10 @@ def gauss_legendre(n: int, interval=(-1.0, 1.0)) -> QuadratureGrid:
         w = w[order]
     half = 0.5 * (hi - lo)
     mid = 0.5 * (hi + lo)
-    return QuadratureGrid(half * x + mid, half * w, (lo, hi))
+    nodes, weights = half * x + mid, half * w
+    nodes.flags.writeable = False
+    weights.flags.writeable = False
+    return QuadratureGrid(nodes, weights, (lo, hi))
 
 
 def legendre_normalized(m: int, x):

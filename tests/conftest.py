@@ -46,3 +46,18 @@ def case_a():
         warnings.simplefilter("ignore", UserWarning)
         svd = compute_svd(params, m_max=12)
     return obs, truth, params, svd
+
+
+@pytest.fixture
+def coefficient_calls(monkeypatch):
+    """List that grows by one on every extrapolation.coefficients call."""
+    import sechprolate.extrapolation as ex
+    calls = []
+    original = ex.coefficients
+
+    def counted(obs, svd):
+        calls.append(1)
+        return original(obs, svd)
+
+    monkeypatch.setattr(ex, "coefficients", counted)
+    return calls

@@ -336,3 +336,51 @@ def test_selftest_byte_identical_data(tmp_path, cache):
             assert line.split()[0] == digest
     for name in names:
         assert (outs[0] / name).read_bytes() == (outs[1] / name).read_bytes()
+
+
+def reconstruction_rows(n=4096):
+    """Rows shaped like reconstruction.csv: numpy columns zipped together."""
+    rng = np.random.default_rng(n)
+    x = np.linspace(-6.0, 6.0, n)
+    return list(zip(x, rng.standard_normal(n) * 10.0 ** rng.integers(-300, 300, n),
+                    np.sin(x) * 1e-310, 0.5 / np.cosh(2.0 * x)))
+
+
+@pytest.mark.parametrize("rows", [
+    reconstruction_rows(),
+    [(0.1, -2.5, 1e300), (3.0, 1.0 / 3.0, -7e-310)],
+    [tuple(np.float64(v) for v in (0.1, -2.5, 1e300, 2.0 ** -1074))],
+    [(1, 2.5, True, None), (np.int64(-4), np.float64(0.5), np.bool_(False), 7)],
+    [(math.inf, -math.inf, math.nan, -0.0, 0.0),
+     (np.float64("inf"), np.float64("-inf"), np.float64("nan"),
+      np.float64(-0.0), 5e-324)],
+    [(2.0 ** -1022, 2.0 ** -1074, -4.9e-324, np.nextafter(0.0, 1.0)), ()],
+    [(1.5, None), (None, 1.5), (np.float32(0.1), 0.1)],
+])
+def test_csv_bytes_equal_per_cell_join(rows):
+    header = ["h%d" % i for i in range(max(len(r) for r in rows))]
+    expected = "\n".join([",".join(header)] + [
+        ",".join(cli.fmt_cell(x) for x in row) for row in rows]) + "\n"
+    assert cli.csv_bytes(header, rows) == expected.encode("ascii")
+    assert cli.csv_bytes(header, iter(rows)) == expected.encode("ascii")
+
+
+def test_extrapolate_adaptive_projects_the_window_once(tmp_path, cache,
+                                                       coefficient_calls):
+    res = run_cli(cache, "extrapolate", "--case", "a", "--adaptive",
+                  "--out", str(tmp_path / "run"))
+    assert res.exit_code == 0
+    assert len(coefficient_calls) == 1
+
+
+def test_extrapolate_twice_in_one_process_is_byte_identical(tmp_path, cache):
+    """The Gauss rules are shared across calls; a write into one would
+    show as a changed reconstruction on the second run."""
+    outs = [tmp_path / name for name in ("first", "second")]
+    for out in outs:
+        res = run_cli(cache, "extrapolate", "--case", "a", "--adaptive",
+                      "--out", str(out))
+        assert res.exit_code == 0
+    first, second = [(out / "reconstruction.csv").read_bytes() for out in outs]
+    assert first == second
+    assert len(first.splitlines()) == 4097

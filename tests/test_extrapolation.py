@@ -329,3 +329,33 @@ def test_rate_sweep_constant_delta_deterministic():
     assert r1["err_bar"] == r2["err_bar"]
     assert r1["err_hat"] == r2["err_hat"]
     assert r1["N_hat"] == r2["N_hat"]
+
+
+def test_adaptive_estimate_projects_the_window_once(case_a, coefficient_calls):
+    obs, _, params, svd = case_a
+    fresh = {N: cutoff_estimate(obs, svd, N) for N in range(n_max(obs.delta) + 1)}
+    coefficient_calls.clear()
+    n_hat, diag = adaptive_N(obs, svd, params=params)
+    est = cutoff_estimate(obs, svd, n_hat, d=diag["d"])
+    assert len(coefficient_calls) == 1
+    assert diag["d"].tobytes() == coefficients(obs, svd).tobytes()
+    for N, ref in fresh.items():
+        got = est if N == n_hat else cutoff_estimate(obs, svd, N, d=diag["d"])
+        assert got.values.tobytes() == ref.values.tobytes()
+        assert got.F.values.tobytes() == ref.F.values.tobytes()
+        assert got.d.tobytes() == ref.d.tobytes()
+
+
+def test_cutoff_rejects_misshapen_coefficients(case_a):
+    obs, _, _, svd = case_a
+    d = coefficients(obs, svd)
+    for bad in (d[:3], d[:, None], np.append(d, 0.0)):
+        with pytest.raises(ValueError):
+            cutoff_estimate(obs, svd, 2, d=bad)
+
+
+def test_rate_sweep_projects_each_window_once(coefficient_calls):
+    deltas = [1e-1, 1e-2]
+    table = rate_sweep("a", deltas)
+    assert len(coefficient_calls) == len(deltas)
+    assert table == rate_sweep("a", deltas)

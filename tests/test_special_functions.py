@@ -7,6 +7,7 @@ import scipy.special
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from sechprolate import special_functions
 from sechprolate.special_functions import (elliptic_K, gauss_legendre,
                                            legendre_derivative_table,
                                            legendre_normalized,
@@ -63,6 +64,46 @@ def test_gauss_invalid_args():
         gauss_legendre(0)
     with pytest.raises(ValueError):
         gauss_legendre(4, (1.0, 1.0))
+
+
+@pytest.mark.parametrize("n, interval", [(1, (-1.0, 1.0)), (2, (-1.0, 1.0)),
+                                         (16, (-1.0, 1.0)), (200, (-1.0, 1.0)),
+                                         (2048, (-1.0, 1.0)), (48, (0.0, 1.0)),
+                                         (400, (-0.9, 0.9))])
+def test_gauss_cached_rule_equals_fresh_build(n, interval):
+    cached = gauss_legendre(n, interval)
+    fresh = special_functions._gauss_legendre_rule.__wrapped__(
+        n, float(interval[0]), float(interval[1]))
+    assert cached.nodes.tobytes() == fresh.nodes.tobytes()
+    assert cached.weights.tobytes() == fresh.weights.tobytes()
+    assert cached.interval == fresh.interval
+    assert gauss_legendre(n, interval) is cached
+
+
+def test_gauss_rule_is_read_only():
+    g = gauss_legendre(16)
+    before = (g.nodes.copy(), g.weights.copy())
+    with pytest.raises(ValueError):
+        g.nodes[0] = 0.0
+    with pytest.raises(ValueError):
+        g.weights *= 2.0
+    again = gauss_legendre(16)
+    assert np.array_equal(again.nodes, before[0])
+    assert np.array_equal(again.weights, before[1])
+
+
+def test_gauss_cache_key_normalises_arguments():
+    g = gauss_legendre(24, (0.0, 2.0))
+    assert gauss_legendre(np.int64(24), [0, 2]) is g
+    assert gauss_legendre(24, np.array([0.0, 2.0])) is g
+
+
+def test_gauss_invalid_args_after_caching():
+    gauss_legendre(4, (1.0, 2.0))
+    for n, interval in [(0, (-1.0, 1.0)), (np.int64(0), (-1.0, 1.0)),
+                        (-3, (-1.0, 1.0)), (4, (1.0, 1.0)), (4, (2.0, 1.0))]:
+        with pytest.raises(ValueError):
+            gauss_legendre(n, interval)
 
 
 def test_legendre_constant():
