@@ -203,38 +203,38 @@ ROW_FIELDS = ["m", "lower_small_c", "lower_all_c", "lower_combined",
 def build_report(c: float, m_max: int = 12, n: int = None) -> BoundsReport:
     """Compute spectra by both operator routes and tabulate them against
     every closed-form bound that applies at this c."""
-    from .sech_operator import nystrom_eigensystem, rho_rayleigh
+    from .sech_operator import SampledFunction, nystrom_eigensystem, rho_rayleigh
     from .commuting_ode import galerkin_eigensystem
 
     ny = nystrom_eigensystem(c, n=n, m_max=m_max)
     ode = galerkin_eigensystem(c, m_max=m_max)
+    rhos = ny.eigenvalues[: m_max + 1].copy()
+    deep = np.nonzero(rhos <= ny.trust_floor)[0]
+    if deep.size:
+        rhos[deep] = rho_rayleigh(c, SampledFunction(ode.grid,
+                                                     ode.g_values[:, deep].T))
     fine = np.linspace(-1.0, 1.0, 2001)
+    sup = np.max(np.abs(ode.evaluate_g(np.arange(m_max + 1), fine)), axis=1)
     rows = []
-    rhos = []
     for m in range(m_max + 1):
-        if ny.eigenvalues[m] > ny.trust_floor:
-            rho = float(ny.eigenvalues[m])
-        else:
-            rho = rho_rayleigh(c, ode.eigenfunction(m))
-        rhos.append(rho)
         lo_chi, hi_chi = chi_sandwich(c, m)
         row = {
             "m": m,
             "lower_small_c": lower_bound_small_c(c, m) if c <= math.pi / 4 else None,
             "lower_all_c": lower_bound_all_c(c, m),
             "lower_combined": lower_combined(c, m),
-            "rho_computed": rho,
+            "rho_computed": float(rhos[m]),
             "upper": upper_bound(c, m) if c < 1 else None,
             "chi_lo": lo_chi,
             "chi_hi": hi_chi,
             "chi_computed": float(ode.chi[m]),
             "supnorm_bound": supnorm_bound(c, m),
-            "supnorm_observed": float(np.max(np.abs(ode.evaluate_g(m, fine)))),
+            "supnorm_observed": float(sup[m]),
         }
         rows.append(row)
     m_fit_lo = min(6, max(0, m_max - 4))
     ms = np.arange(m_fit_lo, m_max + 1)
-    fit = fit_log_slope(ms, [rhos[m] for m in ms]) if len(ms) >= 2 else float("nan")
+    fit = fit_log_slope(ms, rhos[ms]) if len(ms) >= 2 else float("nan")
     return BoundsReport(c=c, m_max=m_max, rows=rows,
                         widom_slope=widom_slope(c), slope_fit=fit)
 

@@ -19,7 +19,7 @@ Newton's method with ds/du > 0, and raises ArithmeticError rather than
 return an unconverged point.
 """
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -233,13 +233,8 @@ class OdeSpectrum:
     g_values: np.ndarray = None      # (n_nodes, m_max+1)
     _norms: np.ndarray = None
     _signs: np.ndarray = None
-    _map_cache: dict = field(default_factory=dict, repr=False)
 
     def _mapped(self, x: np.ndarray):
-        key = (x.shape, x.tobytes())
-        got = self._map_cache.get(key)
-        if got is not None:
-            return got
         tr = self.transform
         ax = np.abs(x)
         s_abs = tr.s(ax)
@@ -247,17 +242,21 @@ class OdeSpectrum:
         # +-1 at x = +-1
         Yv = np.sign(x) * np.cos(math.pi * s_abs / tr.U)
         Fv = tr._jacobian(np.sqrt(1.0 - ax), s_abs)
-        PY = legendre_table(self.n_b - 1, Yv)
-        self._map_cache[key] = (Fv, PY)
-        return Fv, PY
+        return Fv, legendre_table(self.n_b - 1, Yv)
 
-    def evaluate_g(self, m: int, x) -> np.ndarray:
-        """Eigenfunction g_m of the commuting operator at points x in [-1,1]."""
+    def evaluate_g(self, m, x) -> np.ndarray:
+        """Eigenfunction g_m of the commuting operator at points x in [-1,1].
+
+        An int m gives the values of shape (len(x),); an array of indices
+        gives one row per index, shape (len(m), len(x)), from one map of x
+        and one matrix product.
+        """
         x = np.atleast_1d(np.asarray(x, dtype=float))
         Fv, PY = self._mapped(x)
         tr = self.transform
-        vals = (self.coefficients[:, m] @ PY) * math.sqrt(math.pi / tr.U) / Fv
-        return self._signs[m] * vals / self._norms[m]
+        vals = (self.coefficients[:, m].T @ PY) * math.sqrt(math.pi / tr.U) / Fv
+        # [m, None] is shape (1,) for an int m and (len(m), 1) for an array
+        return self._signs[m, None] * vals / self._norms[m, None]
 
     def eigenfunction(self, m: int) -> SampledFunction:
         return SampledFunction(self.grid, self.g_values[:, m].copy())
@@ -307,15 +306,10 @@ def galerkin_eigensystem(c: float, n_b: int = None, m_max: int = 20) -> OdeSpect
     spec.grid = grid
     spec._norms = np.ones(m_max + 1)
     spec._signs = np.ones(m_max + 1)
-    g = np.empty((len(grid), m_max + 1))
-    for m in range(m_max + 1):
-        vals = spec.evaluate_g(m, grid.nodes)
-        nrm = math.sqrt(float(np.sum(grid.weights * vals ** 2)))
-        sgn = -1.0 if vals[-1] < 0 else 1.0
-        spec._norms[m] = nrm
-        spec._signs[m] = sgn
-        g[:, m] = sgn * vals / nrm
-    spec.g_values = g
+    vals = spec.evaluate_g(np.arange(m_max + 1), grid.nodes)
+    spec._norms = np.sqrt(np.sum(grid.weights * vals ** 2, axis=1))
+    spec._signs = np.where(vals[:, -1] < 0, -1.0, 1.0)
+    spec.g_values = (spec._signs[:, None] * vals / spec._norms[:, None]).T
     return spec
 
 

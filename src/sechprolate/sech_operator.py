@@ -68,7 +68,10 @@ class SampledFunction:
             raise ValueError("values length does not match grid length")
 
     def norm(self):
-        return math.sqrt(float(np.sum(self.grid.weights * np.abs(self.values) ** 2)))
+        """L2 norm on the grid: a float for one function, one norm per row
+        for stacked (M, n) values."""
+        r = np.sqrt(np.sum(self.grid.weights * np.abs(self.values) ** 2, axis=-1))
+        return float(r) if r.ndim == 0 else r
 
 
 def kernel(c: float, x, y):
@@ -215,7 +218,7 @@ def nystrom_eigensystem(c: float, n: int = None, m_max: int = 12) -> NystromSpec
 
 
 def rho_rayleigh(c: float, g: SampledFunction, tail_multiple: float = 60.0,
-                 nodes_per_panel: int = 32) -> float:
+                 nodes_per_panel: int = 32):
     """Eigenvalue of Q_c as the Rayleigh integral int sech(x/c)|g_hat(x)|^2 dx.
 
     g_hat(x) = int_{-1}^{1} e^{ixt} g(t) dt. The integrand is nonnegative, so
@@ -228,14 +231,19 @@ def rho_rayleigh(c: float, g: SampledFunction, tail_multiple: float = 60.0,
     The outer integral is truncated at tail_multiple*c (sech tail below
     1e-26) and done on unit-length Gauss panels, which resolve both the sech
     scale c and the O(2*pi) oscillation of g_hat.
+
+    g.values may hold one function (a float is returned) or M stacked rows
+    of shape (M, n) (an array of M eigenvalues is returned); each panel's
+    cos/sin matrices are formed once and multiply all rows together. Every
+    row must have unit L2(-1,1) norm.
     """
     if c <= 0:
         raise ValueError("c must be positive")
     nrm = g.norm()
-    if abs(nrm - 1.0) > 1e-8:
+    if np.any(np.abs(nrm - 1.0) > 1e-8):
         raise ValueError(f"input must be L2(-1,1)-normalized, got norm {nrm!r}")
     xg = g.grid.nodes
-    wg = g.grid.weights * np.real(g.values)
+    wg = (g.grid.weights * np.real(g.values)).T      # (n,) or (n, M)
     x_t = tail_multiple * c
     edges = np.linspace(0.0, x_t, int(math.ceil(x_t)) + 1)
     base = gauss_legendre(nodes_per_panel)
@@ -247,8 +255,9 @@ def rho_rayleigh(c: float, g: SampledFunction, tail_multiple: float = 60.0,
         ph = xi[:, None] * xg[None, :]
         re = np.cos(ph) @ wg
         im = np.sin(ph) @ wg
-        total += float(np.sum(wi / np.cosh(xi / c) * (re * re + im * im)))
-    return 2.0 * total
+        total = total + (wi / np.cosh(xi / c)) @ (re * re + im * im)
+    total = 2.0 * total
+    return float(total) if np.ndim(total) == 0 else total
 
 
 def apply_forward(params: OperatorParams, f: SampledFunction, y_grid) -> SampledFunction:
@@ -272,7 +281,9 @@ def apply_adjoint(params: OperatorParams, h: SampledFunction, x_grid) -> Sampled
     """Adjoint of the windowed transform: sech(b x) * int_{-1}^1 e^{-i c x t} h(t) dt.
 
     x_grid may be a QuadratureGrid (kept, so the result can be integrated) or
-    a plain array of points.
+    a plain array of points. h.values may hold one function, giving values
+    of shape (len(x),), or M stacked rows of shape (M, n), giving (M, len(x))
+    from one exponential matrix and one matrix product.
     """
     if isinstance(x_grid, QuadratureGrid):
         xg = x_grid
@@ -280,7 +291,9 @@ def apply_adjoint(params: OperatorParams, h: SampledFunction, x_grid) -> Sampled
         x = np.atleast_1d(np.asarray(x_grid, dtype=float))
         xg = QuadratureGrid(x, np.full(x.size, np.nan), (float(x[0]), float(x[-1])))
     ph = np.exp(-1j * params.c * xg.nodes[:, None] * h.grid.nodes[None, :])
-    vals = ph @ (h.grid.weights * h.values)
+    # the rows times ph^T, written so that a single function keeps its
+    # matrix-vector product
+    vals = (ph @ (h.grid.weights * h.values).T).T
     vals = vals / np.cosh(params.b * xg.nodes)
     return SampledFunction(xg, vals)
 

@@ -5,7 +5,10 @@ of the sech-kernel operator at parameter c/b, sigma_m = sqrt(rho_m / c),
 and phi_m = (adjoint of the transform applied to g_m) / sigma_m lives on a
 symmetric real-line grid. Eigenpairs with rho above the dense-solver trust
 floor come from the Nystrom route; deeper ones from the commuting-operator
-route with rho recovered by the Rayleigh integral.
+route with rho recovered by the Rayleigh integral. The assembly is one pass
+over all indices at once: the g_m are stacked as rows, the deep rows get
+their rho from one batched Rayleigh integral, and every phi_m comes from
+one adjoint applied to the whole stack.
 """
 import math
 from dataclasses import dataclass
@@ -71,6 +74,11 @@ def compute_svd(params: OperatorParams, m_max: int, n: int = None,
                 n_b: int = None, nodes_per_panel: int = 16) -> list:
     """Singular triplets for m = 0..m_max, sorted by m.
 
+    All indices are assembled in one pass over a stacked (m_max+1, n) array
+    of g rows: the dense route's rows, the commuting-operator rows below its
+    trust floor from one evaluate_g call, their rho from one rho_rayleigh
+    call, and every phi from one apply_adjoint call.
+
     Indices whose rho sits within two decades of the Rayleigh-integral
     truncation floor are flagged untrusted but still returned.
     """
@@ -78,28 +86,24 @@ def compute_svd(params: OperatorParams, m_max: int, n: int = None,
         raise ValueError("m_max must be nonnegative")
     cp = params.kernel_parameter
     ny = nystrom_eigensystem(cp, n=n, m_max=m_max)
-    need_ode = any(ny.eigenvalues[m] <= ny.trust_floor for m in range(m_max + 1))
-    ode = None
-    if need_ode:
+    rho = ny.eigenvalues[: m_max + 1].copy()
+    G = ny.g_values[:, : m_max + 1].T.copy()
+    deep = np.nonzero(rho <= ny.trust_floor)[0]
+    if deep.size:
         ode = galerkin_eigensystem(cp, n_b=n_b, m_max=m_max)
+        G[deep] = ode.evaluate_g(deep, ny.grid.nodes)
+        rho[deep] = rho_rayleigh(cp, SampledFunction(ny.grid, G[deep]),
+                                 tail_multiple=RAYLEIGH_TAIL_MULTIPLE)
+    sigma = np.sqrt(rho / params.c)
     xgrid = phi_grid(params.b, nodes_per_panel)
+    phi = apply_adjoint(params, SampledFunction(ny.grid, G), xgrid).values \
+        / sigma[:, None]
     floor = 8 * max(cp, 1.0) * math.exp(-RAYLEIGH_TAIL_MULTIPLE)
-    out = []
-    for m in range(m_max + 1):
-        if ny.eigenvalues[m] > ny.trust_floor:
-            rho = float(ny.eigenvalues[m])
-            g = ny.eigenfunction(m)
-        else:
-            gvals = ode.evaluate_g(m, ny.grid.nodes)
-            g = SampledFunction(ny.grid, gvals)
-            rho = rho_rayleigh(cp, g, tail_multiple=RAYLEIGH_TAIL_MULTIPLE)
-        sigma = math.sqrt(rho / params.c)
-        adj = apply_adjoint(params, g, xgrid)
-        phi = SampledFunction(xgrid, adj.values / sigma)
-        out.append(SvdTriplet(m=m, b=params.b, c=params.c, sigma=sigma,
-                              rho=rho, g=g, phi=phi,
-                              trusted=rho > 100.0 * floor))
-    return out
+    return [SvdTriplet(m=m, b=params.b, c=params.c, sigma=float(sigma[m]),
+                       rho=float(rho[m]), g=SampledFunction(ny.grid, G[m]),
+                       phi=SampledFunction(xgrid, phi[m]),
+                       trusted=bool(rho[m] > 100.0 * floor))
+            for m in range(m_max + 1)]
 
 
 def rescale_phi(b: float, c: float, triplet: SvdTriplet) -> SvdTriplet:

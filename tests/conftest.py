@@ -61,3 +61,24 @@ def coefficient_calls(monkeypatch):
 
     monkeypatch.setattr(ex, "coefficients", counted)
     return calls
+
+
+@pytest.fixture
+def operator_calls(monkeypatch):
+    """Counts of apply_adjoint and rho_rayleigh calls, by name. Both are
+    rebound in sech_operator and in svd_assembly, which imports them."""
+    import sechprolate.sech_operator as so
+    import sechprolate.svd_assembly as sa
+    calls = {"apply_adjoint": 0, "rho_rayleigh": 0}
+
+    def counter(name, original):
+        def counted(*args, **kwargs):
+            calls[name] += 1
+            return original(*args, **kwargs)
+        return counted
+
+    for name in calls:
+        wrapped = counter(name, getattr(so, name))
+        monkeypatch.setattr(so, name, wrapped)
+        monkeypatch.setattr(sa, name, wrapped)
+    return calls

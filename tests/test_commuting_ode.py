@@ -209,6 +209,17 @@ def test_evaluate_g_distinguishes_grids_with_equal_ends(ode_c1):
         assert np.max(np.abs(got - pointwise)) < 1e-12
 
 
+def test_evaluate_g_index_array_matches_per_m_loop(ode_c1):
+    x = np.linspace(-1.0, 1.0, 301)
+    ms = np.array([0, 1, 5, 12, 20])
+    rows = ode_c1.evaluate_g(ms, x)
+    loop = np.array([ode_c1.evaluate_g(int(m), x) for m in ms])
+    assert rows.shape == (5, 301)
+    assert np.max(np.abs(rows - loop)) <= 1e-14 * np.max(np.abs(loop))
+    assert ode_c1.evaluate_g(3, x).shape == (301,)
+    assert ode_c1.evaluate_g([3], x).shape == (1, 301)
+
+
 def test_evaluate_g_endpoint_limit_at_large_c():
     # at c >= 3.55, 1 - Y(-1)^2 rounds to ~1e-26 instead of 0 while p(-1) = 0
     ode = galerkin_eigensystem(4.0, m_max=8)

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 import scipy.integrate
 
+from sechprolate.commuting_ode import galerkin_eigensystem
 from sechprolate.sech_operator import (OperatorParams, SampledFunction,
                                        apply_adjoint, apply_forward, kernel,
                                        nystrom_eigensystem, rho_rayleigh,
@@ -108,6 +109,57 @@ def test_rho_rayleigh_requires_unit_norm():
     g = gauss_legendre(32)
     with pytest.raises(ValueError):
         rho_rayleigh(1.0, SampledFunction(g, np.full(32, 2.0)))
+
+
+def test_norm_of_stacked_rows():
+    g = gauss_legendre(40)
+    tab = legendre_table(4, g.nodes)
+    scaled = tab * np.array([1.0, 2.0, 0.5, 3.0, 1.0])[:, None]
+    got = SampledFunction(g, scaled).norm()
+    assert got.shape == (5,)
+    assert np.allclose(got, [1.0, 2.0, 0.5, 3.0, 1.0], rtol=1e-14, atol=0)
+    one = SampledFunction(g, scaled[1]).norm()
+    assert isinstance(one, float) and one == got[1]
+
+
+def test_rho_rayleigh_stacked_matches_per_function():
+    """One call on stacked rows against one call per row: rel 1e-12 where
+    rho > 1e-10, and within the route's own eps/sqrt(rho) scale below."""
+    eps = np.finfo(float).eps
+    for c in (0.5, 1.0):
+        ode = galerkin_eigensystem(c, m_max=24)
+        stacked = rho_rayleigh(c, SampledFunction(ode.grid, ode.g_values.T))
+        per = np.array([rho_rayleigh(c, ode.eigenfunction(m))
+                        for m in range(25)])
+        assert stacked.shape == (25,)
+        rel = np.abs(stacked - per) / per
+        big = per > 1e-10
+        assert np.all(rel[big] <= 1e-12)
+        assert np.any(~big)
+        assert np.all(rel[~big] <= eps / np.sqrt(per[~big]))
+
+
+def test_rho_rayleigh_checks_every_row():
+    ode = galerkin_eigensystem(1.0, m_max=4)
+    rows = ode.g_values.T.copy()
+    rows[3] *= 1.001
+    with pytest.raises(ValueError, match="normalized"):
+        rho_rayleigh(1.0, SampledFunction(ode.grid, rows))
+
+
+def test_adjoint_stacked_matches_per_row():
+    params = OperatorParams(b=1.0, c=0.5)
+    ode = galerkin_eigensystem(0.5, m_max=20)
+    xg = phi_grid(1.0)
+    stacked = apply_adjoint(params, SampledFunction(ode.grid, ode.g_values.T), xg)
+    per = np.array([apply_adjoint(params, ode.eigenfunction(m), xg).values
+                    for m in range(21)])
+    assert stacked.values.shape == per.shape == (21, xg.nodes.size)
+    assert stacked.grid is xg
+    assert np.max(np.abs(stacked.values - per)) <= 1e-13 * np.max(np.abs(per))
+    x = np.array([-3.0, 0.4, 2.5])
+    pts = apply_adjoint(params, SampledFunction(ode.grid, ode.g_values[:, :3].T), x)
+    assert pts.values.shape == (3, 3)
 
 
 def test_forward_sech_closed_form():

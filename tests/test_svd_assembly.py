@@ -1,11 +1,16 @@
 import json
+import warnings
 
 import numpy as np
 import pytest
 
+from sechprolate.bounds import build_report
+from sechprolate.commuting_ode import galerkin_eigensystem
 from sechprolate.sech_operator import (OperatorParams, SampledFunction,
-                                       apply_forward)
-from sechprolate.svd_assembly import (compute_svd, evaluate_g, evaluate_phi,
+                                       apply_adjoint, apply_forward,
+                                       nystrom_eigensystem, rho_rayleigh)
+from sechprolate.svd_assembly import (RAYLEIGH_TAIL_MULTIPLE, compute_svd,
+                                      evaluate_g, evaluate_phi, phi_grid,
                                       rescale_phi, svd_to_json_dict,
                                       triplets_from_json_dict)
 
@@ -195,3 +200,55 @@ def test_invalid_params():
         OperatorParams(b=1.0, c=0.0)
     with pytest.raises(ValueError):
         compute_svd(OperatorParams(b=1.0, c=1.0), m_max=-1)
+
+
+def test_one_adjoint_and_one_rayleigh_call_per_svd(operator_calls):
+    # c/b = 0.5 at m_max = 20 has rows below the dense trust floor
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", UserWarning)
+        svd = compute_svd(OperatorParams(b=1.0, c=0.5), m_max=20)
+    assert svd[-1].rho < 1e-16      # below the trust floor, about 6e-13
+    assert operator_calls == {"apply_adjoint": 1, "rho_rayleigh": 1}
+
+
+def test_no_rayleigh_call_without_deep_rows(operator_calls):
+    compute_svd(OperatorParams(b=1.0, c=4.0), m_max=12)
+    assert operator_calls == {"apply_adjoint": 1, "rho_rayleigh": 0}
+
+
+def test_bounds_report_makes_one_rayleigh_call(operator_calls):
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", UserWarning)
+        build_report(0.5, m_max=16)
+    assert operator_calls["rho_rayleigh"] == 1
+
+
+def test_one_pass_matches_per_index_assembly():
+    """The stacked assembly against the per-index loop it replaced: dense
+    rows bit-identical, deep g rows equal to evaluate_g, deep rho within
+    the Rayleigh route's roundoff, F* g within its roundoff eps ||g||_1."""
+    params = OperatorParams(b=1.0, c=0.5)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", UserWarning)
+        svd = compute_svd(params, m_max=20)
+        ny = nystrom_eigensystem(0.5, m_max=20)
+    ode = galerkin_eigensystem(0.5, m_max=20)
+    xg = phi_grid(1.0)
+    eps = np.finfo(float).eps
+    deep = 0
+    for t in svd:
+        m = t.m
+        if ny.eigenvalues[m] > ny.trust_floor:
+            assert t.rho == float(ny.eigenvalues[m])
+            assert np.array_equal(t.g.values, ny.g_values[:, m])
+        else:
+            deep += 1
+            g = SampledFunction(ny.grid, ode.evaluate_g(m, ny.grid.nodes))
+            assert np.max(np.abs(t.g.values - g.values)) <= 1e-14
+            rho = rho_rayleigh(0.5, g, tail_multiple=RAYLEIGH_TAIL_MULTIPLE)
+            assert abs(t.rho - rho) <= rho * max(1e-12, eps / np.sqrt(rho))
+        assert t.sigma == np.sqrt(t.rho / params.c)
+        adj = apply_adjoint(params, t.g, xg).values
+        g_l1 = np.sum(t.g.grid.weights * np.abs(t.g.values))
+        assert np.max(np.abs(t.phi.values * t.sigma - adj)) <= 100 * eps * g_l1
+    assert deep > 0
