@@ -349,10 +349,11 @@ def read_window_csv(path: str):
               help="window half-width (required with --input)")
 @click.option("--x0", type=float, default=0.0, show_default=True,
               help="window center (with --input)")
-@click.option("--delta", "deltas", type=float, multiple=True,
+@click.option("--delta", "deltas", type=click.FloatRange(0, None),
+              multiple=True,
               help="noise level; may repeat with --sweep")
 @click.option("--adaptive", is_flag=True, help="data-driven truncation level")
-@click.option("--N", "n_level", type=int, default=None,
+@click.option("--N", "n_level", type=click.IntRange(0, None), default=None,
               help="fixed truncation level")
 @click.option("--variant", type=click.Choice(["plus", "minus"]),
               default="plus", show_default=True,
@@ -379,6 +380,9 @@ def extrapolate(case_id, input_path, b, c, x0, deltas, adaptive, n_level,
     or at a fixed level; --sweep runs the error-vs-noise rate table."""
     if (case_id is None) == (input_path is None):
         raise click.UsageError("give exactly one of --case or --input")
+    # FloatRange lets nan and inf through
+    if not all(math.isfinite(dl) for dl in deltas):
+        raise click.UsageError("--delta must be finite")
     if report_points is None:
         report_points = nfft
     t0 = time.perf_counter()

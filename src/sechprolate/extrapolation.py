@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .special_functions import gauss_legendre
+from .special_functions import gauss_legendre, uniform_grid
 from .sech_operator import OperatorParams, SampledFunction, apply_adjoint
 from .svd_assembly import compute_svd, legendre_expansion
 from .bounds import beta
@@ -128,15 +128,6 @@ def n_max(delta: float) -> int:
     return int(math.floor(math.log(1.0 / delta)))
 
 
-def _uniform_transform_grid(T: float, nfft: int):
-    """nfft uniform nodes on [-T, T] with trapezoid weights."""
-    xu = np.linspace(-T, T, nfft)
-    wu = np.full(nfft, xu[1] - xu[0])
-    wu[0] *= 0.5
-    wu[-1] *= 0.5
-    return xu, wu
-
-
 def _invert_transform(F_vals, xu, wu, x0, s_grid):
     """f(s) = int exp(-i (x0 - s) x) F(x) dx by the trapezoid rule on the
     uniform grid xu, at every point of the uniform grid s_grid.
@@ -178,11 +169,16 @@ def cutoff_estimate(obs: ObservationWindow, svd: list, N: int,
 
     The transform-side estimate F = sum_{m<=N} (d_m/sigma_m) phi_m is linear
     in the g_m, so it is one adjoint applied to sum_m (d_m/sigma_m^2) g_m,
-    sampled on a uniform grid over the phi support. That is inverted by the
+    sampled on the nfft-node uniform_grid over the phi support. Its nodes
+    are x_0 + j dx, so e^{-i c x_j t} is exactly a factor in j // p times a
+    factor in j % p, and apply_adjoint forms those two small matrices
+    instead of an nfft x n_g one. F is inverted by the
     trapezoid rule, evaluated on the uniform report grid as a chirp-z
     transform; since F and all its derivatives are ~1e-9 at the grid ends,
     the trapezoid rule is spectrally accurate here.
     """
+    if N < 0:
+        raise ValueError(f"truncation level must be nonnegative, got {N}")
     last_trusted = max((t.m for t in svd if t.trusted), default=-1)
     if N > last_trusted:
         raise ValueError(f"truncation level {N} exceeds trusted index {last_trusted}")
@@ -196,11 +192,11 @@ def cutoff_estimate(obs: ObservationWindow, svd: list, N: int,
     F_panel = coef @ np.stack([t.phi.values for t in svd[: N + 1]])
     h = SampledFunction(svd[0].g.grid, (coef / sigma)
                         @ np.stack([t.g.values for t in svd[: N + 1]]))
-    xu, wu = _uniform_transform_grid(pg.interval[1], nfft)
-    F_u = apply_adjoint(OperatorParams(b=svd[0].b, c=svd[0].c), h, xu).values
+    ug = uniform_grid(pg.interval[1], nfft)
+    F_u = apply_adjoint(OperatorParams(b=svd[0].b, c=svd[0].c), h, ug).values
     s_grid = np.linspace(obs.x0 - report_halfwidth, obs.x0 + report_halfwidth,
                          report_points)
-    vals = _invert_transform(F_u, xu, wu, obs.x0, s_grid)
+    vals = _invert_transform(F_u, ug.nodes, ug.weights, obs.x0, s_grid)
     return CutoffEstimate(N=N, d=d[: N + 1], svd=svd, obs=obs,
                           F=SampledFunction(pg, F_panel), grid=s_grid,
                           values=vals)

@@ -18,10 +18,10 @@ from .special_functions import (
     gauss_legendre,
     legendre_table,
     spherical_bessel_ratio,
+    uniform_grid,
 )
 from .sech_operator import SampledFunction, refine_eigh_block
-from .extrapolation import (ObservationWindow, _invert_transform,
-                            _uniform_transform_grid)
+from .extrapolation import ObservationWindow, _invert_transform
 
 __all__ = [
     "PswfBasis",
@@ -186,7 +186,8 @@ def pswf_cutoff_estimate(obs: ObservationWindow, basis: PswfBasis, N: int,
     Psi_obs = np.stack([pswf_values(basis, m, ng.nodes) for m in range(N + 1)])
     d = Psi_obs @ (ng.weights * obs.samples.values)
     coef = np.conj(basis.phase[: N + 1]) / basis.mu[: N + 1] * d
-    xu, wu = _uniform_transform_grid(22.0 / scale_b, nfft)
+    ug = uniform_grid(22.0 / scale_b, nfft)
+    xu = ug.nodes
     inside = np.abs(scale_b * xu) <= 1.0
     F = np.zeros(xu.size, dtype=complex)
     Pin = np.stack([pswf_values(basis, m, scale_b * xu[inside])
@@ -194,6 +195,6 @@ def pswf_cutoff_estimate(obs: ObservationWindow, basis: PswfBasis, N: int,
     F[inside] = scale_b * (coef @ Pin)
     s_grid = np.linspace(obs.x0 - report_halfwidth, obs.x0 + report_halfwidth,
                          report_points)
-    vals = _invert_transform(F, xu, wu, obs.x0, s_grid)
+    vals = _invert_transform(F, xu, ug.weights, obs.x0, s_grid)
     return s_grid, vals
 

@@ -1,9 +1,9 @@
 """Quadrature and special-function kernel shared by the rest of the package.
 
 Everything here is dependency-light on purpose: Gauss-Legendre rules by
-Newton iteration, normalized Legendre polynomials by recurrence, complete
-elliptic integral by the AGM, and spherical Bessel functions by stable
-downward recurrence.
+Newton iteration, the uniform trapezoid grid of the transform side,
+normalized Legendre polynomials by recurrence, complete elliptic integral
+by the AGM, and spherical Bessel functions by stable downward recurrence.
 """
 import functools
 import math
@@ -13,7 +13,9 @@ import numpy as np
 
 __all__ = [
     "QuadratureGrid",
+    "UniformGrid",
     "gauss_legendre",
+    "uniform_grid",
     "legendre_normalized",
     "legendre_table",
     "legendre_derivative_table",
@@ -31,6 +33,17 @@ class QuadratureGrid:
 
     def __len__(self):
         return self.nodes.size
+
+
+@dataclass(frozen=True)
+class UniformGrid(QuadratureGrid):
+    """Equispaced nodes start + j * step, j = 0..n-1, with trapezoid weights.
+
+    The type tells consumers such as sech_operator.apply_adjoint that the
+    nodes may be indexed as j = p j0 + j1 and the kernel split accordingly.
+    """
+    start: float
+    step: float
 
 
 def _legendre_and_derivative(n, x):
@@ -61,6 +74,23 @@ def gauss_legendre(n: int, interval=(-1.0, 1.0)) -> QuadratureGrid:
     if not lo < hi:
         raise ValueError("interval endpoints must satisfy lo < hi")
     return _gauss_legendre_rule(int(n), lo, hi)
+
+
+def uniform_grid(T: float, n: int) -> UniformGrid:
+    """n uniform nodes on [-T, T] with trapezoid weights.
+
+    The nodes are np.linspace(-T, T, n). step is 2T/(n-1), the step
+    linspace itself multiplies by, rather than a difference of nodes, which
+    carries the rounding of the nodes it is taken from.
+    """
+    T = float(T)
+    if n < 2:
+        raise ValueError("a uniform grid needs at least 2 nodes")
+    x = np.linspace(-T, T, n)
+    w = np.full(n, x[1] - x[0])
+    w[0] *= 0.5
+    w[-1] *= 0.5
+    return UniformGrid(x, w, (-T, T), start=-T, step=2.0 * T / (n - 1))
 
 
 @functools.lru_cache(maxsize=64)

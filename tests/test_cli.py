@@ -247,6 +247,10 @@ def test_extrapolate_usage_errors(tmp_path, cache):
         ["extrapolate", "--case", "a", "--sweep", "--adaptive"],
         ["extrapolate", "--input", str(window), "--adaptive"],
         ["extrapolate", "--input", str(window), "--sweep"],
+        ["extrapolate", "--case", "a", "--N", "-1"],
+        ["extrapolate", "--case", "a", "--N", "3", "--delta", "-0.1"],
+        ["extrapolate", "--case", "a", "--N", "3", "--delta", "nan"],
+        ["extrapolate", "--case", "a", "--sweep", "--delta", "inf"],
     ] + [["extrapolate", "--case", "a", "--N", "1", opt, v]
          for opt in ("--nfft", "--report-points") for v in ("0", "1")]
     for args in bad_args:

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -6,12 +7,12 @@ import pytest
 
 from sechprolate.bounds import beta
 from sechprolate.extrapolation import (ObservationWindow, _invert_transform,
-                                       _uniform_transform_grid, adaptive_N,
-                                       builtin_case, coefficients,
+                                       adaptive_N, builtin_case, coefficients,
                                        cutoff_estimate, l2_error, n_max,
                                        rate_sweep, sigma_penalty)
 from sechprolate.sech_operator import OperatorParams, SampledFunction
-from sechprolate.special_functions import QuadratureGrid, gauss_legendre
+from sechprolate.special_functions import (QuadratureGrid, gauss_legendre,
+                                           uniform_grid)
 from sechprolate.svd_assembly import (SvdTriplet, compute_svd, evaluate_g,
                                       evaluate_phi)
 
@@ -130,7 +131,8 @@ def test_chirp_z_inverse_matches_dense_longdouble(b, nfft, report_points):
     """The chirp-z inverse against the dense trapezoid sum in longdouble,
     on every 37th report point and both ends, with an off-centre window."""
     x0 = 0.37
-    xu, wu = _uniform_transform_grid(22.0 / b, nfft)
+    ug = uniform_grid(22.0 / b, nfft)
+    xu, wu = ug.nodes, ug.weights
     F = np.exp(0.3j * xu) / np.cosh(b * xu) * (1.0 + 0.2 * np.sin(2.0 * xu))
     s_grid = np.linspace(x0 - 6.0, x0 + 6.0, report_points)
     vals = _invert_transform(F, xu, wu, x0, s_grid)
@@ -147,9 +149,10 @@ def test_chirp_z_inverse_matches_dense_longdouble(b, nfft, report_points):
 
 
 def test_inverse_needs_two_points_per_grid():
-    xu, wu = _uniform_transform_grid(22.0, 64)
+    ug = uniform_grid(22.0, 64)
     with pytest.raises(ValueError):
-        _invert_transform(np.ones(64), xu, wu, 0.0, np.array([0.0]))
+        _invert_transform(np.ones(64), ug.nodes, ug.weights, 0.0,
+                          np.array([0.0]))
 
 
 def test_fused_transform_side_equals_sum_of_modes(case_a):
@@ -159,13 +162,34 @@ def test_fused_transform_side_equals_sum_of_modes(case_a):
     N, nfft = 4, 1024
     est = cutoff_estimate(obs, svd, N, nfft=nfft, report_points=601)
     coef = est.d / np.array([t.sigma for t in svd[: N + 1]])
-    xu, wu = _uniform_transform_grid(svd[0].phi.grid.interval[1], nfft)
-    F_u = sum(coef[m] * evaluate_phi(svd[m], xu) for m in range(N + 1))
-    ref = _invert_transform(F_u, xu, wu, obs.x0, est.grid)
+    ug = uniform_grid(svd[0].phi.grid.interval[1], nfft)
+    F_u = sum(coef[m] * evaluate_phi(svd[m], ug.nodes) for m in range(N + 1))
+    ref = _invert_transform(F_u, ug.nodes, ug.weights, obs.x0, est.grid)
     assert np.max(np.abs(est.values - ref)) <= 1e-13 * np.max(np.abs(ref))
     F_panel = sum(coef[m] * svd[m].phi.values for m in range(N + 1))
     assert np.max(np.abs(est.F.values - F_panel)) \
         <= 1e-13 * np.max(np.abs(F_panel))
+
+
+def test_cutoff_estimate_forms_no_nfft_by_ng_matrix(case_a):
+    """The transform side on the uniform grid is factorised: one estimate at
+    nfft = 4096 peaks far below the 13 MB of a 4096 x n_g complex matrix."""
+    obs, _, _, svd = case_a
+    d = coefficients(obs, svd)
+    cutoff_estimate(obs, svd, 4, nfft=4096, d=d)
+    tracemalloc.start()
+    try:
+        cutoff_estimate(obs, svd, 4, nfft=4096, d=d)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 4e6, peak
+
+
+def test_cutoff_rejects_negative_level(case_a):
+    obs, _, _, svd = case_a
+    with pytest.raises(ValueError, match="nonnegative"):
+        cutoff_estimate(obs, svd, -1)
 
 
 def test_sigma_penalty_formula(case_a):

@@ -12,7 +12,8 @@ from sechprolate.special_functions import (elliptic_K, gauss_legendre,
                                            legendre_derivative_table,
                                            legendre_normalized,
                                            legendre_table,
-                                           spherical_bessel_ratio)
+                                           spherical_bessel_ratio,
+                                           uniform_grid)
 
 
 def test_gauss_n1():
@@ -104,6 +105,27 @@ def test_gauss_invalid_args_after_caching():
                         (-3, (-1.0, 1.0)), (4, (1.0, 1.0)), (4, (2.0, 1.0))]:
         with pytest.raises(ValueError):
             gauss_legendre(n, interval)
+
+
+@pytest.mark.parametrize("n", [2, 3, 64, 1024, 2047, 4096, 4097])
+@pytest.mark.parametrize("T", [11.0, 22.0, 22.0 * 6.5, 22.0 / 3.0])
+def test_uniform_grid_is_the_linspace_trapezoid_rule(n, T):
+    """Nodes and weights bit-identical to the np.linspace trapezoid grid;
+    the step is linspace's own, not a difference of nodes."""
+    g = uniform_grid(T, n)
+    x, step = np.linspace(-T, T, n, retstep=True)
+    w = np.full(n, x[1] - x[0])
+    w[0] *= 0.5
+    w[-1] *= 0.5
+    assert g.nodes.tobytes() == x.tobytes()
+    assert g.weights.tobytes() == w.tobytes()
+    assert (g.start, g.step, g.interval) == (-T, step, (-T, T))
+    assert len(g) == n
+
+
+def test_uniform_grid_needs_two_nodes():
+    with pytest.raises(ValueError):
+        uniform_grid(22.0, 1)
 
 
 def test_legendre_constant():
