@@ -17,7 +17,6 @@ import os
 import sys
 import tempfile
 import time
-from dataclasses import dataclass
 
 import click
 import numpy as np
@@ -133,30 +132,6 @@ def cached_svd_triplets(b: float, c: float, m_max: int, n=None) -> list:
 # ---------------------------------------------------------------------------
 # run manifest
 
-@dataclass
-class RunManifest:
-    command: str
-    parameters: dict
-    version: str
-    input_hashes: dict
-    outputs: list
-    wall_time_s: float
-    results: dict = None
-
-    def to_json_dict(self) -> dict:
-        doc = {
-            "command": self.command,
-            "parameters": self.parameters,
-            "version": self.version,
-            "input_hashes": self.input_hashes,
-            "outputs": self.outputs,
-            "wall_time_s": self.wall_time_s,
-        }
-        if self.results is not None:
-            doc["results"] = self.results
-        return doc
-
-
 def write_manifest(out_dir: str, command: str, parameters: dict,
                    input_hashes: dict, outputs: list, wall_time_s: float,
                    results: dict = None) -> str:
@@ -164,12 +139,13 @@ def write_manifest(out_dir: str, command: str, parameters: dict,
         path = os.path.join(out_dir, name)
         if not (os.path.exists(path) and os.path.getsize(path) > 0):
             raise RuntimeError(f"output file {name} is missing or empty")
-    man = RunManifest(command=command, parameters=parameters,
-                      version=__version__, input_hashes=input_hashes,
-                      outputs=outputs, wall_time_s=wall_time_s,
-                      results=results)
+    doc = {"command": command, "parameters": parameters,
+           "version": __version__, "input_hashes": input_hashes,
+           "outputs": outputs, "wall_time_s": wall_time_s}
+    if results is not None:
+        doc["results"] = results
     path = os.path.join(out_dir, f"{command}_manifest.json")
-    atomic_write(path, json_bytes(man.to_json_dict()))
+    atomic_write(path, json_bytes(doc))
     return path
 
 
@@ -188,6 +164,26 @@ def run_guarded(body):
 # ---------------------------------------------------------------------------
 # commands
 
+class FiniteFloat(click.FloatRange):
+    """FloatRange that also rejects nan and +-inf, which pass its bound
+    comparisons."""
+
+    def convert(self, value, param, ctx):
+        rv = super().convert(value, param, ctx)
+        if not math.isfinite(rv):
+            self.fail(f"{rv} is not a finite number.", param, ctx)
+        return rv
+
+    def _describe_range(self):
+        # help text; an unbounded FloatRange would read "x<=None"
+        if self.min is None and self.max is None:
+            return "finite"
+        return super()._describe_range()
+
+
+POSITIVE = FiniteFloat(0, min_open=True)
+
+
 @click.group()
 def main():
     """SVD of the truncated Fourier transform on sech-weighted spaces,
@@ -195,8 +191,8 @@ def main():
 
 
 @main.command()
-@click.option("--b", type=float, required=True, help="weight parameter, > 0")
-@click.option("--c", type=float, required=True, help="window half-width, > 0")
+@click.option("--b", type=POSITIVE, required=True, help="weight parameter")
+@click.option("--c", type=POSITIVE, required=True, help="window half-width")
 @click.option("--m-max", type=int, default=12, show_default=True,
               help="largest singular index")
 @click.option("--n", type=int, default=None,
@@ -205,8 +201,6 @@ def main():
               show_default=True, help="output directory")
 def svd(b, c, m_max, n, out):
     """Compute singular triplets; write svd.json and a summary CSV."""
-    if b <= 0 or c <= 0:
-        raise click.UsageError("b and c must be positive")
     if m_max < 0:
         raise click.UsageError("m-max must be nonnegative")
     if n is not None and n < 2 * (m_max + 1):
@@ -231,7 +225,7 @@ def svd(b, c, m_max, n, out):
 
 
 @main.command()
-@click.option("--c", "c_values", type=float, multiple=True, required=True,
+@click.option("--c", "c_values", type=POSITIVE, multiple=True, required=True,
               help="window half-width; may be given several times")
 @click.option("--m-max", type=int, default=12, show_default=True)
 @click.option("--out", type=click.Path(file_okay=False), default=".",
@@ -239,8 +233,6 @@ def svd(b, c, m_max, n, out):
 def bounds(c_values, m_max, out):
     """Eigenvalue bound table: one row per (c, m), every closed-form bound
     next to the computed spectrum, plus the per-c decay exponents."""
-    if any(c <= 0 for c in c_values):
-        raise click.UsageError("c must be positive")
     t0 = time.perf_counter()
 
     def body():
@@ -266,7 +258,7 @@ def bounds(c_values, m_max, out):
 
 
 @main.command()
-@click.option("--c", "c_values", type=float, multiple=True,
+@click.option("--c", "c_values", type=POSITIVE, multiple=True,
               help="window half-width; default is a small survey grid")
 @click.option("--fit/--no-fit", default=False, show_default=True,
               help="also fit the decay slope from a computed spectrum (slow)")
@@ -279,8 +271,6 @@ def widom(c_values, fit, m_max, out):
     closed-form exponent bounds it should sit between."""
     if not c_values:
         c_values = (0.25, 0.5, 0.75, 1.0, 1.25, 1.5, 2.0, 2.5, 3.0)
-    if any(c <= 0 for c in c_values):
-        raise click.UsageError("c must be positive")
     t0 = time.perf_counter()
 
     def body():
@@ -343,13 +333,13 @@ def read_window_csv(path: str):
 @click.option("--input", "input_path",
               type=click.Path(exists=True, dir_okay=False), default=None,
               help="window CSV with columns x,f_delta instead of a case")
-@click.option("--b", type=float, default=None,
+@click.option("--b", type=POSITIVE, default=None,
               help="weight parameter (required with --input)")
-@click.option("--c", type=float, default=None,
+@click.option("--c", type=POSITIVE, default=None,
               help="window half-width (required with --input)")
-@click.option("--x0", type=float, default=0.0, show_default=True,
+@click.option("--x0", type=FiniteFloat(), default=0.0, show_default=True,
               help="window center (with --input)")
-@click.option("--delta", "deltas", type=click.FloatRange(0, None),
+@click.option("--delta", "deltas", type=FiniteFloat(0),
               multiple=True,
               help="noise level; may repeat with --sweep")
 @click.option("--adaptive", is_flag=True, help="data-driven truncation level")
@@ -380,9 +370,6 @@ def extrapolate(case_id, input_path, b, c, x0, deltas, adaptive, n_level,
     or at a fixed level; --sweep runs the error-vs-noise rate table."""
     if (case_id is None) == (input_path is None):
         raise click.UsageError("give exactly one of --case or --input")
-    # FloatRange lets nan and inf through
-    if not all(math.isfinite(dl) for dl in deltas):
-        raise click.UsageError("--delta must be finite")
     if report_points is None:
         report_points = nfft
     t0 = time.perf_counter()
@@ -432,8 +419,6 @@ def extrapolate(case_id, input_path, b, c, x0, deltas, adaptive, n_level,
     else:
         if b is None or c is None or delta is None:
             raise click.UsageError("--input needs --b, --c and --delta")
-        if b <= 0 or c <= 0:
-            raise click.UsageError("b and c must be positive")
         xi, yi = read_window_csv(input_path)
         grid = gauss_legendre(n_window)
         obs = ObservationWindow(x0=x0, c=c, delta=delta,
@@ -452,8 +437,7 @@ def extrapolate(case_id, input_path, b, c, x0, deltas, adaptive, n_level,
         results = {"delta": obs.delta, "N_max": n_max(obs.delta)
                    if obs.delta > 0 else None}
         if adaptive:
-            n_hat, diag = adaptive_N(obs, triplets, variant=variant,
-                                     params=params)
+            n_hat, diag = adaptive_N(obs, triplets, variant=variant)
             results.update({"N_hat": n_hat, "variant": variant,
                             "B": diag["B"].tolist(),
                             "Sigma": diag["Sigma"].tolist(),

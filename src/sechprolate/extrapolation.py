@@ -208,20 +208,19 @@ def l2_error(s_grid: np.ndarray, fhat: np.ndarray, ftrue) -> float:
     return float(np.sqrt(np.trapezoid(np.abs(fhat - ft) ** 2, s_grid)))
 
 
-def adaptive_N(obs: ObservationWindow, svd: list, variant: str = "plus",
-               params: OperatorParams = None):
+def adaptive_N(obs: ObservationWindow, svd: list, variant: str = "plus"):
     """Adaptive truncation level by the Goldenshluger-Lepski comparison.
 
     B(N) = max over N <= N' <= N_max of (||F^{N'} - F^N||^2 +/- Sigma(N'))_+
     in the exact coefficient form of the cosh-norm, and N_hat minimizes
     B(N) + Sigma(N), smallest index on ties. The "plus" variant keeps the
     penalty sign inside the positive part as printed in the source
-    derivation; "minus" is the standard comparison rule.
+    derivation; "minus" is the standard comparison rule. The penalty uses
+    the svd's own (b, c).
     """
     if variant not in ("plus", "minus"):
         raise ValueError("variant must be 'plus' or 'minus'")
-    if params is None:
-        params = OperatorParams(b=svd[0].b, c=svd[0].c)
+    params = OperatorParams(b=svd[0].b, c=svd[0].c)
     nm = n_max(obs.delta)
     last_trusted = max((t.m for t in svd if t.trusted), default=-1)
     if nm > last_trusted:
@@ -272,7 +271,7 @@ def rate_sweep(case_id: str, delta_list, oracle_rule: str = "polynomial",
         else:
             nbar = math.log(1.0 / dl) / (kappa + be)
         nbar = min(int(math.floor(nbar)), last_trusted)
-        nhat, diag = adaptive_N(obs, svd, variant=variant, params=params)
+        nhat, diag = adaptive_N(obs, svd, variant=variant)
         est_bar = cutoff_estimate(obs, svd, nbar, d=diag["d"])
         err_bar = l2_error(est_bar.grid, est_bar.values, truth)
         est_hat = cutoff_estimate(obs, svd, nhat, d=diag["d"])

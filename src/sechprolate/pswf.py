@@ -20,7 +20,7 @@ from .special_functions import (
     spherical_bessel_ratio,
     uniform_grid,
 )
-from .sech_operator import SampledFunction, refine_eigh_block
+from .sech_operator import SampledFunction, _symmetric_nystrom
 from .extrapolation import ObservationWindow, _invert_transform
 
 __all__ = [
@@ -146,25 +146,12 @@ def sinc_nystrom(c: float, n: int = 400, m_max: int = 12):
     """
     grid = gauss_legendre(n)
     xl = grid.nodes.astype(np.longdouble)
-    wl = grid.weights.astype(np.longdouble)
     dx = xl[:, None] - xl[None, :]
     np.fill_diagonal(dx, 1.0)
     Kl = 2.0 * np.sin(np.longdouble(c) * dx) / dx
     np.fill_diagonal(Kl, 2.0 * c)
-    sw = np.sqrt(wl)
-    Al = sw[:, None] * Kl * sw[None, :]
-    lam, V = np.linalg.eigh(Al.astype(np.float64))
-    lam = lam[::-1].copy()
-    V = V[:, ::-1].copy()
-    refine_eigh_block(Al, lam, V, m_max + 1)
-    lam = lam[: m_max + 1]
-    V = V[:, : m_max + 1]
-    g = V / np.sqrt(grid.weights)[:, None]
-    for m in range(m_max + 1):
-        if g[-1, m] < 0:
-            g[:, m] = -g[:, m]
-        g[:, m] /= math.sqrt(float(np.sum(grid.weights * g[:, m] ** 2)))
-    return lam, g, grid
+    lam, g = _symmetric_nystrom(Kl, grid, m_max + 1)
+    return lam[: m_max + 1], g, grid
 
 
 def pswf_cutoff_estimate(obs: ObservationWindow, basis: PswfBasis, N: int,

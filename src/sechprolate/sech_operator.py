@@ -9,12 +9,12 @@ around 1e-10, and the Rayleigh integral form recovers eigenvalues far below
 what a dense solver can see.
 """
 import math
-import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .special_functions import QuadratureGrid, UniformGrid, gauss_legendre
+from .special_functions import (QuadratureGrid, UniformGrid, gauss_legendre,
+                                real_line_grid)
 
 __all__ = [
     "OperatorParams",
@@ -26,10 +26,11 @@ __all__ = [
     "apply_forward",
     "apply_adjoint",
     "verify_factorization",
-    "panel_grid",
     "refine_eigh_block",
     "nystrom_grid_size",
     "TRUST_FLOOR_FACTOR",
+    "RAYLEIGH_TAIL_MULTIPLE",
+    "RAYLEIGH_NODES_PER_PANEL",
     "REFINE_WINDOW",
     "REFINE_SWEEPS",
 ]
@@ -41,6 +42,12 @@ TRUST_FLOOR_FACTOR = 1e3
 # pairs are roundoff noise that no refinement recovers
 REFINE_WINDOW = (1e-15, 1e-4)
 REFINE_SWEEPS = 2
+# the Rayleigh integral is truncated at RAYLEIGH_TAIL_MULTIPLE * c, where the
+# sech tail is ~e^-60; eigenvalues within two decades of that truncation
+# level are flagged untrusted
+RAYLEIGH_TAIL_MULTIPLE = 60.0
+# Gauss nodes on each unit panel of the Rayleigh integral
+RAYLEIGH_NODES_PER_PANEL = 32
 
 
 @dataclass(frozen=True)
@@ -49,8 +56,9 @@ class OperatorParams:
     c: float
 
     def __post_init__(self):
-        if self.b <= 0 or self.c <= 0:
-            raise ValueError("parameters b and c must be positive")
+        # written so that nan fails too
+        if not (0 < self.b < math.inf and 0 < self.c < math.inf):
+            raise ValueError("parameters b and c must be positive and finite")
 
     @property
     def kernel_parameter(self):
@@ -79,19 +87,6 @@ def kernel(c: float, x, y):
     if c <= 0:
         raise ValueError("c must be positive")
     return math.pi * c / np.cosh(math.pi * c * (np.asarray(x) - np.asarray(y)) / 2.0)
-
-
-def panel_grid(edges, nodes_per_panel: int = 24) -> QuadratureGrid:
-    """Composite Gauss rule: nodes_per_panel-point Gauss on each [edges[i], edges[i+1]]."""
-    edges = np.asarray(edges, dtype=float)
-    base = gauss_legendre(nodes_per_panel)
-    xs, ws = [], []
-    for a, b in zip(edges[:-1], edges[1:]):
-        half = 0.5 * (b - a)
-        xs.append(half * base.nodes + 0.5 * (a + b))
-        ws.append(half * base.weights)
-    return QuadratureGrid(np.concatenate(xs), np.concatenate(ws),
-                          (float(edges[0]), float(edges[-1])))
 
 
 def refine_eigh_block(A_ld, lam, V, count):
@@ -142,7 +137,6 @@ class NystromSpectrum:
     m_max: int
     trust_floor: float
     trusted: np.ndarray = field(default=None)
-    close_gaps: list = field(default_factory=list)
 
     def __post_init__(self):
         if self.trusted is None:
@@ -165,60 +159,60 @@ def nystrom_grid_size(m_max: int, n: int = None) -> int:
     return n
 
 
+def _symmetric_nystrom(Kl, grid: QuadratureGrid, count: int):
+    """Eigenpairs of a symmetric kernel on a Gauss grid, refined in extended
+    precision: the Nystrom core shared by the sech and sinc oracles.
+
+    Kl is the longdouble kernel matrix K(x_i, x_j) on the grid's nodes. It
+    is symmetrized with weight square roots, Al = sqrt(w) K sqrt(w), so the
+    eigenvectors come out orthogonal; a float64 eigh of Al gives every
+    eigenvalue, and the first `count` pairs are refined against Al by
+    refine_eigh_block. Returns the eigenvalues (all of them, decreasing) and
+    the node values u/sqrt(w) of the first `count` eigenfunctions as
+    columns, each of unit L2 norm on the grid and positive at the last node.
+    """
+    wl = grid.weights.astype(np.longdouble)
+    sw = np.sqrt(wl)
+    Al = sw[:, None] * Kl * sw[None, :]
+    lam, V = np.linalg.eigh(Al.astype(np.float64))
+    lam = lam[::-1].copy()
+    V = V[:, ::-1].copy()
+    refine_eigh_block(Al, lam, V, count)
+    g = V[:, :count] / np.sqrt(grid.weights)[:, None]
+    for m in range(count):
+        if g[-1, m] < 0:
+            g[:, m] = -g[:, m]
+        g[:, m] /= math.sqrt(float(np.sum(grid.weights * g[:, m] ** 2)))
+    return lam, g
+
+
 def nystrom_eigensystem(c: float, n: int = None, m_max: int = 12) -> NystromSpectrum:
     """Spectral discretization of Q_c on an n-point Gauss grid.
 
-    The matrix is symmetrized with weight square roots so the eigenvectors
-    come out orthogonal; node values are recovered as u/sqrt(w). A dense
-    float64 eigh resolves eigenvalues down to about 1e-13*rho_0; the pairs
-    m <= m_max with eigenvalues in REFINE_WINDOW are then refined by
-    residual correction against the longdouble matrix (refine_eigh_block),
-    which makes the eigenVECTORS good to ~1e-9 down to eigenvalues around
-    1e-10.
+    A dense float64 eigh resolves eigenvalues down to about 1e-13*rho_0;
+    the pairs m <= m_max with eigenvalues in REFINE_WINDOW are then refined
+    by residual correction against the longdouble matrix
+    (_symmetric_nystrom), which makes the eigenVECTORS good to ~1e-9 down to
+    eigenvalues around 1e-10.
     """
     if c <= 0:
         raise ValueError("c must be positive")
     n = nystrom_grid_size(m_max, n)
     grid = gauss_legendre(n)
     xl = grid.nodes.astype(np.longdouble)
-    wl = grid.weights.astype(np.longdouble)
     cl = np.longdouble(c)
     Kl = np.pi * cl / np.cosh(np.pi * cl * (xl[:, None] - xl[None, :]) / 2)
-    Al = np.sqrt(wl)[:, None] * Kl * np.sqrt(wl)[None, :]
-    A = Al.astype(np.float64)
     try:
-        lam, V = np.linalg.eigh(A)
+        lam, g = _symmetric_nystrom(Kl, grid, m_max + 1)
     except np.linalg.LinAlgError as e:
         raise np.linalg.LinAlgError(
             f"eigendecomposition failed for c={c}, n={n}: {e}") from e
-    lam = lam[::-1].copy()
-    V = V[:, ::-1].copy()
-
-    refine_eigh_block(Al, lam, V, m_max + 1)
-
     trust_floor = TRUST_FLOOR_FACTOR * np.finfo(np.float64).eps * lam[0]
-    mm = min(m_max, n - 1)
-    g = V[:, : mm + 1] / np.sqrt(grid.weights)[:, None]
-    for m in range(mm + 1):
-        if g[-1, m] < 0:
-            g[:, m] = -g[:, m]
-        nrm = math.sqrt(float(np.sum(grid.weights * g[:, m] ** 2)))
-        g[:, m] /= nrm
-
-    close_gaps = []
-    for m in range(mm):
-        if lam[m] > trust_floor and lam[m] - lam[m + 1] < 1e-10 * lam[0]:
-            close_gaps.append(m)
-    if close_gaps:
-        warnings.warn(f"near-degenerate eigenvalue gaps at m={close_gaps}")
-
     return NystromSpectrum(c=c, n=n, grid=grid, eigenvalues=lam, g_values=g,
-                           m_max=mm, trust_floor=trust_floor,
-                           close_gaps=close_gaps)
+                           m_max=m_max, trust_floor=trust_floor)
 
 
-def rho_rayleigh(c: float, g: SampledFunction, tail_multiple: float = 60.0,
-                 nodes_per_panel: int = 32):
+def rho_rayleigh(c: float, g: SampledFunction):
     """Eigenvalue of Q_c as the Rayleigh integral int sech(x/c)|g_hat(x)|^2 dx.
 
     g_hat(x) = int_{-1}^{1} e^{ixt} g(t) dt. The integrand is nonnegative, so
@@ -228,9 +222,10 @@ def rho_rayleigh(c: float, g: SampledFunction, tail_multiple: float = 60.0,
     inner transform cancels, so the relative error grows about as
     eps/sqrt(rho). Perturbing g by relative eps moves rho by 3e-7 at
     rho = 1.2e-23 (c = 0.25, m = 16) and by 1e-3 at rho = 2e-29 (m = 20).
-    The outer integral is truncated at tail_multiple*c (sech tail below
-    1e-26) and done on unit-length Gauss panels, which resolve both the sech
-    scale c and the O(2*pi) oscillation of g_hat.
+    The outer integral is truncated at RAYLEIGH_TAIL_MULTIPLE*c (sech tail
+    below 1e-26) and done on unit-length panels of RAYLEIGH_NODES_PER_PANEL
+    Gauss nodes, which resolve both the sech scale c and the O(2*pi)
+    oscillation of g_hat.
 
     g.values may hold one function (a float is returned) or M stacked rows
     of shape (M, n) (an array of M eigenvalues is returned); each panel's
@@ -244,9 +239,9 @@ def rho_rayleigh(c: float, g: SampledFunction, tail_multiple: float = 60.0,
         raise ValueError(f"input must be L2(-1,1)-normalized, got norm {nrm!r}")
     xg = g.grid.nodes
     wg = (g.grid.weights * np.real(g.values)).T      # (n,) or (n, M)
-    x_t = tail_multiple * c
+    x_t = RAYLEIGH_TAIL_MULTIPLE * c
     edges = np.linspace(0.0, x_t, int(math.ceil(x_t)) + 1)
-    base = gauss_legendre(nodes_per_panel)
+    base = gauss_legendre(RAYLEIGH_NODES_PER_PANEL)
     total = 0.0
     for a, b in zip(edges[:-1], edges[1:]):
         half = 0.5 * (b - a)
@@ -323,16 +318,9 @@ def apply_adjoint(params: OperatorParams, h: SampledFunction, x_grid) -> Sampled
     return SampledFunction(xg, vals)
 
 
-def _default_real_line_grid(b: float) -> QuadratureGrid:
-    # symmetric unit panels out to T with sech(b*T) < 1e-9
-    T = 22.0 / b
-    edges = np.linspace(-T, T, 2 * int(math.ceil(T)) + 1)
-    return panel_grid(edges, 24)
-
-
 def verify_factorization(params: OperatorParams, h: SampledFunction) -> float:
     """Relative residual of the factorization c * F F* h = Q_{c/b} h."""
-    xg = _default_real_line_grid(params.b)
+    xg = real_line_grid(params.b)
     # the sech factor of the adjoint is already in adj.values, and the
     # forward map is a plain (unweighted) integral of it
     adj = apply_adjoint(params, h, xg)

@@ -16,13 +16,13 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.polynomial.legendre import legvander
 
-from .special_functions import QuadratureGrid, gauss_legendre
+from .special_functions import QuadratureGrid, gauss_legendre, phi_grid
 from .sech_operator import (
+    RAYLEIGH_TAIL_MULTIPLE,
     OperatorParams,
     SampledFunction,
     apply_adjoint,
     nystrom_eigensystem,
-    panel_grid,
     rho_rayleigh,
 )
 from .commuting_ode import galerkin_eigensystem
@@ -31,18 +31,12 @@ __all__ = [
     "SvdTriplet",
     "compute_svd",
     "rescale_phi",
-    "phi_grid",
     "legendre_expansion",
     "evaluate_g",
     "evaluate_phi",
     "svd_to_json_dict",
     "triplets_from_json_dict",
-    "RAYLEIGH_TAIL_MULTIPLE",
 ]
-
-# sech tail beyond tail_multiple*c is ~e^-60; eigenvalues within two decades
-# of that truncation level are flagged untrusted
-RAYLEIGH_TAIL_MULTIPLE = 60.0
 
 
 @dataclass
@@ -57,27 +51,13 @@ class SvdTriplet:
     trusted: bool
 
 
-def phi_grid(b: float, nodes_per_panel: int = 16) -> QuadratureGrid:
-    """Symmetric panel grid on (-T, T), T = 22/b, so sech(bT) < 1e-9.
-
-    Unit-width panels cover |x| <= 6/b where sech^2 * cosh is order one;
-    panel widths then grow geometrically (ratio 1.6) into the tails.
-    """
-    edges = [float(k) for k in range(7)]
-    while edges[-1] < 22.0:
-        edges.append(min(edges[-1] * 1.6, 22.0))
-    edges = np.array(edges) / b
-    return panel_grid(np.concatenate([-edges[::-1], edges[1:]]), nodes_per_panel)
-
-
-def compute_svd(params: OperatorParams, m_max: int, n: int = None,
-                n_b: int = None, nodes_per_panel: int = 16) -> list:
+def compute_svd(params: OperatorParams, m_max: int, n: int = None) -> list:
     """Singular triplets for m = 0..m_max, sorted by m.
 
     All indices are assembled in one pass over a stacked (m_max+1, n) array
     of g rows: the dense route's rows, the commuting-operator rows below its
     trust floor from one evaluate_g call, their rho from one rho_rayleigh
-    call, and every phi from one apply_adjoint call.
+    call, and every phi from one apply_adjoint call onto phi_grid(b).
 
     Indices whose rho sits within two decades of the Rayleigh-integral
     truncation floor are flagged untrusted but still returned.
@@ -90,12 +70,11 @@ def compute_svd(params: OperatorParams, m_max: int, n: int = None,
     G = ny.g_values[:, : m_max + 1].T.copy()
     deep = np.nonzero(rho <= ny.trust_floor)[0]
     if deep.size:
-        ode = galerkin_eigensystem(cp, n_b=n_b, m_max=m_max)
+        ode = galerkin_eigensystem(cp, m_max=m_max)
         G[deep] = ode.evaluate_g(deep, ny.grid.nodes)
-        rho[deep] = rho_rayleigh(cp, SampledFunction(ny.grid, G[deep]),
-                                 tail_multiple=RAYLEIGH_TAIL_MULTIPLE)
+        rho[deep] = rho_rayleigh(cp, SampledFunction(ny.grid, G[deep]))
     sigma = np.sqrt(rho / params.c)
-    xgrid = phi_grid(params.b, nodes_per_panel)
+    xgrid = phi_grid(params.b)
     phi = apply_adjoint(params, SampledFunction(ny.grid, G), xgrid).values \
         / sigma[:, None]
     floor = 8 * max(cp, 1.0) * math.exp(-RAYLEIGH_TAIL_MULTIPLE)
@@ -177,15 +156,15 @@ def svd_to_json_dict(triplets: list) -> dict:
 
 def triplets_from_json_dict(doc: dict) -> list:
     """Rebuild triplets; quadrature weights are regenerated from the grid
-    shapes (they are not serialized). Every entry must sit on the grids of
-    the first one, so all triplets share one g grid and one phi grid."""
+    shapes (they are not serialized). Every entry must sit on the Gauss
+    grid of the first one's size and on phi_grid(b), so all triplets share
+    one g grid and one phi grid."""
     b, c = float(doc["b"]), float(doc["c"])
     entries = doc["entries"]
     if not entries:
         raise ValueError("svd document has no entries")
     ggrid = gauss_legendre(len(entries[0]["g"]["nodes"]))
-    pgrid = phi_grid(b, nodes_per_panel=_infer_panel_nodes(
-        len(entries[0]["phi"]["nodes"]), b))
+    pgrid = phi_grid(b)
     out = []
     for e in entries:
         gnodes = np.array(e["g"]["nodes"])
@@ -203,10 +182,3 @@ def triplets_from_json_dict(doc: dict) -> list:
                               rho=float(e["rho"]), g=g, phi=phi,
                               trusted=bool(e["trusted"])))
     return out
-
-
-def _infer_panel_nodes(size: int, b: float) -> int:
-    n_panels = len(phi_grid(b, nodes_per_panel=1))
-    if size % n_panels:
-        raise ValueError("phi grid size is not a multiple of the panel count")
-    return size // n_panels

@@ -1,5 +1,3 @@
-import warnings
-
 import pytest
 
 from sechprolate.commuting_ode import build_transform, galerkin_eigensystem
@@ -36,15 +34,9 @@ def basis_c2():
 
 @pytest.fixture(scope="session")
 def case_a():
-    """Benchmark case (a) with its SVD, shared by the extrapolation tests.
-
-    The depth m_max=12 at c=0.5 trips the close-gap warning by design; the
-    warning contract itself is asserted in the unit tests, not here.
-    """
+    """Benchmark case (a) with its SVD, shared by the extrapolation tests."""
     obs, truth, params = builtin_case("a")
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", UserWarning)
-        svd = compute_svd(params, m_max=12)
+    svd = compute_svd(params, m_max=12)
     return obs, truth, params, svd
 
 

@@ -20,10 +20,8 @@ values rather than loosening anything:
     error (allowed 3x).
 """
 
-import contextlib
 import math
 import time
-import warnings
 
 import numpy as np
 from click.testing import CliRunner
@@ -52,24 +50,14 @@ def report(n: int, failures: list):
     assert not failures, line
 
 
-@contextlib.contextmanager
-def spectra_warnings_ignored():
-    """Deep spectra emit a close-gap advisory; the unit tests assert it,
-    here it is noise."""
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", UserWarning)
-        yield
-
-
 def test_criterion_01_trace_identity():
     t0 = time.perf_counter()
     failures = []
-    with spectra_warnings_ignored():
-        for c in (0.25, 1.0, 4.0):
-            spectrum = nystrom_eigensystem(c, n=256)
-            rel = spectrum.trace_error() / (2 * math.pi * c)
-            if not rel < 1e-10:
-                failures.append(f"c={c}: relative trace error {rel:.3e}")
+    for c in (0.25, 1.0, 4.0):
+        spectrum = nystrom_eigensystem(c, n=256)
+        rel = spectrum.trace_error() / (2 * math.pi * c)
+        if not rel < 1e-10:
+            failures.append(f"c={c}: relative trace error {rel:.3e}")
     elapsed = time.perf_counter() - t0
     if not elapsed < 5.0:
         failures.append(f"runtime {elapsed:.2f}s, limit 5s")
@@ -79,20 +67,19 @@ def test_criterion_01_trace_identity():
 def test_criterion_02_eigenvalue_sandwich():
     t0 = time.perf_counter()
     failures = []
-    with spectra_warnings_ignored():
-        for c in (0.1, 0.3, 0.6, 0.9, 1.0, 2.0, 4.0):
-            rho = [t.rho for t in
-                   compute_svd(OperatorParams(b=1.0, c=c), m_max=10)]
-            for m in range(11):
-                lo = lower_combined(c, m)
-                if not lo < rho[m] * (1 + 1e-8):
-                    failures.append(f"lower bound at c={c} m={m}: "
-                                    f"{lo:.4e} >= rho {rho[m]:.4e}")
-                if c < 1:
-                    hi = upper_bound(c, m)
-                    if not rho[m] * (1 - 1e-8) < hi:
-                        failures.append(f"upper bound at c={c} m={m}: "
-                                        f"rho {rho[m]:.4e} >= {hi:.4e}")
+    for c in (0.1, 0.3, 0.6, 0.9, 1.0, 2.0, 4.0):
+        rho = [t.rho for t in
+               compute_svd(OperatorParams(b=1.0, c=c), m_max=10)]
+        for m in range(11):
+            lo = lower_combined(c, m)
+            if not lo < rho[m] * (1 + 1e-8):
+                failures.append(f"lower bound at c={c} m={m}: "
+                                f"{lo:.4e} >= rho {rho[m]:.4e}")
+            if c < 1:
+                hi = upper_bound(c, m)
+                if not rho[m] * (1 - 1e-8) < hi:
+                    failures.append(f"upper bound at c={c} m={m}: "
+                                    f"rho {rho[m]:.4e} >= {hi:.4e}")
     elapsed = time.perf_counter() - t0
     if not elapsed < 30.0:
         failures.append(f"runtime {elapsed:.2f}s, limit 30s")
@@ -120,10 +107,9 @@ def test_criterion_03_widom_slope():
 def test_criterion_04_monotonicity_in_c():
     failures = []
     cs = (0.25, 0.5, 1.0, 2.0, 4.0)
-    with spectra_warnings_ignored():
-        rho = {c: [t.rho for t in
-                   compute_svd(OperatorParams(b=1.0, c=c), m_max=10)]
-               for c in cs}
+    rho = {c: [t.rho for t in
+               compute_svd(OperatorParams(b=1.0, c=c), m_max=10)]
+           for c in cs}
     for m in range(11):
         for c1, c2 in zip(cs, cs[1:]):
             if not rho[c1][m] <= rho[c2][m] * (1 + 1e-10):
@@ -153,69 +139,66 @@ def test_criterion_05_factorization():
 
 def test_criterion_06_commuting_operator_consistency():
     failures = []
-    with spectra_warnings_ignored():
-        for c in (0.5, 1.0, 2.0):
-            ny = nystrom_eigensystem(c, m_max=20)
-            ode = galerkin_eigensystem(c, n_b=140, m_max=20)
+    for c in (0.5, 1.0, 2.0):
+        ny = nystrom_eigensystem(c, m_max=20)
+        ode = galerkin_eigensystem(c, n_b=140, m_max=20)
 
-            bad = []
-            for m in range(21):
-                lo, hi = chi_sandwich(c, m)
-                if not lo <= ode.chi[m] <= hi:
-                    bad.append(m)
-            if bad:
-                excess = max(ode.chi[m] - chi_sandwich(c, m)[1] for m in bad)
-                failures.append(f"chi outside its enclosure at c={c} for "
-                                f"{len(bad)}/21 levels (max excess over the "
-                                f"upper edge {excess:.4g})")
+        bad = []
+        for m in range(21):
+            lo, hi = chi_sandwich(c, m)
+            if not lo <= ode.chi[m] <= hi:
+                bad.append(m)
+        if bad:
+            excess = max(ode.chi[m] - chi_sandwich(c, m)[1] for m in bad)
+            failures.append(f"chi outside its enclosure at c={c} for "
+                            f"{len(bad)}/21 levels (max excess over the "
+                            f"upper edge {excess:.4g})")
 
-            worst = 0.0
-            for m in range(21):
-                if ny.eigenvalues[m] > 1e-10:
-                    diff = ny.g_values[:, m] - ode.evaluate_g(m, ny.grid.nodes)
-                    worst = max(worst, math.sqrt(
-                        float(np.sum(ny.grid.weights * diff ** 2))))
-            if not worst <= 1e-6:
-                failures.append(f"cross-method eigenfunctions at c={c}: "
-                                f"max L2 difference {worst:.3e}")
+        worst = 0.0
+        for m in range(21):
+            if ny.eigenvalues[m] > 1e-10:
+                diff = ny.g_values[:, m] - ode.evaluate_g(m, ny.grid.nodes)
+                worst = max(worst, math.sqrt(
+                    float(np.sum(ny.grid.weights * diff ** 2))))
+        if not worst <= 1e-6:
+            failures.append(f"cross-method eigenfunctions at c={c}: "
+                            f"max L2 difference {worst:.3e}")
 
-            tr = build_transform(c)
-            t = family_parameter(c)
-            top = 0.5 - (tr.U * t / math.pi) ** 2
-            width = R_of_c(c)
-            ys = np.linspace(-1.0, 1.0, 401)
-            qv = np.array([q_c_potential(tr, y) for y in ys])
-            n_above = int(np.sum(qv > top + 1e-10))
-            n_below = int(np.sum(qv < top - width - 1e-10))
-            if n_above or n_below:
-                failures.append(
-                    f"potential band at c={c}: {n_above}/401 nodes above the "
-                    f"stated upper edge (max excess "
-                    f"{float(np.max(qv - top)):.4g}), {n_below} below the "
-                    f"lower")
+        tr = build_transform(c)
+        t = family_parameter(c)
+        top = 0.5 - (tr.U * t / math.pi) ** 2
+        width = R_of_c(c)
+        ys = np.linspace(-1.0, 1.0, 401)
+        qv = np.array([q_c_potential(tr, y) for y in ys])
+        n_above = int(np.sum(qv > top + 1e-10))
+        n_below = int(np.sum(qv < top - width - 1e-10))
+        if n_above or n_below:
+            failures.append(
+                f"potential band at c={c}: {n_above}/401 nodes above the "
+                f"stated upper edge (max excess "
+                f"{float(np.max(qv - top)):.4g}), {n_below} below the "
+                f"lower")
     report(6, failures)
 
 
 def test_criterion_07_supnorm_bound():
     failures = []
-    with spectra_warnings_ignored():
-        for c in (0.5, 1.0, 2.0):
-            triplets = compute_svd(OperatorParams(b=1.0, c=c), m_max=20)
-            for t in triplets:
-                cap = supnorm_bound(c, t.m)
-                seen = float(np.max(np.abs(t.g.values)))
-                if not seen <= cap:
-                    failures.append(f"c={c} m={t.m}: max|g| {seen:.4f} "
-                                    f"exceeds {cap:.4f}")
+    for c in (0.5, 1.0, 2.0):
+        triplets = compute_svd(OperatorParams(b=1.0, c=c), m_max=20)
+        for t in triplets:
+            cap = supnorm_bound(c, t.m)
+            seen = float(np.max(np.abs(t.g.values)))
+            if not seen <= cap:
+                failures.append(f"c={c} m={t.m}: max|g| {seen:.4f} "
+                                f"exceeds {cap:.4f}")
     report(7, failures)
 
 
 def test_criterion_08_svd_contracts():
     failures = []
-    with spectra_warnings_ignored():
-        main_set = compute_svd(OperatorParams(b=1.0, c=1.0), m_max=8)
-        src = compute_svd(OperatorParams(b=1.0, c=0.5), m_max=6)
-        direct = compute_svd(OperatorParams(b=2.0, c=1.0), m_max=6)
+    main_set = compute_svd(OperatorParams(b=1.0, c=1.0), m_max=8)
+    src = compute_svd(OperatorParams(b=1.0, c=0.5), m_max=6)
+    direct = compute_svd(OperatorParams(b=2.0, c=1.0), m_max=6)
 
     for triplets, c in ((main_set, 1.0), (src, 0.5), (direct, 1.0)):
         for t in triplets:
@@ -244,62 +227,60 @@ def test_criterion_08_svd_contracts():
 
 def test_criterion_09_benchmark_reproduction():
     failures = []
-    with spectra_warnings_ignored():
-        for case_id, delta in (("a", 0.05), ("b", 0.01)):
-            t0 = time.perf_counter()
-            obs, truth, params = builtin_case(case_id, delta=delta)
-            levels = range(n_max(delta) + 1)
-            svd = compute_svd(params, m_max=max(8, n_max(delta)))
-            errs = {}
+    for case_id, delta in (("a", 0.05), ("b", 0.01)):
+        t0 = time.perf_counter()
+        obs, truth, params = builtin_case(case_id, delta=delta)
+        levels = range(n_max(delta) + 1)
+        svd = compute_svd(params, m_max=max(8, n_max(delta)))
+        errs = {}
+        for N in levels:
+            est = cutoff_estimate(obs, svd, N)
+            errs[N] = l2_error(est.grid, est.values, truth)
+        n_hat, _ = adaptive_N(obs, svd)
+        best_n = min(errs, key=errs.get)
+        ratio = errs[n_hat] / errs[best_n]
+        if not ratio <= 3.0:
+            failures.append(
+                f"case ({case_id}): adaptive N_hat={n_hat} gives error "
+                f"{errs[n_hat]:.4f}, {ratio:.2f}x the best fixed level "
+                f"(N={best_n}, error {errs[best_n]:.4f})")
+
+        if case_id == "b":
+            basis = pswf_basis(obs.c / params.b, m_max=n_max(delta))
+            perrs = []
             for N in levels:
-                est = cutoff_estimate(obs, svd, N)
-                errs[N] = l2_error(est.grid, est.values, truth)
-            n_hat, _ = adaptive_N(obs, svd, params=params)
-            best_n = min(errs, key=errs.get)
-            ratio = errs[n_hat] / errs[best_n]
-            if not ratio <= 3.0:
+                grid, vals = pswf_cutoff_estimate(obs, basis, N,
+                                                  scale_b=params.b)
+                perrs.append(l2_error(grid, vals, truth))
+            route_ratio = min(errs.values()) / min(perrs)
+            if not route_ratio <= 3.0:
                 failures.append(
-                    f"case ({case_id}): adaptive N_hat={n_hat} gives error "
-                    f"{errs[n_hat]:.4f}, {ratio:.2f}x the best fixed level "
-                    f"(N={best_n}, error {errs[best_n]:.4f})")
+                    f"case (b): best cosh-route error "
+                    f"{min(errs.values()):.4f} is {route_ratio:.2f}x the "
+                    f"best prolate-route error {min(perrs):.4f}")
 
-            if case_id == "b":
-                basis = pswf_basis(obs.c / params.b, m_max=n_max(delta))
-                perrs = []
-                for N in levels:
-                    grid, vals = pswf_cutoff_estimate(obs, basis, N,
-                                                      scale_b=params.b)
-                    perrs.append(l2_error(grid, vals, truth))
-                route_ratio = min(errs.values()) / min(perrs)
-                if not route_ratio <= 3.0:
-                    failures.append(
-                        f"case (b): best cosh-route error "
-                        f"{min(errs.values()):.4f} is {route_ratio:.2f}x the "
-                        f"best prolate-route error {min(perrs):.4f}")
-
-            elapsed = time.perf_counter() - t0
-            if not elapsed < 120.0:
-                failures.append(f"case ({case_id}) runtime {elapsed:.1f}s, "
-                                f"limit 120s")
+        elapsed = time.perf_counter() - t0
+        if not elapsed < 120.0:
+            failures.append(f"case ({case_id}) runtime {elapsed:.1f}s, "
+                            f"limit 120s")
     report(9, failures)
 
 
 def test_criterion_10_rate_behavior():
     failures = []
     deltas = [1e-1, 1e-2, 1e-3]
-    with spectra_warnings_ignored():
-        sweep_a = rate_sweep("a", deltas)
-        errs = [row["err_hat"] for row in sweep_a["rows"]]
-        if not all(e0 > e1 for e0, e1 in zip(errs, errs[1:])):
-            failures.append("case (a) adaptive errors not strictly "
-                            "decreasing: "
-                            + ", ".join(f"{e:.5f}" for e in errs))
-        sweep_b = rate_sweep("b", deltas, oracle_rule="exponential",
-                             kappa=1.0)
-        slope = sweep_b["slope_bar"]
-        if not 0.0 < slope <= 1.0:
-            failures.append(f"case (b) rule-driven log-log slope "
-                            f"{slope:.4f} outside (0, 1]")
+    sweep_a = rate_sweep("a", deltas)
+    errs = [row["err_hat"] for row in sweep_a["rows"]]
+    if not all(e0 > e1 for e0, e1 in zip(errs, errs[1:])):
+        failures.append("case (a) adaptive errors not strictly "
+                        "decreasing: "
+                        + ", ".join(f"{e:.5f}" for e in errs))
+    sweep_b = rate_sweep("b", deltas, oracle_rule="exponential",
+                         kappa=1.0)
+    slope = sweep_b["slope_bar"]
+    if not 0.0 < slope <= 1.0:
+        failures.append(f"case (b) rule-driven log-log slope "
+                        f"{slope:.4f} outside (0, 1]")
     report(10, failures)
 
 

@@ -7,7 +7,6 @@ import math
 import os
 import subprocess
 import sys
-import warnings
 
 import numpy as np
 import pytest
@@ -29,6 +28,17 @@ def cache(tmp_path_factory):
 def run_cli(cache, *args):
     return CliRunner().invoke(main, list(args),
                               env={"SECHPROLATE_CACHE": cache})
+
+
+def run_usage_error(tmp_path, *args):
+    """Run a command that must fail as a usage error: exit code 2, and
+    nothing written to its own fresh cache directory."""
+    fresh = tmp_path / "usage_cache"
+    fresh.mkdir(exist_ok=True)
+    res = run_cli(str(fresh), *args, "--out", str(tmp_path / "u"))
+    assert res.exit_code == 2, args
+    assert not any(fresh.iterdir()), args
+    return res
 
 
 def read_csv(path):
@@ -79,19 +89,23 @@ def test_svd_summary_roundtrips_to_json(tmp_path, cache):
         assert float(row[2]) == entry["rho"]
 
 
-def test_svd_usage_errors(tmp_path, cache):
-    res = run_cli(cache, "svd", "--b", "-1", "--c", "1",
-                  "--out", str(tmp_path / "u1"))
-    assert res.exit_code == 2
-    assert "positive" in res.stderr
+def test_svd_usage_errors(tmp_path):
+    res = run_usage_error(tmp_path, "svd", "--b", "-1", "--c", "1")
+    assert "'--b'" in res.stderr and "x>0" in res.stderr
 
-    res = run_cli(cache, "svd", "--b", "1", "--c", "1", "--n", "10",
-                  "--out", str(tmp_path / "u2"))
-    assert res.exit_code == 2
+    res = run_usage_error(tmp_path, "svd", "--b", "1", "--c", "1",
+                          "--n", "10")
     assert "too small" in res.stderr
 
-    res = run_cli(cache, "svd", "--c", "1")
-    assert res.exit_code == 2
+    run_usage_error(tmp_path, "svd", "--c", "1")
+
+    # nan passes every comparison with 0, and inf every lower bound
+    for b, c, msg in [("nan", "1", "not a finite number"),
+                      ("1", "nan", "not a finite number"),
+                      ("1", "inf", "not a finite number"),
+                      ("-inf", "1", "x>0")]:
+        res = run_usage_error(tmp_path, "svd", "--b", b, "--c", c)
+        assert msg in res.stderr, (b, c)
 
 
 def test_svd_cache_key_changes_with_version(monkeypatch):
@@ -169,6 +183,9 @@ def test_bounds_table(tmp_path, cache):
         assert r[col["upper_exponent"]] == ""
         assert r[col["lower_small_c"]] == ""
 
+    for bad in ("0", "-1", "nan", "inf"):
+        run_usage_error(tmp_path, "bounds", "--c", "0.5", "--c", bad)
+
 
 def test_widom_default_grid(tmp_path, cache):
     out = tmp_path / "run"
@@ -188,6 +205,9 @@ def test_widom_default_grid(tmp_path, cache):
         else:
             assert r[3] == ""
         assert r[4] == ""  # no --fit, so no fitted slope
+
+    for bad in ("0", "-1", "nan", "inf"):
+        run_usage_error(tmp_path, "widom", "--c", bad)
 
 
 def test_widom_fit_column(tmp_path, cache):
@@ -234,7 +254,7 @@ def test_extrapolate_case_b_fixed_level(tmp_path, cache):
     assert len(rows) == 4096
 
 
-def test_extrapolate_usage_errors(tmp_path, cache):
+def test_extrapolate_usage_errors(tmp_path):
     window = tmp_path / "window.csv"
     window.write_text("x,f_delta\n" + "".join(
         f"{x},0.0\n" for x in np.linspace(-1, 1, 9)))
@@ -252,10 +272,14 @@ def test_extrapolate_usage_errors(tmp_path, cache):
         ["extrapolate", "--case", "a", "--N", "3", "--delta", "nan"],
         ["extrapolate", "--case", "a", "--sweep", "--delta", "inf"],
     ] + [["extrapolate", "--case", "a", "--N", "1", opt, v]
-         for opt in ("--nfft", "--report-points") for v in ("0", "1")]
+         for opt in ("--nfft", "--report-points") for v in ("0", "1")] + [
+        ["extrapolate", "--input", str(window), "--b", b, "--c", c,
+         "--x0", x0, "--delta", "0.05", "--N", "1"]
+        for b, c, x0 in [("nan", "0.5", "0"), ("1", "nan", "0"),
+                         ("inf", "0.5", "0"), ("1", "0", "0"),
+                         ("1", "0.5", "nan"), ("1", "0.5", "-inf")]]
     for args in bad_args:
-        res = run_cli(cache, *args, "--out", str(tmp_path / "u"))
-        assert res.exit_code == 2, args
+        run_usage_error(tmp_path, *args)
 
 
 def test_extrapolate_window_csv_validation(tmp_path, cache):
@@ -279,12 +303,8 @@ def test_extrapolate_window_csv_validation(tmp_path, cache):
 
 def test_extrapolate_untrusted_level_exits_3(tmp_path, cache):
     out = tmp_path / "run"
-    with warnings.catch_warnings():
-        # the deep spectrum at (1, 0.5) has close eigenvalue gaps; that
-        # advisory is asserted elsewhere and is not what this test is about
-        warnings.simplefilter("ignore", UserWarning)
-        res = run_cli(cache, "extrapolate", "--case", "a", "--N", "30",
-                      "--out", str(out))
+    res = run_cli(cache, "extrapolate", "--case", "a", "--N", "30",
+                  "--out", str(out))
     assert res.exit_code == 3
     assert "numerical failure:" in res.stderr
     assert "exceeds trusted index" in res.stderr

@@ -127,7 +127,6 @@ def test_cross_method_eigenfunctions(ode_c1, ny_c1):
         assert err < 1e-6, f"m={m}: {err:.2e}"
 
 
-@pytest.mark.filterwarnings("ignore:near-degenerate")
 @pytest.mark.parametrize("c, m_max", [(0.5, 20), (0.5, 21), (1.0, 30), (4.0, 30)])
 def test_cross_route_eigenfunctions_deep(c, m_max):
     """Dense route against the commuting-operator route wherever rho > 1e-10.

@@ -1,6 +1,5 @@
 import math
 import tracemalloc
-import warnings
 
 import numpy as np
 import pytest
@@ -257,9 +256,7 @@ def test_cutoff_clean_data_accuracy():
     coefficient sequence decays slowly, so desk accuracy saturates near 1e-2
     rather than collapsing to quadrature precision."""
     obs, truth, params = builtin_case("a", delta=0.0)
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", UserWarning)
-        svd = compute_svd(params, m_max=20)
+    svd = compute_svd(params, m_max=20)
     nrm = None
     errs = {}
     for N in (10, 12, 20):
@@ -288,9 +285,9 @@ def test_noise_removal_chain(case_a):
 
 
 def test_adaptive_bounded_and_deterministic(case_a):
-    obs, _, params, svd = case_a
-    n1, diag1 = adaptive_N(obs, svd, params=params)
-    n2, diag2 = adaptive_N(obs, svd, params=params)
+    obs, _, _, svd = case_a
+    n1, diag1 = adaptive_N(obs, svd)
+    n2, diag2 = adaptive_N(obs, svd)
     assert n1 == n2
     assert n1 <= diag1["n_max"] == n_max(obs.delta)
     assert np.array_equal(diag1["B"], diag2["B"])
@@ -298,11 +295,11 @@ def test_adaptive_bounded_and_deterministic(case_a):
 
 
 def test_adaptive_zero_observations(case_a):
-    _, _, params, svd = case_a
+    _, _, _, svd = case_a
     g = gauss_legendre(128)
     obs = ObservationWindow(x0=0.0, c=0.5, delta=0.05,
                             samples=SampledFunction(g, np.zeros(128)))
-    n_hat, _ = adaptive_N(obs, svd, params=params)
+    n_hat, _ = adaptive_N(obs, svd)
     assert n_hat == 0
 
 
@@ -310,10 +307,10 @@ def test_adaptive_scaling_invariance(case_a):
     """Multiplying samples and delta by the same lambda scales B and Sigma
     by lambda^2 and leaves the arg-min untouched. lambda = 2 keeps
     N_max = floor(log(1/delta)) at 2, so the tables stay comparable."""
-    obs, _, params, svd = case_a
+    obs, _, _, svd = case_a
     lam = 2.0
-    n1, d1 = adaptive_N(obs, svd, params=params)
-    n2, d2 = adaptive_N(scaled_window(obs, lam), svd, params=params)
+    n1, d1 = adaptive_N(obs, svd)
+    n2, d2 = adaptive_N(scaled_window(obs, lam), svd)
     assert d1["n_max"] == d2["n_max"]
     assert n1 == n2
     assert np.allclose(d2["B"], lam ** 2 * d1["B"], rtol=1e-12)
@@ -321,11 +318,11 @@ def test_adaptive_scaling_invariance(case_a):
 
 
 def test_adaptive_variant_validation(case_a):
-    obs, _, params, svd = case_a
+    obs, _, _, svd = case_a
     with pytest.raises(ValueError):
-        adaptive_N(obs, svd, variant="median", params=params)
-    n_plus, _ = adaptive_N(obs, svd, variant="plus", params=params)
-    n_minus, _ = adaptive_N(obs, svd, variant="minus", params=params)
+        adaptive_N(obs, svd, variant="median")
+    n_plus, _ = adaptive_N(obs, svd, variant="plus")
+    n_minus, _ = adaptive_N(obs, svd, variant="minus")
     assert 0 <= n_minus <= n_max(obs.delta)
     assert 0 <= n_plus <= n_max(obs.delta)
 
@@ -356,10 +353,10 @@ def test_rate_sweep_constant_delta_deterministic():
 
 
 def test_adaptive_estimate_projects_the_window_once(case_a, coefficient_calls):
-    obs, _, params, svd = case_a
+    obs, _, _, svd = case_a
     fresh = {N: cutoff_estimate(obs, svd, N) for N in range(n_max(obs.delta) + 1)}
     coefficient_calls.clear()
-    n_hat, diag = adaptive_N(obs, svd, params=params)
+    n_hat, diag = adaptive_N(obs, svd)
     est = cutoff_estimate(obs, svd, n_hat, d=diag["d"])
     assert len(coefficient_calls) == 1
     assert diag["d"].tobytes() == coefficients(obs, svd).tobytes()

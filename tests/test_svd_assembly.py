@@ -1,5 +1,4 @@
 import json
-import warnings
 
 import numpy as np
 import pytest
@@ -9,8 +8,8 @@ from sechprolate.commuting_ode import galerkin_eigensystem
 from sechprolate.sech_operator import (OperatorParams, SampledFunction,
                                        apply_adjoint, apply_forward,
                                        nystrom_eigensystem, rho_rayleigh)
-from sechprolate.svd_assembly import (RAYLEIGH_TAIL_MULTIPLE, compute_svd,
-                                      evaluate_g, evaluate_phi, phi_grid,
+from sechprolate.special_functions import gauss_legendre, panel_grid, phi_grid
+from sechprolate.svd_assembly import (compute_svd, evaluate_g, evaluate_phi,
                                       rescale_phi, svd_to_json_dict,
                                       triplets_from_json_dict)
 
@@ -139,8 +138,7 @@ def test_rescale_rejects_wrong_source(svd_b1_c1):
 
 
 def test_rescale_rejects_untrusted():
-    with pytest.warns(UserWarning, match="near-degenerate"):
-        svd = compute_svd(OperatorParams(b=1.0, c=0.1), m_max=12)
+    svd = compute_svd(OperatorParams(b=1.0, c=0.1), m_max=12)
     bad = next(t for t in svd if not t.trusted)
     with pytest.raises(ValueError):
         rescale_phi(1.0, 0.1, bad)
@@ -182,9 +180,25 @@ def test_json_rejects_tampered_grid(svd_b1_c1):
         triplets_from_json_dict(doc)
 
 
+def test_json_rejects_phi_grid_of_another_panel_size(svd_b1_c1):
+    """A document on the phi panels with 15 Gauss nodes each, instead of
+    phi_grid's 16, is rejected even though every entry is consistent."""
+    doc = json.loads(json.dumps(svd_to_json_dict(svd_b1_c1)))
+    # each 16-node panel's edges from its end nodes, mid +- half-width
+    panels = phi_grid(1.0).nodes.reshape(-1, 16)
+    mid = 0.5 * (panels[:, 0] + panels[:, -1])
+    half = 0.5 * (panels[:, -1] - panels[:, 0]) / gauss_legendre(16).nodes[-1]
+    nodes = panel_grid(np.append(mid - half, mid[-1] + half[-1]), 15).nodes
+    nodes = nodes.tolist()
+    for e in doc["entries"]:
+        e["phi"] = {"nodes": nodes, "re": [0.0] * len(nodes),
+                    "im": [0.0] * len(nodes)}
+    with pytest.raises(ValueError, match="phi grid"):
+        triplets_from_json_dict(doc)
+
+
 def test_untrusted_kept_not_dropped():
-    with pytest.warns(UserWarning, match="near-degenerate"):
-        svd = compute_svd(OperatorParams(b=1.0, c=0.1), m_max=12)
+    svd = compute_svd(OperatorParams(b=1.0, c=0.1), m_max=12)
     assert len(svd) == 13
     flags = [t.trusted for t in svd]
     assert not all(flags)
@@ -198,15 +212,18 @@ def test_invalid_params():
         OperatorParams(b=-1.0, c=1.0)
     with pytest.raises(ValueError):
         OperatorParams(b=1.0, c=0.0)
+    for bad in (float("nan"), float("inf"), -float("inf")):
+        with pytest.raises(ValueError):
+            OperatorParams(b=bad, c=1.0)
+        with pytest.raises(ValueError):
+            OperatorParams(b=1.0, c=bad)
     with pytest.raises(ValueError):
         compute_svd(OperatorParams(b=1.0, c=1.0), m_max=-1)
 
 
 def test_one_adjoint_and_one_rayleigh_call_per_svd(operator_calls):
     # c/b = 0.5 at m_max = 20 has rows below the dense trust floor
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", UserWarning)
-        svd = compute_svd(OperatorParams(b=1.0, c=0.5), m_max=20)
+    svd = compute_svd(OperatorParams(b=1.0, c=0.5), m_max=20)
     assert svd[-1].rho < 1e-16      # below the trust floor, about 6e-13
     assert operator_calls == {"apply_adjoint": 1, "rho_rayleigh": 1}
 
@@ -217,9 +234,7 @@ def test_no_rayleigh_call_without_deep_rows(operator_calls):
 
 
 def test_bounds_report_makes_one_rayleigh_call(operator_calls):
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", UserWarning)
-        build_report(0.5, m_max=16)
+    build_report(0.5, m_max=16)
     assert operator_calls["rho_rayleigh"] == 1
 
 
@@ -228,10 +243,8 @@ def test_one_pass_matches_per_index_assembly():
     rows bit-identical, deep g rows equal to evaluate_g, deep rho within
     the Rayleigh route's roundoff, F* g within its roundoff eps ||g||_1."""
     params = OperatorParams(b=1.0, c=0.5)
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", UserWarning)
-        svd = compute_svd(params, m_max=20)
-        ny = nystrom_eigensystem(0.5, m_max=20)
+    svd = compute_svd(params, m_max=20)
+    ny = nystrom_eigensystem(0.5, m_max=20)
     ode = galerkin_eigensystem(0.5, m_max=20)
     xg = phi_grid(1.0)
     eps = np.finfo(float).eps
@@ -245,7 +258,7 @@ def test_one_pass_matches_per_index_assembly():
             deep += 1
             g = SampledFunction(ny.grid, ode.evaluate_g(m, ny.grid.nodes))
             assert np.max(np.abs(t.g.values - g.values)) <= 1e-14
-            rho = rho_rayleigh(0.5, g, tail_multiple=RAYLEIGH_TAIL_MULTIPLE)
+            rho = rho_rayleigh(0.5, g)
             assert abs(t.rho - rho) <= rho * max(1e-12, eps / np.sqrt(rho))
         assert t.sigma == np.sqrt(t.rho / params.c)
         adj = apply_adjoint(params, t.g, xg).values

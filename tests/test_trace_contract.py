@@ -1,0 +1,55 @@
+"""The benchmark's traced layers are bound by name: benchmarks/worker.py
+rebinds each LAYERS target at run time, and its attribute hooks read
+parameters and fields of the package by name. A rename that breaks them
+would otherwise show only when a traced benchmark run starts."""
+
+import importlib
+import importlib.util
+import inspect
+import os
+
+import pytest
+
+from sechprolate.extrapolation import cutoff_estimate
+from sechprolate.sech_operator import NystromSpectrum
+
+WORKER = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
+                      "benchmarks", "worker.py")
+
+
+def load_worker():
+    spec = importlib.util.spec_from_file_location("bench_worker", WORKER)
+    worker = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(worker)
+    return worker
+
+
+@pytest.mark.parametrize("target", sorted(load_worker().LAYERS))
+def test_layer_target_resolves(target):
+    """'module.function' is a function defined in that module;
+    'module.Class.method' is a function in the class's own namespace."""
+    parts = target.split(".")
+    module = importlib.import_module(f"sechprolate.{parts[0]}")
+    if len(parts) == 3:
+        owner = getattr(module, parts[1])
+        assert inspect.isclass(owner), target
+        assert inspect.isfunction(owner.__dict__.get(parts[2])), target
+    else:
+        assert len(parts) == 2, target
+        func = getattr(module, parts[1], None)
+        assert inspect.isfunction(func), target
+        assert func.__module__ == module.__name__, target
+
+
+def test_cutoff_estimate_binds_the_traced_arguments():
+    """worker._exp_elements binds a call's arguments, applies the defaults
+    and reads these four by name; selftest passes only three positionally."""
+    bound = inspect.signature(cutoff_estimate).bind(None, [], 2)
+    bound.apply_defaults()
+    assert {"svd", "N", "nfft", "report_points"} <= set(bound.arguments)
+
+
+def test_nystrom_spectrum_keeps_the_traced_fields():
+    """worker._n_points reads .n; the accuracy pass calls trace_error()."""
+    assert "n" in NystromSpectrum.__dataclass_fields__
+    assert callable(NystromSpectrum.trace_error)
