@@ -15,7 +15,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .special_functions import agm, elliptic_K
-from .commuting_ode import family_parameter, _u_closed_form
+from .sech_operator import SampledFunction, nystrom_eigensystem, rho_rayleigh
+from .commuting_ode import (family_parameter, galerkin_eigensystem,
+                            _u_closed_form)
 
 __all__ = [
     "C0",
@@ -64,16 +66,16 @@ def recompute_c0(tol: float = 1e-10) -> float:
 
 def beta(c: float) -> float:
     """Exponent of the combined eigenvalue lower bound rho_m >= theta e^{-2 beta m}."""
-    if c <= 0:
-        raise ValueError("c must be positive")
+    if not 0 < c < math.inf:
+        raise ValueError("c must be positive and finite")
     if c <= C0:
         return math.log(7 * math.e ** 2 * math.pi / (2 * c))
     return math.pi / (4 * c)
 
 
 def theta(c: float) -> float:
-    if c <= 0:
-        raise ValueError("c must be positive")
+    if not 0 < c < math.inf:
+        raise ValueError("c must be positive and finite")
     if c <= C0:
         return 2 * math.sin(2 * c) ** 2 / (math.e ** 2 * c)
     return math.pi * math.exp(-math.pi / (2 * c))
@@ -81,8 +83,8 @@ def theta(c: float) -> float:
 
 def theta_tilde(c: float) -> float:
     """Monotone-in-c variant of theta; same exponent beta applies."""
-    if c <= 0:
-        raise ValueError("c must be positive")
+    if not 0 < c < math.inf:
+        raise ValueError("c must be positive and finite")
     if c <= C0:
         return 2 * math.sin(2 * C0) ** 2 * c / (math.e * C0) ** 2
     return math.pi * math.exp(-math.pi / (2 * c))
@@ -98,8 +100,8 @@ def lower_bound_small_c(c: float, m: int) -> float:
 
 def lower_bound_all_c(c: float, m: int) -> float:
     """Lower bound pi * exp(-pi (m+1)/(2c)), valid for every c > 0."""
-    if c <= 0:
-        raise ValueError("c must be positive")
+    if not 0 < c < math.inf:
+        raise ValueError("c must be positive and finite")
     return math.pi * math.exp(-math.pi * (m + 1) / (2 * c))
 
 
@@ -123,8 +125,8 @@ def widom_slope(c: float) -> float:
     denominator is pi / (2 AGM(1, sech(pi c))). Evaluating through the AGM
     keeps the slope finite for large c, where tanh(pi c) rounds to 1.
     """
-    if c <= 0:
-        raise ValueError("c must be positive")
+    if not 0 < c < math.inf:
+        raise ValueError("c must be positive and finite")
     k = 1 / math.cosh(math.pi * c)
     return 2.0 * agm(1.0, k) * elliptic_K(k)
 
@@ -185,28 +187,16 @@ class BoundsReport:
     widom_slope: float
     slope_fit: float
 
-    def to_json_dict(self) -> dict:
-        return {
-            "c": self.c,
-            "m_max": self.m_max,
-            "widom_slope": self.widom_slope,
-            "slope_fit": self.slope_fit,
-            "rows": self.rows,
-        }
-
 
 ROW_FIELDS = ["m", "lower_small_c", "lower_all_c", "lower_combined",
               "rho_computed", "upper", "chi_lo", "chi_hi", "chi_computed",
               "supnorm_bound", "supnorm_observed"]
 
 
-def build_report(c: float, m_max: int = 12, n: int = None) -> BoundsReport:
+def build_report(c: float, m_max: int = 12) -> BoundsReport:
     """Compute spectra by both operator routes and tabulate them against
     every closed-form bound that applies at this c."""
-    from .sech_operator import SampledFunction, nystrom_eigensystem, rho_rayleigh
-    from .commuting_ode import galerkin_eigensystem
-
-    ny = nystrom_eigensystem(c, n=n, m_max=m_max)
+    ny = nystrom_eigensystem(c, m_max=m_max)
     ode = galerkin_eigensystem(c, m_max=m_max)
     rhos = ny.eigenvalues[: m_max + 1].copy()
     deep = np.nonzero(rhos <= ny.trust_floor)[0]

@@ -27,7 +27,8 @@ from .extrapolation import (adaptive_N, builtin_case, cutoff_estimate,
                             l2_error, n_max, rate_sweep, ObservationWindow)
 from .sech_operator import OperatorParams, SampledFunction, nystrom_grid_size
 from .special_functions import gauss_legendre
-from .svd_assembly import compute_svd, svd_to_json_dict, triplets_from_json_dict
+from .svd_assembly import (SvdBasis, compute_svd, svd_to_json_dict,
+                           triplets_from_json_dict)
 
 EXIT_NUMERICAL = 3
 
@@ -119,13 +120,13 @@ def cached_svd_document(b: float, c: float, m_max: int, n=None) -> bytes:
     if os.path.exists(path):
         with open(path, "rb") as f:
             return f.read()
-    triplets = compute_svd(OperatorParams(b=b, c=c), m_max=m_max, n=n)
-    data = json_bytes(svd_to_json_dict(triplets))
+    svd = compute_svd(OperatorParams(b=b, c=c), m_max=m_max, n=n)
+    data = json_bytes(svd_to_json_dict(svd))
     atomic_write(path, data)
     return data
 
 
-def cached_svd_triplets(b: float, c: float, m_max: int, n=None) -> list:
+def cached_svd_basis(b: float, c: float, m_max: int, n=None) -> SvdBasis:
     return triplets_from_json_dict(json.loads(cached_svd_document(b, c, m_max, n)))
 
 
@@ -193,16 +194,14 @@ def main():
 @main.command()
 @click.option("--b", type=POSITIVE, required=True, help="weight parameter")
 @click.option("--c", type=POSITIVE, required=True, help="window half-width")
-@click.option("--m-max", type=int, default=12, show_default=True,
-              help="largest singular index")
+@click.option("--m-max", type=click.IntRange(0, None), default=12,
+              show_default=True, help="largest singular index")
 @click.option("--n", type=int, default=None,
               help="quadrature size of the eigensolver (default: automatic)")
 @click.option("--out", type=click.Path(file_okay=False), default=".",
               show_default=True, help="output directory")
 def svd(b, c, m_max, n, out):
     """Compute singular triplets; write svd.json and a summary CSV."""
-    if m_max < 0:
-        raise click.UsageError("m-max must be nonnegative")
     if n is not None and n < 2 * (m_max + 1):
         raise click.UsageError("n is too small for the requested m-max")
     t0 = time.perf_counter()
@@ -227,7 +226,8 @@ def svd(b, c, m_max, n, out):
 @main.command()
 @click.option("--c", "c_values", type=POSITIVE, multiple=True, required=True,
               help="window half-width; may be given several times")
-@click.option("--m-max", type=int, default=12, show_default=True)
+@click.option("--m-max", type=click.IntRange(0, None), default=12,
+              show_default=True)
 @click.option("--out", type=click.Path(file_okay=False), default=".",
               show_default=True)
 def bounds(c_values, m_max, out):
@@ -262,7 +262,8 @@ def bounds(c_values, m_max, out):
               help="window half-width; default is a small survey grid")
 @click.option("--fit/--no-fit", default=False, show_default=True,
               help="also fit the decay slope from a computed spectrum (slow)")
-@click.option("--m-max", type=int, default=12, show_default=True,
+@click.option("--m-max", type=click.IntRange(0, None), default=12,
+              show_default=True,
               help="spectrum size used for the fit")
 @click.option("--out", type=click.Path(file_okay=False), default=".",
               show_default=True)
@@ -433,11 +434,11 @@ def extrapolate(case_id, input_path, b, c, x0, deltas, adaptive, n_level,
     def body():
         m_top = max(8, n_level or 0,
                     n_max(obs.delta) if obs.delta > 0 else 0)
-        triplets = cached_svd_triplets(params.b, params.c, m_top)
+        svd = cached_svd_basis(params.b, params.c, m_top)
         results = {"delta": obs.delta, "N_max": n_max(obs.delta)
                    if obs.delta > 0 else None}
         if adaptive:
-            n_hat, diag = adaptive_N(obs, triplets, variant=variant)
+            n_hat, diag = adaptive_N(obs, svd, variant=variant)
             results.update({"N_hat": n_hat, "variant": variant,
                             "B": diag["B"].tolist(),
                             "Sigma": diag["Sigma"].tolist(),
@@ -447,7 +448,7 @@ def extrapolate(case_id, input_path, b, c, x0, deltas, adaptive, n_level,
         else:
             results["N"] = n_level
             level, d = n_level, None
-        est = cutoff_estimate(obs, triplets, level, nfft=nfft,
+        est = cutoff_estimate(obs, svd, level, nfft=nfft,
                               report_points=report_points, d=d)
         if truth is not None:
             results["error_l2"] = l2_error(est.grid, est.values, truth)
@@ -510,8 +511,7 @@ def selftest(out):
         outputs.append("selftest_bounds.csv")
 
         obs, truth, params = builtin_case("a")
-        triplets = cached_svd_triplets(params.b, params.c, 8)
-        est = cutoff_estimate(obs, triplets, 2)
+        est = cutoff_estimate(obs, cached_svd_basis(params.b, params.c, 8), 2)
         err = l2_error(est.grid, est.values, truth)
         if not err < 0.05:
             raise ValueError(f"case (a) N=2 error {err:.3g} out of range")

@@ -183,8 +183,8 @@ class LiouvilleTransform:
 
 
 def build_transform(c: float) -> LiouvilleTransform:
-    if c <= 0:
-        raise ValueError("c must be positive")
+    if not 0 < c < math.inf:
+        raise ValueError("c must be positive and finite")
     t = family_parameter(c)
     return LiouvilleTransform(c=c, t=t, U=_u_closed_form(t))
 
@@ -281,8 +281,8 @@ def galerkin_eigensystem(c: float, n_b: int = None, m_max: int = 20) -> OdeSpect
     the original operator are (pi/U)^2 times the matrix eigenvalues, and
     eigenvectors map back through the Liouville transform.
     """
-    if c <= 0:
-        raise ValueError("c must be positive")
+    if not 0 < c < math.inf:
+        raise ValueError("c must be positive and finite")
     n_b = galerkin_basis_size(m_max, n_b)
     tr = build_transform(c)
     qgrid = gauss_legendre(n_b + 32)

@@ -15,7 +15,7 @@ import numpy as np
 
 from .special_functions import gauss_legendre, uniform_grid
 from .sech_operator import OperatorParams, SampledFunction, apply_adjoint
-from .svd_assembly import compute_svd, legendre_expansion
+from .svd_assembly import SvdBasis, compute_svd, evaluate_g
 from .bounds import beta
 
 __all__ = [
@@ -51,18 +51,11 @@ class ObservationWindow:
 class CutoffEstimate:
     N: int
     d: np.ndarray                 # coefficients for m <= N
-    svd: list
+    svd: SvdBasis
     obs: ObservationWindow
     F: SampledFunction            # transform-side estimate on the phi panel grid
     grid: np.ndarray              # report grid for the reconstruction
     values: np.ndarray            # complex f_delta^N on the report grid
-
-    def increment_norm_sq(self, n_lo: int, n_hi: int) -> float:
-        """cosh-norm squared of the estimate difference between levels,
-        sum over n_lo < m <= n_hi of (2 pi d_m / sigma_m)^2. The 2 pi is the
-        transform-convention factor that also appears in the penalty."""
-        return float(sum((2 * math.pi * self.d[m] / self.svd[m].sigma) ** 2
-                         for m in range(n_lo + 1, n_hi + 1)))
 
 
 def builtin_case(case_id: str, delta: float = None, n_window: int = 2048):
@@ -91,22 +84,25 @@ def builtin_case(case_id: str, delta: float = None, n_window: int = 2048):
     return obs, truth, OperatorParams(b=b, c=c)
 
 
-def coefficients(obs: ObservationWindow, svd: list) -> np.ndarray:
+def coefficients(obs: ObservationWindow, svd: SvdBasis) -> np.ndarray:
     """d_m = <f_delta(c.+x0), g_m> on the window, for every m in the svd.
 
-    All g_m are expanded at once on their shared grid, so the window is
-    projected once per call.
+    All g_m are expanded at once, so the window is projected once per call.
     """
     if np.any(np.isnan(obs.samples.grid.weights)):
         raise ValueError("observation grid carries no quadrature weights")
-    if abs(obs.c - svd[0].c) > 1e-12:
+    if abs(obs.c - svd.c) > 1e-12:
         raise ValueError("observation window and svd have different c")
-    gg = svd[0].g.grid
-    if any(not np.array_equal(t.g.grid.nodes, gg.nodes) for t in svd):
-        raise ValueError("the svd triplets do not share one g grid")
-    G = legendre_expansion(gg, np.stack([t.g.values for t in svd]),
-                           obs.samples.grid.nodes)
+    G = evaluate_g(svd, obs.samples.grid.nodes)
     return G @ (obs.samples.grid.weights * obs.samples.values)
+
+
+def _last_trusted(svd: SvdBasis) -> int:
+    """svd.last_trusted; the estimator reads a row's position as its m, so
+    a sub-basis that skips an index would be used with shifted indices."""
+    if not np.array_equal(svd.m, np.arange(len(svd))):
+        raise ValueError("the estimator needs a basis with rows m = 0..M-1")
+    return svd.last_trusted
 
 
 def sigma_penalty(params: OperatorParams, delta: float, N: int) -> float:
@@ -158,7 +154,7 @@ def _invert_transform(F_vals, xu, wu, x0, s_grid):
         1j * (0.5 * al * k * k + ds * xc * k - uc * xc))
 
 
-def cutoff_estimate(obs: ObservationWindow, svd: list, N: int,
+def cutoff_estimate(obs: ObservationWindow, svd: SvdBasis, N: int,
                     nfft: int = 4096, report_points: int = 1201,
                     report_halfwidth: float = 6.0,
                     d: np.ndarray = None) -> CutoffEstimate:
@@ -179,21 +175,20 @@ def cutoff_estimate(obs: ObservationWindow, svd: list, N: int,
     """
     if N < 0:
         raise ValueError(f"truncation level must be nonnegative, got {N}")
-    last_trusted = max((t.m for t in svd if t.trusted), default=-1)
+    last_trusted = _last_trusted(svd)
     if N > last_trusted:
         raise ValueError(f"truncation level {N} exceeds trusted index {last_trusted}")
     if d is None:
         d = coefficients(obs, svd)
     elif np.shape(d) != (len(svd),):
         raise ValueError("d must hold one coefficient per svd triplet")
-    sigma = np.array([t.sigma for t in svd[: N + 1]])
-    coef = d[: N + 1] / sigma
-    pg = svd[0].phi.grid
-    F_panel = coef @ np.stack([t.phi.values for t in svd[: N + 1]])
-    h = SampledFunction(svd[0].g.grid, (coef / sigma)
-                        @ np.stack([t.g.values for t in svd[: N + 1]]))
+    head = svd[: N + 1]
+    coef = d[: N + 1] / head.sigma
+    pg = svd.phi.grid
+    F_panel = coef @ head.phi.values
+    h = SampledFunction(svd.g.grid, (coef / head.sigma) @ head.g.values)
     ug = uniform_grid(pg.interval[1], nfft)
-    F_u = apply_adjoint(OperatorParams(b=svd[0].b, c=svd[0].c), h, ug).values
+    F_u = apply_adjoint(OperatorParams(b=svd.b, c=svd.c), h, ug).values
     s_grid = np.linspace(obs.x0 - report_halfwidth, obs.x0 + report_halfwidth,
                          report_points)
     vals = _invert_transform(F_u, ug.nodes, ug.weights, obs.x0, s_grid)
@@ -208,7 +203,7 @@ def l2_error(s_grid: np.ndarray, fhat: np.ndarray, ftrue) -> float:
     return float(np.sqrt(np.trapezoid(np.abs(fhat - ft) ** 2, s_grid)))
 
 
-def adaptive_N(obs: ObservationWindow, svd: list, variant: str = "plus"):
+def adaptive_N(obs: ObservationWindow, svd: SvdBasis, variant: str = "plus"):
     """Adaptive truncation level by the Goldenshluger-Lepski comparison.
 
     B(N) = max over N <= N' <= N_max of (||F^{N'} - F^N||^2 +/- Sigma(N'))_+
@@ -216,18 +211,18 @@ def adaptive_N(obs: ObservationWindow, svd: list, variant: str = "plus"):
     B(N) + Sigma(N), smallest index on ties. The "plus" variant keeps the
     penalty sign inside the positive part as printed in the source
     derivation; "minus" is the standard comparison rule. The penalty uses
-    the svd's own (b, c).
+    the svd's own (b, c). diagnostics["q"][m] = (2 pi d_m / sigma_m)^2 is
+    the cosh-norm squared of the increment from level m-1 to m; the 2 pi is
+    the transform-convention factor that also appears in the penalty.
     """
     if variant not in ("plus", "minus"):
         raise ValueError("variant must be 'plus' or 'minus'")
-    params = OperatorParams(b=svd[0].b, c=svd[0].c)
+    params = OperatorParams(b=svd.b, c=svd.c)
     nm = n_max(obs.delta)
-    last_trusted = max((t.m for t in svd if t.trusted), default=-1)
-    if nm > last_trusted:
+    if nm > _last_trusted(svd):
         raise ValueError(f"svd must be trusted through N_max = {nm}")
     d = coefficients(obs, svd)
-    q = np.array([(2 * math.pi * d[m] / svd[m].sigma) ** 2
-                  for m in range(nm + 1)])
+    q = (2 * math.pi * d[: nm + 1] / svd.sigma[: nm + 1]) ** 2
     Sig = np.array([sigma_penalty(params, obs.delta, N) for N in range(nm + 1)])
     B = np.empty(nm + 1)
     for N in range(nm + 1):
@@ -262,7 +257,6 @@ def rate_sweep(case_id: str, delta_list, oracle_rule: str = "polynomial",
     be = beta(params.kernel_parameter)
     m_top = max(n_max(min(deltas)), 8)
     svd = compute_svd(params, m_max=m_top)
-    last_trusted = max(t.m for t in svd if t.trusted)
     rows = []
     for dl in deltas:
         obs, _, _ = builtin_case(case_id, delta=dl)
@@ -270,7 +264,7 @@ def rate_sweep(case_id: str, delta_list, oracle_rule: str = "polynomial",
             nbar = math.log(1.0 / dl) / (2 * be)
         else:
             nbar = math.log(1.0 / dl) / (kappa + be)
-        nbar = min(int(math.floor(nbar)), last_trusted)
+        nbar = min(int(math.floor(nbar)), svd.last_trusted)
         nhat, diag = adaptive_N(obs, svd, variant=variant)
         est_bar = cutoff_estimate(obs, svd, nbar, d=diag["d"])
         err_bar = l2_error(est_bar.grid, est_bar.values, truth)

@@ -51,8 +51,8 @@ def pswf_basis(c: float, m_max: int, n_b: int = None) -> PswfBasis:
     eigenvalues interleave; sorting the merged spectrum recovers the m
     ordering. Sign convention: psi_m(1) > 0.
     """
-    if c <= 0:
-        raise ValueError("c must be positive")
+    if not 0 < c < math.inf:
+        raise ValueError("c must be positive and finite")
     if n_b is None:
         n_b = 2 * m_max + 32 + int(2 * c)
     if n_b < 2 * m_max + 16:

@@ -84,8 +84,8 @@ class SampledFunction:
 
 def kernel(c: float, x, y):
     """Kernel of Q_c: pi*c*sech(pi*c*(x-y)/2). Symmetric, positive, entire."""
-    if c <= 0:
-        raise ValueError("c must be positive")
+    if not 0 < c < math.inf:
+        raise ValueError("c must be positive and finite")
     return math.pi * c / np.cosh(math.pi * c * (np.asarray(x) - np.asarray(y)) / 2.0)
 
 
@@ -195,8 +195,8 @@ def nystrom_eigensystem(c: float, n: int = None, m_max: int = 12) -> NystromSpec
     (_symmetric_nystrom), which makes the eigenVECTORS good to ~1e-9 down to
     eigenvalues around 1e-10.
     """
-    if c <= 0:
-        raise ValueError("c must be positive")
+    if not 0 < c < math.inf:
+        raise ValueError("c must be positive and finite")
     n = nystrom_grid_size(m_max, n)
     grid = gauss_legendre(n)
     xl = grid.nodes.astype(np.longdouble)
@@ -232,8 +232,8 @@ def rho_rayleigh(c: float, g: SampledFunction):
     cos/sin matrices are formed once and multiply all rows together. Every
     row must have unit L2(-1,1) norm.
     """
-    if c <= 0:
-        raise ValueError("c must be positive")
+    if not 0 < c < math.inf:
+        raise ValueError("c must be positive and finite")
     nrm = g.norm()
     if np.any(np.abs(nrm - 1.0) > 1e-8):
         raise ValueError(f"input must be L2(-1,1)-normalized, got norm {nrm!r}")

@@ -8,7 +8,8 @@ floor come from the Nystrom route; deeper ones from the commuting-operator
 route with rho recovered by the Rayleigh integral. The assembly is one pass
 over all indices at once: the g_m are stacked as rows, the deep rows get
 their rho from one batched Rayleigh integral, and every phi_m comes from
-one adjoint applied to the whole stack.
+one adjoint applied to the whole stack. The result is one SvdBasis, whose
+arrays hold every index at once.
 """
 import math
 from dataclasses import dataclass
@@ -28,10 +29,9 @@ from .sech_operator import (
 from .commuting_ode import galerkin_eigensystem
 
 __all__ = [
-    "SvdTriplet",
+    "SvdBasis",
     "compute_svd",
     "rescale_phi",
-    "legendre_expansion",
     "evaluate_g",
     "evaluate_phi",
     "svd_to_json_dict",
@@ -39,20 +39,44 @@ __all__ = [
 ]
 
 
-@dataclass
-class SvdTriplet:
-    m: int
+@dataclass(eq=False)
+class SvdBasis:
+    """Singular triplets (sigma_m, phi_m, g_m) at (b, c) as arrays.
+
+    Entry k of sigma, rho, trusted and m, and row k of g.values and
+    phi.values, belong to index m[k]; a basis from compute_svd or the
+    reader holds m = 0..M-1 in order, so there a row's position is its m.
+    An int key gives one triplet (scalar fields, 1-D values); a slice,
+    index array or boolean mask gives a sub-basis that keeps its labels.
+    Iteration yields the triplets in row order.
+    """
     b: float
     c: float
-    sigma: float
-    rho: float
-    g: SampledFunction            # on (-1,1), unit L2 norm
-    phi: SampledFunction          # complex, on the symmetric real-line grid
-    trusted: bool
+    sigma: np.ndarray
+    rho: np.ndarray
+    trusted: np.ndarray
+    g: SampledFunction            # rows on one Gauss grid of (-1,1), unit L2 norm
+    phi: SampledFunction          # complex rows on phi_grid(b)
+    m: np.ndarray                 # index labels
+
+    def __len__(self):
+        return len(self.sigma)
+
+    def __getitem__(self, key):
+        return SvdBasis(self.b, self.c, self.sigma[key], self.rho[key],
+                        self.trusted[key],
+                        SampledFunction(self.g.grid, self.g.values[key]),
+                        SampledFunction(self.phi.grid, self.phi.values[key]),
+                        self.m[key])
+
+    @property
+    def last_trusted(self) -> int:
+        """Largest trusted index m, -1 if no index is trusted."""
+        return int(np.max(self.m, initial=-1, where=self.trusted))
 
 
-def compute_svd(params: OperatorParams, m_max: int, n: int = None) -> list:
-    """Singular triplets for m = 0..m_max, sorted by m.
+def compute_svd(params: OperatorParams, m_max: int, n: int = None) -> SvdBasis:
+    """Singular triplets for m = 0..m_max.
 
     All indices are assembled in one pass over a stacked (m_max+1, n) array
     of g rows: the dense route's rows, the commuting-operator rows below its
@@ -78,107 +102,98 @@ def compute_svd(params: OperatorParams, m_max: int, n: int = None) -> list:
     phi = apply_adjoint(params, SampledFunction(ny.grid, G), xgrid).values \
         / sigma[:, None]
     floor = 8 * max(cp, 1.0) * math.exp(-RAYLEIGH_TAIL_MULTIPLE)
-    return [SvdTriplet(m=m, b=params.b, c=params.c, sigma=float(sigma[m]),
-                       rho=float(rho[m]), g=SampledFunction(ny.grid, G[m]),
-                       phi=SampledFunction(xgrid, phi[m]),
-                       trusted=bool(rho[m] > 100.0 * floor))
-            for m in range(m_max + 1)]
+    return SvdBasis(params.b, params.c, sigma, rho, rho > 100.0 * floor,
+                    SampledFunction(ny.grid, G), SampledFunction(xgrid, phi),
+                    np.arange(m_max + 1))
 
 
-def rescale_phi(b: float, c: float, triplet: SvdTriplet) -> SvdTriplet:
-    """Triplet at (b, c) from one computed at (1, c/b).
+def rescale_phi(b: float, c: float, svd: SvdBasis) -> SvdBasis:
+    """Basis at (b, c) from one computed at (1, c/b).
 
     phi_m at (b,c) is sqrt(b) * phi_m at (1, c/b) evaluated at b*x, which on
     the sampled grid is a node relabeling, no interpolation; sigma picks up
-    1/sqrt(b) and g is shared.
+    1/sqrt(b) and g is shared. Every row of the source must be trusted.
     """
-    if not triplet.trusted:
-        raise ValueError("source triplet is untrusted")
-    if abs(triplet.b - 1.0) > 1e-12 or abs(triplet.c - c / b) > 1e-12:
-        raise ValueError("source triplet must be at parameters (1, c/b)")
-    src = triplet.phi
+    if not np.all(svd.trusted):
+        raise ValueError("source basis has untrusted rows")
+    if abs(svd.b - 1.0) > 1e-12 or abs(svd.c - c / b) > 1e-12:
+        raise ValueError("source basis must be at parameters (1, c/b)")
+    src = svd.phi
     grid = QuadratureGrid(src.grid.nodes / b, src.grid.weights / b,
                           (src.grid.interval[0] / b, src.grid.interval[1] / b))
     phi = SampledFunction(grid, src.values * math.sqrt(b))
-    return SvdTriplet(m=triplet.m, b=b, c=c, sigma=triplet.sigma / math.sqrt(b),
-                      rho=triplet.rho, g=triplet.g, phi=phi,
-                      trusted=triplet.trusted)
+    return SvdBasis(b, c, svd.sigma / math.sqrt(b), svd.rho, svd.trusted,
+                    svd.g, phi, svd.m)
 
 
-def legendre_expansion(grid: QuadratureGrid, values, s) -> np.ndarray:
-    """Values at s of the normalized-Legendre expansions of samples on a
-    Gauss grid; `values` holds one function per row (or is a single one).
+def evaluate_g(svd: SvdBasis, s) -> np.ndarray:
+    """Every g_m of the basis at the points s, through its normalized-Legendre
+    expansion: one row per index, or 1-D values for a single triplet.
 
-    The projection a_k = sum_i w_i v(x_i) Pbar_k(x_i) is quadrature-exact
+    The projection a_k = sum_i w_i g(x_i) Pbar_k(x_i) is quadrature-exact
     well past the effective Legendre bandwidth of the g_m (about m + O(1)
-    modes), so the evaluation cost and accuracy are uniform in m.
+    modes), so the evaluation cost and accuracy are uniform in m. The
+    alternative identity g = K g / rho amplifies sampling error by 1/rho
+    and is useless for the deep, small-rho indices this route must serve.
     """
     s = np.atleast_1d(np.asarray(s, dtype=float))
     if np.any(np.abs(s) > 1.0):
         raise ValueError("g is defined on [-1, 1]")
+    grid = svd.g.grid
     deg = min(grid.nodes.size // 2, 180)
     norms = np.sqrt(np.arange(deg + 1) + 0.5)
-    a = (grid.weights * values) @ (legvander(grid.nodes, deg) * norms)
+    a = (grid.weights * svd.g.values) @ (legvander(grid.nodes, deg) * norms)
     return a @ (legvander(s, deg) * norms).T
 
 
-def evaluate_g(triplet: SvdTriplet, s) -> np.ndarray:
-    """g_m off-grid through its normalized-Legendre expansion.
-
-    The alternative identity g = K g / rho amplifies sampling error by 1/rho
-    and is useless for the deep, small-rho indices this route must serve.
-    """
-    return legendre_expansion(triplet.g.grid, triplet.g.values, s)
-
-
-def evaluate_phi(triplet: SvdTriplet, x) -> np.ndarray:
-    """phi_m at arbitrary real points, from its defining adjoint integral."""
-    params = OperatorParams(b=triplet.b, c=triplet.c)
-    return apply_adjoint(params, triplet.g, x).values / triplet.sigma
+def evaluate_phi(svd: SvdBasis, x) -> np.ndarray:
+    """Every phi_m of the basis at arbitrary real points, from its defining
+    adjoint integral."""
+    params = OperatorParams(b=svd.b, c=svd.c)
+    return apply_adjoint(params, svd.g, x).values \
+        / np.asarray(svd.sigma)[..., None]
 
 
-def svd_to_json_dict(triplets: list) -> dict:
-    entries = []
-    for t in triplets:
-        entries.append({
-            "m": t.m,
-            "sigma": t.sigma,
-            "rho": t.rho,
-            "trusted": t.trusted,
-            "g": {"nodes": t.g.grid.nodes.tolist(),
-                  "values": np.real(t.g.values).tolist()},
-            "phi": {"nodes": t.phi.grid.nodes.tolist(),
-                    "re": np.real(t.phi.values).tolist(),
-                    "im": np.imag(t.phi.values).tolist()},
-        })
-    return {"b": triplets[0].b, "c": triplets[0].c, "entries": entries}
+def svd_to_json_dict(svd: SvdBasis) -> dict:
+    gnodes = svd.g.grid.nodes.tolist()
+    pnodes = svd.phi.grid.nodes.tolist()
+    rows = zip(svd.m.tolist(), svd.sigma.tolist(), svd.rho.tolist(),
+               svd.trusted.tolist(), np.real(svd.g.values).tolist(),
+               np.real(svd.phi.values).tolist(),
+               np.imag(svd.phi.values).tolist())
+    entries = [{"m": m, "sigma": sigma, "rho": rho, "trusted": trusted,
+                "g": {"nodes": gnodes, "values": g},
+                "phi": {"nodes": pnodes, "re": re, "im": im}}
+               for m, sigma, rho, trusted, g, re, im in rows]
+    return {"b": svd.b, "c": svd.c, "entries": entries}
 
 
-def triplets_from_json_dict(doc: dict) -> list:
-    """Rebuild triplets; quadrature weights are regenerated from the grid
-    shapes (they are not serialized). Every entry must sit on the Gauss
-    grid of the first one's size and on phi_grid(b), so all triplets share
-    one g grid and one phi grid."""
+def triplets_from_json_dict(doc: dict) -> SvdBasis:
+    """Rebuild the basis; quadrature weights are regenerated from the grid
+    shapes (they are not serialized). The entries must be m = 0..M-1 in
+    order, and every entry must sit on the Gauss grid of the first one's
+    size and on phi_grid(b)."""
     b, c = float(doc["b"]), float(doc["c"])
     entries = doc["entries"]
     if not entries:
         raise ValueError("svd document has no entries")
+    if [e["m"] for e in entries] != list(range(len(entries))):
+        raise ValueError("svd document entries are not m = 0..M-1 in order")
     ggrid = gauss_legendre(len(entries[0]["g"]["nodes"]))
     pgrid = phi_grid(b)
-    out = []
     for e in entries:
         gnodes = np.array(e["g"]["nodes"])
         if gnodes.shape != ggrid.nodes.shape \
                 or not np.allclose(ggrid.nodes, gnodes, atol=1e-12):
             raise ValueError("g grid is not the standard Gauss grid")
-        g = SampledFunction(ggrid, np.array(e["g"]["values"]))
         pnodes = np.array(e["phi"]["nodes"])
         if pnodes.shape != pgrid.nodes.shape \
                 or not np.allclose(pgrid.nodes, pnodes, atol=1e-9 / b):
             raise ValueError("phi grid does not match the standard panel grid")
-        phi = SampledFunction(pgrid, np.array(e["phi"]["re"])
-                              + 1j * np.array(e["phi"]["im"]))
-        out.append(SvdTriplet(m=int(e["m"]), b=b, c=c, sigma=float(e["sigma"]),
-                              rho=float(e["rho"]), g=g, phi=phi,
-                              trusted=bool(e["trusted"])))
-    return out
+    g = SampledFunction(ggrid, np.array([e["g"]["values"] for e in entries]))
+    phi = SampledFunction(pgrid, np.array([e["phi"]["re"] for e in entries])
+                          + 1j * np.array([e["phi"]["im"] for e in entries]))
+    return SvdBasis(b, c, np.array([float(e["sigma"]) for e in entries]),
+                    np.array([float(e["rho"]) for e in entries]),
+                    np.array([bool(e["trusted"]) for e in entries]), g, phi,
+                    np.arange(len(entries)))

@@ -57,8 +57,9 @@ def coefficient_calls(monkeypatch):
 
 @pytest.fixture
 def operator_calls(monkeypatch):
-    """Counts of apply_adjoint and rho_rayleigh calls, by name. Both are
-    rebound in sech_operator and in svd_assembly, which imports them."""
+    """Counts of apply_adjoint and rho_rayleigh calls, by name. Each is
+    rebound in sech_operator and in every module that imports it."""
+    import sechprolate.bounds as bo
     import sechprolate.sech_operator as so
     import sechprolate.svd_assembly as sa
     calls = {"apply_adjoint": 0, "rho_rayleigh": 0}
@@ -71,6 +72,7 @@ def operator_calls(monkeypatch):
 
     for name in calls:
         wrapped = counter(name, getattr(so, name))
-        monkeypatch.setattr(so, name, wrapped)
-        monkeypatch.setattr(sa, name, wrapped)
+        for module in (so, sa, bo):
+            if hasattr(module, name):
+                monkeypatch.setattr(module, name, wrapped)
     return calls

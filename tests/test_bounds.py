@@ -4,8 +4,36 @@ import numpy as np
 import pytest
 
 from sechprolate import bounds
-from sechprolate.commuting_ode import build_transform
-from sechprolate.sech_operator import nystrom_eigensystem
+from sechprolate.commuting_ode import build_transform, galerkin_eigensystem
+from sechprolate.pswf import pswf_basis
+from sechprolate.sech_operator import (SampledFunction, kernel,
+                                       nystrom_eigensystem, rho_rayleigh)
+from sechprolate.special_functions import gauss_legendre
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf])
+@pytest.mark.parametrize("entry", [
+    lambda c: kernel(c, 0.0, 0.5),
+    lambda c: nystrom_eigensystem(c, m_max=2),
+    lambda c: rho_rayleigh(c, SampledFunction(gauss_legendre(8),
+                                              np.full(8, 0.5))),
+    build_transform,
+    lambda c: galerkin_eigensystem(c, m_max=2),
+    bounds.beta,
+    bounds.theta,
+    bounds.theta_tilde,
+    lambda c: bounds.lower_bound_all_c(c, 1),
+    bounds.widom_slope,
+    lambda c: pswf_basis(c, m_max=2),
+    lambda c: bounds.build_report(c, m_max=2),
+], ids=["kernel", "nystrom_eigensystem", "rho_rayleigh", "build_transform",
+        "galerkin_eigensystem", "beta", "theta", "theta_tilde",
+        "lower_bound_all_c", "widom_slope", "pswf_basis", "build_report"])
+def test_bare_c_entry_points_reject_nonfinite_c(entry, bad):
+    """nan passes a c <= 0 check and inf a c > 0 one; both are refused
+    up front instead of giving nan results or an ArithmeticError."""
+    with pytest.raises(ValueError, match="positive and finite"):
+        entry(bad)
 
 
 def test_beta_at_one():

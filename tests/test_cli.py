@@ -99,6 +99,11 @@ def test_svd_usage_errors(tmp_path):
 
     run_usage_error(tmp_path, "svd", "--c", "1")
 
+    for args in (["svd", "--b", "1", "--c", "1"], ["bounds", "--c", "1"],
+                 ["widom", "--c", "1", "--fit"]):
+        res = run_usage_error(tmp_path, *args, "--m-max", "-1")
+        assert "'--m-max'" in res.stderr and "x>=0" in res.stderr, args
+
     # nan passes every comparison with 0, and inf every lower bound
     for b, c, msg in [("nan", "1", "not a finite number"),
                       ("1", "nan", "not a finite number"),

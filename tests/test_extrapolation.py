@@ -12,8 +12,7 @@ from sechprolate.extrapolation import (ObservationWindow, _invert_transform,
 from sechprolate.sech_operator import OperatorParams, SampledFunction
 from sechprolate.special_functions import (QuadratureGrid, gauss_legendre,
                                            uniform_grid)
-from sechprolate.svd_assembly import (SvdTriplet, compute_svd, evaluate_g,
-                                      evaluate_phi)
+from sechprolate.svd_assembly import compute_svd, evaluate_g, evaluate_phi
 
 
 def scaled_window(obs, lam):
@@ -112,17 +111,6 @@ def test_coefficients_batched_equals_per_triplet_loop(case_a):
     assert np.max(np.abs(d - ref)) <= 1e-13 * np.max(np.abs(ref))
 
 
-def test_coefficients_reject_differing_g_grids(case_a):
-    obs, _, _, svd = case_a
-    t = svd[3]
-    g2 = gauss_legendre(t.g.grid.nodes.size + 2)
-    moved = SvdTriplet(m=t.m, b=t.b, c=t.c, sigma=t.sigma, rho=t.rho,
-                       g=SampledFunction(g2, evaluate_g(t, g2.nodes)),
-                       phi=t.phi, trusted=t.trusted)
-    with pytest.raises(ValueError, match="g grid"):
-        coefficients(obs, svd[:3] + [moved] + svd[4:])
-
-
 @pytest.mark.parametrize("b", [1.0, 1 / 6.5])
 @pytest.mark.parametrize("nfft, report_points",
                          [(4096, 301), (4096, 1201), (4096, 4096), (2047, 1201)])
@@ -213,25 +201,37 @@ def test_n_max_values():
 
 
 def test_increment_norm_two_ways(case_a):
-    """Coefficient form of the cosh-norm against direct grid quadrature of
-    the transform-side difference."""
+    """The adaptive rule's coefficient form q of the cosh-norm against
+    direct grid quadrature of the transform-side differences."""
     obs, _, _, svd = case_a
-    est2 = cutoff_estimate(obs, svd, 2)
-    est0 = cutoff_estimate(obs, svd, 0)
-    coef = est2.increment_norm_sq(0, 2)
-    diff = est2.F.values - est0.F.values
-    w = est2.F.grid.weights * np.cosh(1.0 * est2.F.grid.nodes)
-    grid = (2 * math.pi) ** 2 * float(np.sum(w * np.abs(diff) ** 2))
-    assert grid == pytest.approx(coef, rel=1e-3)
-    # single-increment form
-    one = est2.increment_norm_sq(1, 2)
-    assert one == (2 * math.pi * est2.d[2] / svd[2].sigma) ** 2
+    _, diag = adaptive_N(obs, svd)
+    q = diag["q"]
+    est = [cutoff_estimate(obs, svd, N, d=diag["d"]) for N in range(3)]
+    w = est[2].F.grid.weights * np.cosh(1.0 * est[2].F.grid.nodes)
+
+    def grid_norm_sq(lo, hi):
+        diff = est[hi].F.values - est[lo].F.values
+        return (2 * math.pi) ** 2 * float(np.sum(w * np.abs(diff) ** 2))
+
+    assert grid_norm_sq(0, 2) == pytest.approx(q[1] + q[2], rel=1e-3)
+    assert grid_norm_sq(1, 2) == pytest.approx(q[2], rel=1e-3)
 
 
 def test_cutoff_untrusted_level(case_a):
     obs, _, _, svd = case_a
     with pytest.raises(ValueError):
         cutoff_estimate(obs, svd, len(svd))
+
+
+def test_estimator_rejects_basis_not_starting_at_zero(case_a):
+    """A sub-basis keeps its m labels, but the estimator indexes by
+    position; svd[1:] would otherwise be read as m = 0..11."""
+    obs, _, _, svd = case_a
+    with pytest.raises(ValueError, match="m = 0..M-1"):
+        cutoff_estimate(obs, svd[1:], 2)
+    with pytest.raises(ValueError, match="m = 0..M-1"):
+        adaptive_N(obs, svd[1:])
+    cutoff_estimate(obs, svd[:5], 2)
 
 
 def test_cutoff_single_mode_shape(case_a):

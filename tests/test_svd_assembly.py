@@ -142,6 +142,56 @@ def test_rescale_rejects_untrusted():
     bad = next(t for t in svd if not t.trusted)
     with pytest.raises(ValueError):
         rescale_phi(1.0, 0.1, bad)
+    with pytest.raises(ValueError, match="untrusted"):
+        rescale_phi(1.0, 0.1, svd)
+    rescale_phi(1.0, 0.1, svd[svd.trusted])
+
+
+def test_basis_indexing(svd_b1_c1):
+    """An int key gives one triplet with scalar fields and 1-D values; a
+    slice or mask gives a sub-basis on the same grids that keeps its m."""
+    svd = svd_b1_c1
+    assert len(svd) == 9 and list(svd.m) == list(range(9))
+    t = svd[4]
+    assert (t.m, t.sigma, t.rho, t.trusted) == (4, svd.sigma[4], svd.rho[4],
+                                                svd.trusted[4])
+    assert t.g.values.shape == svd.g.values.shape[1:]
+    assert t.phi.values.shape == svd.phi.values.shape[1:]
+    assert np.array_equal(t.phi.values, svd.phi.values[4])
+    assert svd[-1].m == 8
+    sub = svd[2:5]
+    assert list(sub.m) == [2, 3, 4] and sub.g.grid is svd.g.grid
+    assert np.array_equal(sub.g.values, svd.g.values[2:5])
+    odd = svd[svd.m % 2 == 1]
+    assert list(odd.m) == [1, 3, 5, 7] and odd.phi.grid is svd.phi.grid
+    assert [u.m for u in svd] == list(range(9))
+    assert [u.sigma for u in sub] == list(svd.sigma[2:5])
+
+
+def test_last_trusted():
+    svd = compute_svd(OperatorParams(b=1.0, c=0.1), m_max=12)
+    first_bad = int(np.argmin(svd.trusted))
+    assert 0 < first_bad
+    assert svd.last_trusted == first_bad - 1
+    assert svd[first_bad:].last_trusted == -1
+    assert svd[3].last_trusted == 3
+
+
+def test_basis_rescale_and_evaluate_match_rows():
+    """rescale_phi, evaluate_g and evaluate_phi on the whole basis agree
+    with the same calls on its rows one by one."""
+    src = compute_svd(OperatorParams(b=1.0, c=0.5), m_max=6)
+    scaled = rescale_phi(2.0, 1.0, src)
+    x = np.linspace(-0.9, 0.9, 7)
+    G = evaluate_g(src, x)
+    P = evaluate_phi(src, x)
+    assert G.shape == P.shape == (7, 7)
+    for m, t in enumerate(src):
+        row = rescale_phi(2.0, 1.0, t)
+        assert row.sigma == scaled.sigma[m]
+        assert np.array_equal(row.phi.values, scaled.phi.values[m])
+        assert np.allclose(evaluate_g(t, x), G[m], rtol=0, atol=1e-13)
+        assert np.allclose(evaluate_phi(t, x), P[m], rtol=0, atol=1e-13)
 
 
 def test_evaluate_g_consistency(svd_b1_c1):
@@ -194,6 +244,19 @@ def test_json_rejects_phi_grid_of_another_panel_size(svd_b1_c1):
         e["phi"] = {"nodes": nodes, "re": [0.0] * len(nodes),
                     "im": [0.0] * len(nodes)}
     with pytest.raises(ValueError, match="phi grid"):
+        triplets_from_json_dict(doc)
+
+
+@pytest.mark.parametrize("reorder", ["gap", "reversed"])
+def test_json_rejects_entries_not_in_m_order(svd_b1_c1, reorder):
+    """A row's position is its m, so a document with a missing or
+    reordered entry is rejected rather than read with shifted indices."""
+    doc = json.loads(json.dumps(svd_to_json_dict(svd_b1_c1)))
+    if reorder == "gap":
+        del doc["entries"][4]
+    else:
+        doc["entries"].reverse()
+    with pytest.raises(ValueError, match="m = 0..M-1"):
         triplets_from_json_dict(doc)
 
 

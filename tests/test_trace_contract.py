@@ -10,8 +10,9 @@ import os
 
 import pytest
 
-from sechprolate.extrapolation import cutoff_estimate
+from sechprolate.extrapolation import builtin_case, cutoff_estimate
 from sechprolate.sech_operator import NystromSpectrum
+from sechprolate.svd_assembly import compute_svd
 
 WORKER = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
                       "benchmarks", "worker.py")
@@ -47,6 +48,19 @@ def test_cutoff_estimate_binds_the_traced_arguments():
     bound = inspect.signature(cutoff_estimate).bind(None, [], 2)
     bound.apply_defaults()
     assert {"svd", "N", "nfft", "report_points"} <= set(bound.arguments)
+
+
+def test_exp_elements_hook_reads_a_real_call():
+    """worker._exp_elements on the arguments and result of a real
+    cutoff_estimate call returns an integer count."""
+    obs, _, params = builtin_case("a")
+    args = (obs, compute_svd(params, m_max=4), 2)
+    kwargs = {"nfft": 256, "report_points": 64}
+    attrs = load_worker()._exp_elements(args, kwargs,
+                                        cutoff_estimate(*args, **kwargs))
+    n_g = args[1].g.grid.nodes.size
+    assert attrs == {"exp_elements": 64 * 256 + 3 * 256 * n_g}
+    assert isinstance(attrs["exp_elements"], int)
 
 
 def test_nystrom_spectrum_keeps_the_traced_fields():
