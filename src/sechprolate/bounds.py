@@ -15,9 +15,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .special_functions import agm, elliptic_K
-from .sech_operator import SampledFunction, nystrom_eigensystem, rho_rayleigh
-from .commuting_ode import (family_parameter, galerkin_eigensystem,
-                            _u_closed_form)
+from .commuting_ode import family_parameter, _u_closed_form
+from .svd_assembly import commuting_eigenpairs
 
 __all__ = [
     "C0",
@@ -194,15 +193,9 @@ ROW_FIELDS = ["m", "lower_small_c", "lower_all_c", "lower_combined",
 
 
 def build_report(c: float, m_max: int = 12) -> BoundsReport:
-    """Compute spectra by both operator routes and tabulate them against
-    every closed-form bound that applies at this c."""
-    ny = nystrom_eigensystem(c, m_max=m_max)
-    ode = galerkin_eigensystem(c, m_max=m_max)
-    rhos = ny.eigenvalues[: m_max + 1].copy()
-    deep = np.nonzero(rhos <= ny.trust_floor)[0]
-    if deep.size:
-        rhos[deep] = rho_rayleigh(c, SampledFunction(ode.grid,
-                                                     ode.g_values[:, deep].T))
+    """Tabulate the commuting-operator spectrum (commuting_eigenpairs)
+    against every closed-form bound that applies at this c."""
+    ode, _, rhos = commuting_eigenpairs(c, m_max)
     fine = np.linspace(-1.0, 1.0, 2001)
     sup = np.max(np.abs(ode.evaluate_g(np.arange(m_max + 1), fine)), axis=1)
     rows = []

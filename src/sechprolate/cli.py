@@ -3,9 +3,10 @@
 Subcommands: svd | bounds | widom | extrapolate | selftest. Everything is
 written as CSV ('.' decimal, ',' separator, 17 significant digits) or JSON
 (raw doubles), so the files round-trip exactly and identical inputs give
-byte-identical outputs. The run manifest is the only file with a clock in
-it. SVD documents are cached on disk under a content hash of the
-parameters; SECHPROLATE_CACHE overrides the cache directory.
+byte-identical outputs at a fixed BLAS thread count. The run manifest is
+the only file with a clock in it. SVD documents are cached on disk under a
+content hash of the parameters; SECHPROLATE_CACHE overrides the cache
+directory.
 
 Exit codes: 0 on success, 2 on usage errors, 3 on numerical failures.
 """
@@ -197,7 +198,7 @@ def main():
 @click.option("--m-max", type=click.IntRange(0, None), default=12,
               show_default=True, help="largest singular index")
 @click.option("--n", type=int, default=None,
-              help="quadrature size of the eigensolver (default: automatic)")
+              help="size of the Gauss grid the g_m are sampled on")
 @click.option("--out", type=click.Path(file_okay=False), default=".",
               show_default=True, help="output directory")
 def svd(b, c, m_max, n, out):

@@ -3,13 +3,12 @@
 Assembles triplets (sigma_m, phi_m, g_m): g_m are the unit eigenfunctions
 of the sech-kernel operator at parameter c/b, sigma_m = sqrt(rho_m / c),
 and phi_m = (adjoint of the transform applied to g_m) / sigma_m lives on a
-symmetric real-line grid. Eigenpairs with rho above the dense-solver trust
-floor come from the Nystrom route; deeper ones from the commuting-operator
-route with rho recovered by the Rayleigh integral. The assembly is one pass
-over all indices at once: the g_m are stacked as rows, the deep rows get
-their rho from one batched Rayleigh integral, and every phi_m comes from
-one adjoint applied to the whole stack. The result is one SvdBasis, whose
-arrays hold every index at once.
+symmetric real-line grid. Every index takes one route, the commuting
+differential operator (Osipov, Rokhlin & Xiao 2013): its Galerkin
+eigenvectors give the g_m as stacked rows on one Gauss grid, one Rayleigh
+integral every rho_m, and one adjoint every phi_m; the dense Nystrom
+solve is only an oracle. The result is one SvdBasis, whose arrays hold
+every index at once.
 """
 import math
 from dataclasses import dataclass
@@ -23,13 +22,14 @@ from .sech_operator import (
     OperatorParams,
     SampledFunction,
     apply_adjoint,
-    nystrom_eigensystem,
+    nystrom_grid_size,
     rho_rayleigh,
 )
 from .commuting_ode import galerkin_eigensystem
 
 __all__ = [
     "SvdBasis",
+    "commuting_eigenpairs",
     "compute_svd",
     "rescale_phi",
     "evaluate_g",
@@ -75,13 +75,23 @@ class SvdBasis:
         return int(np.max(self.m, initial=-1, where=self.trusted))
 
 
+def commuting_eigenpairs(c: float, m_max: int, n: int = None):
+    """(OdeSpectrum, g, rho) for m = 0..m_max of the kernel at parameter c:
+    the g_m as unit rows on the nystrom_grid_size(m_max, n) Gauss grid, and
+    every rho_m from one Rayleigh integral."""
+    ode = galerkin_eigensystem(c, m_max=m_max)
+    grid = gauss_legendre(nystrom_grid_size(m_max, n))
+    G = ode.evaluate_g(np.arange(m_max + 1), grid.nodes)
+    g = SampledFunction(grid, G / SampledFunction(grid, G).norm()[:, None])
+    return ode, g, rho_rayleigh(c, g)
+
+
 def compute_svd(params: OperatorParams, m_max: int, n: int = None) -> SvdBasis:
     """Singular triplets for m = 0..m_max.
 
-    All indices are assembled in one pass over a stacked (m_max+1, n) array
-    of g rows: the dense route's rows, the commuting-operator rows below its
-    trust floor from one evaluate_g call, their rho from one rho_rayleigh
-    call, and every phi from one apply_adjoint call onto phi_grid(b).
+    One pass by the commuting operator (commuting_eigenpairs: one Galerkin
+    eigensolve, one evaluate_g, one rho_rayleigh) and one apply_adjoint
+    onto phi_grid(b) for every phi.
 
     Indices whose rho sits within two decades of the Rayleigh-integral
     truncation floor are flagged untrusted but still returned.
@@ -89,22 +99,13 @@ def compute_svd(params: OperatorParams, m_max: int, n: int = None) -> SvdBasis:
     if m_max < 0:
         raise ValueError("m_max must be nonnegative")
     cp = params.kernel_parameter
-    ny = nystrom_eigensystem(cp, n=n, m_max=m_max)
-    rho = ny.eigenvalues[: m_max + 1].copy()
-    G = ny.g_values[:, : m_max + 1].T.copy()
-    deep = np.nonzero(rho <= ny.trust_floor)[0]
-    if deep.size:
-        ode = galerkin_eigensystem(cp, m_max=m_max)
-        G[deep] = ode.evaluate_g(deep, ny.grid.nodes)
-        rho[deep] = rho_rayleigh(cp, SampledFunction(ny.grid, G[deep]))
+    _, g, rho = commuting_eigenpairs(cp, m_max, n)
     sigma = np.sqrt(rho / params.c)
     xgrid = phi_grid(params.b)
-    phi = apply_adjoint(params, SampledFunction(ny.grid, G), xgrid).values \
-        / sigma[:, None]
+    phi = apply_adjoint(params, g, xgrid).values / sigma[:, None]
     floor = 8 * max(cp, 1.0) * math.exp(-RAYLEIGH_TAIL_MULTIPLE)
-    return SvdBasis(params.b, params.c, sigma, rho, rho > 100.0 * floor,
-                    SampledFunction(ny.grid, G), SampledFunction(xgrid, phi),
-                    np.arange(m_max + 1))
+    return SvdBasis(params.b, params.c, sigma, rho, rho > 100.0 * floor, g,
+                    SampledFunction(xgrid, phi), np.arange(m_max + 1))
 
 
 def rescale_phi(b: float, c: float, svd: SvdBasis) -> SvdBasis:

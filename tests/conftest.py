@@ -57,12 +57,13 @@ def coefficient_calls(monkeypatch):
 
 @pytest.fixture
 def operator_calls(monkeypatch):
-    """Counts of apply_adjoint and rho_rayleigh calls, by name. Each is
-    rebound in sech_operator and in every module that imports it."""
+    """Counts of apply_adjoint, rho_rayleigh and nystrom_eigensystem calls,
+    by name. Each is rebound in sech_operator and in every module that
+    imports it."""
     import sechprolate.bounds as bo
     import sechprolate.sech_operator as so
     import sechprolate.svd_assembly as sa
-    calls = {"apply_adjoint": 0, "rho_rayleigh": 0}
+    calls = {"apply_adjoint": 0, "rho_rayleigh": 0, "nystrom_eigensystem": 0}
 
     def counter(name, original):
         def counted(*args, **kwargs):

@@ -121,17 +121,41 @@ def test_svd_cache_key_changes_with_version(monkeypatch):
     assert cli.svd_cache_key(1.0, 1.0, 12, None) != key
 
 
+def fresh_interpreter_env(**extra):
+    """Environment for a fresh interpreter that imports this package."""
+    pkg_root = os.path.dirname(os.path.dirname(cli.__file__))
+    paths = [pkg_root] + [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p]
+    return dict(os.environ, PYTHONPATH=os.pathsep.join(paths), **extra)
+
+
 def test_cli_import_loads_no_scipy():
     # scipy is a test-only dependency: a fresh interpreter importing the
     # command line must not load any of it
-    pkg_root = os.path.dirname(os.path.dirname(cli.__file__))
-    paths = [pkg_root] + [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p]
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(paths))
     code = ("import sys, sechprolate.cli; "
             "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
-    res = subprocess.run([sys.executable, "-c", code], env=env,
-                         capture_output=True, text=True, timeout=120, check=True)
+    res = subprocess.run([sys.executable, "-c", code],
+                         env=fresh_interpreter_env(), capture_output=True,
+                         text=True, timeout=120, check=True)
     assert res.stdout.strip() == "[]"
+
+
+def test_svd_byte_identical_across_processes_at_one_blas_thread(tmp_path):
+    """README's determinism contract holds at a fixed BLAS thread count:
+    two fresh interpreters with OPENBLAS_NUM_THREADS=1, each with its own
+    empty cache, write the same svd.json."""
+    digests = []
+    for run in ("one", "two"):
+        cache_dir = tmp_path / run / "cache"
+        env = fresh_interpreter_env(OPENBLAS_NUM_THREADS="1",
+                                    SECHPROLATE_CACHE=str(cache_dir))
+        subprocess.run([sys.executable, "-m", "sechprolate.cli", "svd",
+                        "--b", "1", "--c", "0.5", "--m-max", "20",
+                        "--out", str(tmp_path / run / "out")],
+                       env=env, capture_output=True, timeout=120, check=True)
+        assert any(cache_dir.iterdir())
+        data = (tmp_path / run / "out" / "svd.json").read_bytes()
+        digests.append(hashlib.sha256(data).hexdigest())
+    assert digests[0] == digests[1]
 
 
 def test_svd_scaling_law_across_runs(tmp_path, cache):

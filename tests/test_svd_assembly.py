@@ -7,7 +7,8 @@ from sechprolate.bounds import build_report
 from sechprolate.commuting_ode import galerkin_eigensystem
 from sechprolate.sech_operator import (OperatorParams, SampledFunction,
                                        apply_adjoint, apply_forward,
-                                       nystrom_eigensystem, rho_rayleigh)
+                                       nystrom_eigensystem, nystrom_grid_size,
+                                       rho_rayleigh)
 from sechprolate.special_functions import gauss_legendre, panel_grid, phi_grid
 from sechprolate.svd_assembly import (compute_svd, evaluate_g, evaluate_phi,
                                       rescale_phi, svd_to_json_dict,
@@ -285,46 +286,70 @@ def test_invalid_params():
 
 
 def test_one_adjoint_and_one_rayleigh_call_per_svd(operator_calls):
-    # c/b = 0.5 at m_max = 20 has rows below the dense trust floor
     svd = compute_svd(OperatorParams(b=1.0, c=0.5), m_max=20)
-    assert svd[-1].rho < 1e-16      # below the trust floor, about 6e-13
-    assert operator_calls == {"apply_adjoint": 1, "rho_rayleigh": 1}
+    assert svd[-1].rho < 1e-16      # far below the dense solver's reach
+    assert operator_calls == {"apply_adjoint": 1, "rho_rayleigh": 1,
+                              "nystrom_eigensystem": 0}
 
 
-def test_no_rayleigh_call_without_deep_rows(operator_calls):
-    compute_svd(OperatorParams(b=1.0, c=4.0), m_max=12)
-    assert operator_calls == {"apply_adjoint": 1, "rho_rayleigh": 0}
+def test_no_dense_solve_at_any_c(operator_calls):
+    """Every index takes the commuting route, also where the dense
+    solver's trust floor would have covered them all."""
+    for c, m_max in ((0.25, 12), (4.0, 12), (1.0, 30)):
+        for name in operator_calls:
+            operator_calls[name] = 0
+        compute_svd(OperatorParams(b=1.0, c=c), m_max=m_max)
+        assert operator_calls == {"apply_adjoint": 1, "rho_rayleigh": 1,
+                                  "nystrom_eigensystem": 0}, (c, m_max)
 
 
 def test_bounds_report_makes_one_rayleigh_call(operator_calls):
     build_report(0.5, m_max=16)
     assert operator_calls["rho_rayleigh"] == 1
+    assert operator_calls["nystrom_eigensystem"] == 0
 
 
-def test_one_pass_matches_per_index_assembly():
-    """The stacked assembly against the per-index loop it replaced: dense
-    rows bit-identical, deep g rows equal to evaluate_g, deep rho within
-    the Rayleigh route's roundoff, F* g within its roundoff eps ||g||_1."""
+def test_one_route_matches_its_parts():
+    """The stacked assembly against its parts one index at a time: each g
+    row is evaluate_g renormalised on the Gauss grid, rho is rho_rayleigh
+    within its roundoff eps/sqrt(rho), and sigma phi is F* g within its
+    roundoff eps ||g||_1."""
     params = OperatorParams(b=1.0, c=0.5)
     svd = compute_svd(params, m_max=20)
-    ny = nystrom_eigensystem(0.5, m_max=20)
     ode = galerkin_eigensystem(0.5, m_max=20)
+    grid = svd.g.grid
+    assert grid.nodes.size == nystrom_grid_size(20)
     xg = phi_grid(1.0)
     eps = np.finfo(float).eps
-    deep = 0
     for t in svd:
-        m = t.m
-        if ny.eigenvalues[m] > ny.trust_floor:
-            assert t.rho == float(ny.eigenvalues[m])
-            assert np.array_equal(t.g.values, ny.g_values[:, m])
-        else:
-            deep += 1
-            g = SampledFunction(ny.grid, ode.evaluate_g(m, ny.grid.nodes))
-            assert np.max(np.abs(t.g.values - g.values)) <= 1e-14
-            rho = rho_rayleigh(0.5, g)
-            assert abs(t.rho - rho) <= rho * max(1e-12, eps / np.sqrt(rho))
+        g = ode.evaluate_g(t.m, grid.nodes)
+        g = SampledFunction(grid, g / SampledFunction(grid, g).norm())
+        assert np.max(np.abs(t.g.values - g.values)) <= 1e-14
+        rho = rho_rayleigh(0.5, g)
+        assert abs(t.rho - rho) <= rho * max(1e-12, eps / np.sqrt(rho))
         assert t.sigma == np.sqrt(t.rho / params.c)
         adj = apply_adjoint(params, t.g, xg).values
         g_l1 = np.sum(t.g.grid.weights * np.abs(t.g.values))
         assert np.max(np.abs(t.phi.values * t.sigma - adj)) <= 100 * eps * g_l1
-    assert deep > 0
+
+
+@pytest.mark.parametrize("m_max", [12, 30])
+@pytest.mark.parametrize("cp", [0.25, 0.5, 1.0, 2.0, 4.0])
+def test_g_matches_the_dense_oracle(cp, m_max):
+    """README's cross-method contract: wherever rho > 1e-10 the commuting
+    route's g_m agree with the refined dense Nystrom eigenvectors, on the
+    same Gauss grid, to 1e-6 in L2 (measured at most 2.6e-10). On the
+    dense solver's trusted rows rho agrees with its eigenvalue to 5 % of
+    its trust floor, 50 eps rho_0, the dense roundoff scale (measured at
+    most 5.2e-3 of the floor)."""
+    svd = compute_svd(OperatorParams(b=1.0, c=cp), m_max=m_max)
+    ny = nystrom_eigensystem(cp, m_max=m_max)
+    assert np.array_equal(svd.g.grid.nodes, ny.grid.nodes)
+    rows = np.nonzero(svd.rho > 1e-10)[0]
+    assert rows.size > 0
+    diff = svd.g.values[rows] - ny.g_values[:, rows].T
+    l2 = SampledFunction(ny.grid, diff).norm()
+    assert np.max(l2) <= 1e-6, (cp, m_max, np.argmax(l2))
+    dense = ny.trusted
+    assert np.all(np.abs(svd.rho[dense] - ny.eigenvalues[: m_max + 1][dense])
+                  <= 0.05 * ny.trust_floor)
