@@ -4,11 +4,15 @@ The kernel pi*c*sech(pi*c*(x-y)/2) has exponential scale beta = pi*c/2, and
 the Sturm-Liouville family below is parametrized by that scale: every
 coefficient formula uses t = pi*c/2, never the bandwidth c itself. With
 p(x) = cosh(4t) - cosh(4tx) and q(x) = 3t^2 cosh(4tx), the operator
-L g = -(p g')' + q g commutes with the integral operator, so both share
-eigenfunctions. A Liouville change of variables y = Y(x) turns L into
+L g = -(p g')' + q g commutes with the integral operator, so both have the
+same eigenvectors g_m. A Liouville change of variables y = Y(x) turns L into
 -((1-y^2) G')' + q^c(y) G with a BOUNDED potential q^c, which makes a
 Legendre-Galerkin discretization spectrally accurate even for high indices
 where the integral operator's eigenvalues are far below machine precision.
+The change of variables g(x) = sqrt(pi/U) G(Y(x)) / F(Y(x)) is unitary from
+L2(dy) to L2(dx), so each g_m has the unit norm of its
+coefficient column, and g_m(1) > 0 follows from the column's sign, as in
+pswf: the coefficients alone describe g_m.
 
 The map is array code. Y is built from s(x) = int_x^1 p^{-1/2}; in
 u = sqrt(1-|x|) the endpoint singularity of p^{-1/2} is gone and the
@@ -24,7 +28,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .special_functions import (
-    QuadratureGrid,
     agm,
     gauss_legendre,
     legendre_derivative_table,
@@ -88,7 +91,7 @@ class LiouvilleTransform:
 
     s(x) = int_x^1 p^{-1/2}, X(x) = pi*(1/2 - s(x)/U), Y = sin(X), and
     F(y) = (p(Y^{-1}(y))/(1-y^2))^{1/4} is the Jacobian factor relating
-    eigenfunctions on the two sides. Every method takes arrays, and a scalar
+    solutions g and G on the two sides. Every method takes arrays, and a scalar
     gives a float.
 
     With x = 1 - u^2, s(x) = S(u) = int_0^u f for 0 <= x <= 1, where
@@ -223,18 +226,24 @@ def q_c_potential(transform: LiouvilleTransform, y):
 
 @dataclass
 class OdeSpectrum:
+    """Galerkin eigensystem of the commuting operator. Column m of
+    coefficients is Gamma_m in the normalized Legendre basis of y, unit in
+    l2 and signed so that Gamma_m(1) > 0; g_m is evaluated from it alone."""
     c: float
     n_b: int
     transform: LiouvilleTransform
     chi: np.ndarray                  # increasing, all n_b of them
     coefficients: np.ndarray         # (n_b, n_b), column m = Gamma_m in P-bar basis
-    m_max: int
-    grid: QuadratureGrid = None      # internal x grid carrying the normalization
-    g_values: np.ndarray = None      # (n_nodes, m_max+1)
-    _norms: np.ndarray = None
-    _signs: np.ndarray = None
 
-    def _mapped(self, x: np.ndarray):
+    def evaluate_g(self, m, x) -> np.ndarray:
+        """Eigenfunction g_m(x) = sqrt(pi/U) Gamma_m(Y(x)) / F(Y(x)) at
+        points x in [-1,1]: unit L2 norm, g_m(1) > 0.
+
+        An int m gives the values of shape (len(x),); an array of indices
+        gives one row per index, shape (len(m), len(x)), from one map of x
+        and one matrix product.
+        """
+        x = np.atleast_1d(np.asarray(x, dtype=float))
         tr = self.transform
         ax = np.abs(x)
         s_abs = tr.s(ax)
@@ -242,24 +251,8 @@ class OdeSpectrum:
         # +-1 at x = +-1
         Yv = np.sign(x) * np.cos(math.pi * s_abs / tr.U)
         Fv = tr._jacobian(np.sqrt(1.0 - ax), s_abs)
-        return Fv, legendre_table(self.n_b - 1, Yv)
-
-    def evaluate_g(self, m, x) -> np.ndarray:
-        """Eigenfunction g_m of the commuting operator at points x in [-1,1].
-
-        An int m gives the values of shape (len(x),); an array of indices
-        gives one row per index, shape (len(m), len(x)), from one map of x
-        and one matrix product.
-        """
-        x = np.atleast_1d(np.asarray(x, dtype=float))
-        Fv, PY = self._mapped(x)
-        tr = self.transform
-        vals = (self.coefficients[:, m].T @ PY) * math.sqrt(math.pi / tr.U) / Fv
-        # [m, None] is shape (1,) for an int m and (len(m), 1) for an array
-        return self._signs[m, None] * vals / self._norms[m, None]
-
-    def eigenfunction(self, m: int) -> SampledFunction:
-        return SampledFunction(self.grid, self.g_values[:, m].copy())
+        PY = legendre_table(self.n_b - 1, Yv)
+        return (self.coefficients[:, m].T @ PY) * math.sqrt(math.pi / tr.U) / Fv
 
 
 def galerkin_basis_size(m_max: int, n_b: int = None) -> int:
@@ -279,7 +272,9 @@ def galerkin_eigensystem(c: float, n_b: int = None, m_max: int = 20) -> OdeSpect
     In the normalized Legendre basis the leading part is the diagonal
     k(k+1); only the bounded potential needs quadrature. Eigenvalues chi of
     the original operator are (pi/U)^2 times the matrix eigenvalues, and
-    eigenvectors map back through the Liouville transform.
+    eigenvectors map back through the Liouville transform, unit and with
+    g_m(1) > 0. m_max sizes the default basis and must stay clear of the
+    truncation-polluted top of the spectrum.
     """
     if not 0 < c < math.inf:
         raise ValueError("c must be positive and finite")
@@ -299,18 +294,9 @@ def galerkin_eigensystem(c: float, n_b: int = None, m_max: int = 20) -> OdeSpect
         raise ValueError("basis too small: requested eigenvalues reach the "
                          "truncation-polluted top of the spectrum")
     chi = (math.pi / tr.U) ** 2 * mu
-
-    spec = OdeSpectrum(c=c, n_b=n_b, transform=tr, chi=chi, coefficients=W,
-                       m_max=m_max)
-    grid = gauss_legendre(max(256, 2 * n_b))
-    spec.grid = grid
-    spec._norms = np.ones(m_max + 1)
-    spec._signs = np.ones(m_max + 1)
-    vals = spec.evaluate_g(np.arange(m_max + 1), grid.nodes)
-    spec._norms = np.sqrt(np.sum(grid.weights * vals ** 2, axis=1))
-    spec._signs = np.where(vals[:, -1] < 0, -1.0, 1.0)
-    spec.g_values = (spec._signs[:, None] * vals / spec._norms[:, None]).T
-    return spec
+    # sign convention Gamma_m(1) = sum_k W_km sqrt(k + 1/2) > 0
+    W *= np.where(np.sqrt(ks + 0.5) @ W < 0, -1.0, 1.0)
+    return OdeSpectrum(c=c, n_b=n_b, transform=tr, chi=chi, coefficients=W)
 
 
 def weak_form_chi(c: float, n_b: int = None, m_max: int = 20) -> np.ndarray:

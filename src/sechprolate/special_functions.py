@@ -24,7 +24,6 @@ __all__ = [
     "phi_grid",
     "real_line_grid",
     "PHI_NODES_PER_PANEL",
-    "legendre_normalized",
     "legendre_table",
     "legendre_derivative_table",
     "agm",
@@ -175,27 +174,6 @@ def _gauss_legendre_rule(n: int, lo: float, hi: float) -> QuadratureGrid:
     nodes.flags.writeable = False
     weights.flags.writeable = False
     return QuadratureGrid(nodes, weights, (lo, hi))
-
-
-def legendre_normalized(m: int, x):
-    """Orthonormal Legendre polynomial sqrt(m+1/2)*P_m(x) on [-1, 1]."""
-    if m < 0:
-        raise ValueError("degree must be nonnegative")
-    x = np.asarray(x, dtype=float)
-    if np.any(np.abs(x) > 1.0 + 1e-14):
-        raise ValueError("argument outside [-1, 1]")
-    p0 = np.ones_like(x)
-    p1 = x.copy()
-    if m == 0:
-        out = p0
-    elif m == 1:
-        out = p1
-    else:
-        for k in range(2, m + 1):
-            p0, p1 = p1, ((2 * k - 1) * x * p1 - (k - 1) * p0) / k
-        out = p1
-    out = out * math.sqrt(m + 0.5)
-    return out if out.shape else float(out)
 
 
 def legendre_table(m_max: int, x) -> np.ndarray:

@@ -14,9 +14,9 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from numpy.polynomial.legendre import legvander
 
-from .special_functions import QuadratureGrid, gauss_legendre, phi_grid
+from .special_functions import (QuadratureGrid, gauss_legendre,
+                                legendre_table, phi_grid)
 from .sech_operator import (
     RAYLEIGH_TAIL_MULTIPLE,
     OperatorParams,
@@ -77,8 +77,9 @@ class SvdBasis:
 
 def commuting_eigenpairs(c: float, m_max: int, n: int = None):
     """(OdeSpectrum, g, rho) for m = 0..m_max of the kernel at parameter c:
-    the g_m as unit rows on the nystrom_grid_size(m_max, n) Gauss grid, and
-    every rho_m from one Rayleigh integral."""
+    the g_m as unit rows on the nystrom_grid_size(m_max, n) Gauss grid
+    (unit in L2 already; renormalised once on that grid, the one place that
+    does), and every rho_m from one Rayleigh integral."""
     ode = galerkin_eigensystem(c, m_max=m_max)
     grid = gauss_legendre(nystrom_grid_size(m_max, n))
     G = ode.evaluate_g(np.arange(m_max + 1), grid.nodes)
@@ -142,9 +143,8 @@ def evaluate_g(svd: SvdBasis, s) -> np.ndarray:
         raise ValueError("g is defined on [-1, 1]")
     grid = svd.g.grid
     deg = min(grid.nodes.size // 2, 180)
-    norms = np.sqrt(np.arange(deg + 1) + 0.5)
-    a = (grid.weights * svd.g.values) @ (legvander(grid.nodes, deg) * norms)
-    return a @ (legvander(s, deg) * norms).T
+    a = (grid.weights * svd.g.values) @ legendre_table(deg, grid.nodes).T
+    return a @ legendre_table(deg, s)
 
 
 def evaluate_phi(svd: SvdBasis, x) -> np.ndarray:

@@ -2,7 +2,9 @@ import pytest
 
 from sechprolate.commuting_ode import build_transform, galerkin_eigensystem
 from sechprolate.extrapolation import builtin_case
-from sechprolate.sech_operator import OperatorParams, nystrom_eigensystem
+from sechprolate.sech_operator import (OperatorParams, SampledFunction,
+                                       nystrom_eigensystem)
+from sechprolate.special_functions import gauss_legendre
 from sechprolate.svd_assembly import compute_svd
 
 
@@ -14,6 +16,17 @@ def ny_c1():
 @pytest.fixture(scope="session")
 def ode_c1():
     return galerkin_eigensystem(1.0, n_b=140, m_max=20)
+
+
+@pytest.fixture(scope="session")
+def sample_g():
+    """sample_g(ode, m): g_m of a Galerkin spectrum on the
+    max(256, 2 n_b)-point Gauss grid, one function for an int m and
+    stacked rows for an index array."""
+    def sample(ode, m):
+        grid = gauss_legendre(max(256, 2 * ode.n_b))
+        return SampledFunction(grid, ode.evaluate_g(m, grid.nodes))
+    return sample
 
 
 @pytest.fixture(scope="session")

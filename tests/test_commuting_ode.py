@@ -12,7 +12,7 @@ from sechprolate.commuting_ode import (build_transform, case1_coefficients,
                                        galerkin_eigensystem, q_c_potential,
                                        weak_form_chi)
 from sechprolate.sech_operator import SampledFunction, nystrom_eigensystem
-from sechprolate.special_functions import gauss_legendre, legendre_normalized
+from sechprolate.special_functions import gauss_legendre, legendre_table
 
 
 def test_family_parameter_scaling():
@@ -236,30 +236,37 @@ def test_parity_alternation(ode_c1):
         assert np.max(np.abs(v - sign * v[::-1])) < 1e-7 * max(1, np.max(np.abs(v)))
 
 
-def test_g_orthonormal(ode_c1):
+@pytest.mark.parametrize("m_max", [12, 30])
+@pytest.mark.parametrize("c", [0.25, 1.0, 4.0, 16.0, 64.0])
+def test_g_orthonormal(c, m_max):
+    """The unit coefficient columns give orthonormal g_m through the
+    unitary Liouville map, with no renormalisation on any grid, and their
+    signs give g_m(1) > 0."""
+    ode = galerkin_eigensystem(c, m_max=m_max)
+    ms = np.arange(m_max + 1)
     g = gauss_legendre(400)
-    rows = np.stack([ode_c1.evaluate_g(m, g.nodes) for m in range(13)])
+    rows = ode.evaluate_g(ms, g.nodes)
     gram = (rows * g.weights) @ rows.T
-    assert np.max(np.abs(gram - np.eye(13))) < 1e-6
+    assert np.max(np.abs(gram - np.eye(m_max + 1))) < 1e-12
+    assert np.all(ode.evaluate_g(ms, 1.0) > 0)
 
 
-def test_commutation_residual(ode_c1):
+def test_commutation_residual(ode_c1, sample_g):
     for m in range(9):
-        r = commutation_residual(1.0, ode_c1.eigenfunction(m),
+        r = commutation_residual(1.0, sample_g(ode_c1, m),
                                  float(ode_c1.chi[m]))
         assert r < 1e-6, f"m={m}: {r:.2e}"
 
 
 def test_commutation_negative_control(ode_c1):
     g = gauss_legendre(200)
-    flat = SampledFunction(g, np.array([legendre_normalized(0, x)
-                                        for x in g.nodes]))
+    flat = SampledFunction(g, legendre_table(0, g.nodes)[0])
     r = commutation_residual(1.0, flat, float(ode_c1.chi[0]))
     assert r > 1e-2
 
 
-def test_commutation_sign_invariance(ode_c1):
-    g = ode_c1.eigenfunction(3)
+def test_commutation_sign_invariance(ode_c1, sample_g):
+    g = sample_g(ode_c1, 3)
     flipped = SampledFunction(g.grid, -g.values)
     r1 = commutation_residual(1.0, g, float(ode_c1.chi[3]))
     r2 = commutation_residual(1.0, flipped, float(ode_c1.chi[3]))

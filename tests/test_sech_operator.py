@@ -124,15 +124,16 @@ def test_norm_of_stacked_rows():
     assert isinstance(one, float) and one == got[1]
 
 
-def test_rho_rayleigh_stacked_matches_per_function():
+def test_rho_rayleigh_stacked_matches_per_function(sample_g):
     """One call on stacked rows against one call per row: rel 1e-12 where
     rho > 1e-10, and within the route's own eps/sqrt(rho) scale below."""
     eps = np.finfo(float).eps
     for c in (0.5, 1.0):
         ode = galerkin_eigensystem(c, m_max=24)
-        stacked = rho_rayleigh(c, SampledFunction(ode.grid, ode.g_values.T))
-        per = np.array([rho_rayleigh(c, ode.eigenfunction(m))
-                        for m in range(25)])
+        g = sample_g(ode, np.arange(25))
+        stacked = rho_rayleigh(c, g)
+        per = np.array([rho_rayleigh(c, SampledFunction(g.grid, row))
+                        for row in g.values])
         assert stacked.shape == (25,)
         rel = np.abs(stacked - per) / per
         big = per > 1e-10
@@ -167,26 +168,25 @@ def test_rho_rayleigh_wide_panels_match_unit_panels(c):
     assert np.all(rel <= np.maximum(1e-10, eps / np.sqrt(ref))), np.max(rel)
 
 
-def test_rho_rayleigh_checks_every_row():
-    ode = galerkin_eigensystem(1.0, m_max=4)
-    rows = ode.g_values.T.copy()
-    rows[3] *= 1.001
+def test_rho_rayleigh_checks_every_row(sample_g):
+    g = sample_g(galerkin_eigensystem(1.0, m_max=4), np.arange(5))
+    g.values[3] *= 1.001
     with pytest.raises(ValueError, match="normalized"):
-        rho_rayleigh(1.0, SampledFunction(ode.grid, rows))
+        rho_rayleigh(1.0, g)
 
 
-def test_adjoint_stacked_matches_per_row():
+def test_adjoint_stacked_matches_per_row(sample_g):
     params = OperatorParams(b=1.0, c=0.5)
-    ode = galerkin_eigensystem(0.5, m_max=20)
+    g = sample_g(galerkin_eigensystem(0.5, m_max=20), np.arange(21))
     xg = phi_grid(1.0)
-    stacked = apply_adjoint(params, SampledFunction(ode.grid, ode.g_values.T), xg)
-    per = np.array([apply_adjoint(params, ode.eigenfunction(m), xg).values
-                    for m in range(21)])
+    stacked = apply_adjoint(params, g, xg)
+    per = np.array([apply_adjoint(params, SampledFunction(g.grid, row), xg).values
+                    for row in g.values])
     assert stacked.values.shape == per.shape == (21, xg.nodes.size)
     assert stacked.grid is xg
     assert np.max(np.abs(stacked.values - per)) <= 1e-13 * np.max(np.abs(per))
     x = np.array([-3.0, 0.4, 2.5])
-    pts = apply_adjoint(params, SampledFunction(ode.grid, ode.g_values[:, :3].T), x)
+    pts = apply_adjoint(params, SampledFunction(g.grid, g.values[:3]), x)
     assert pts.values.shape == (3, 3)
 
 

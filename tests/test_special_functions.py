@@ -1,6 +1,7 @@
 import math
 
 import numpy as np
+from numpy.polynomial.legendre import legvander
 import pytest
 import scipy.integrate
 import scipy.special
@@ -10,7 +11,6 @@ from hypothesis import strategies as st
 from sechprolate import special_functions
 from sechprolate.special_functions import (elliptic_K, gauss_legendre,
                                            legendre_derivative_table,
-                                           legendre_normalized,
                                            legendre_table,
                                            spherical_bessel_ratio,
                                            uniform_grid)
@@ -129,12 +129,12 @@ def test_uniform_grid_needs_two_nodes():
 
 
 def test_legendre_constant():
-    for x in np.linspace(-1, 1, 7):
-        assert abs(legendre_normalized(0, x) - 1 / math.sqrt(2)) < 1e-15
+    x = np.linspace(-1, 1, 7)
+    assert np.max(np.abs(legendre_table(0, x)[0] - 1 / math.sqrt(2))) < 1e-15
 
 
 def test_legendre_p1_at_1():
-    assert abs(legendre_normalized(1, 1.0) - math.sqrt(1.5)) < 1e-15
+    assert abs(legendre_table(1, 1.0)[1, 0] - math.sqrt(1.5)) < 1e-15
 
 
 def test_legendre_orthonormal():
@@ -151,22 +151,17 @@ def test_legendre_closed_forms():
                 math.sqrt(1.5) * x,
                 math.sqrt(2.5) * (3 * x ** 2 - 1) / 2,
                 math.sqrt(3.5) * (5 * x ** 3 - 3 * x) / 2]
+    tab = legendre_table(3, x)
     for m, ref in enumerate(explicit):
-        got = np.array([legendre_normalized(m, xi) for xi in x])
-        assert np.max(np.abs(got - ref)) < 1e-13
-
-
-def test_legendre_domain_error():
-    with pytest.raises(ValueError):
-        legendre_normalized(2, 1.5)
+        assert np.max(np.abs(tab[m] - ref)) < 1e-13
 
 
 def test_legendre_tables_consistent():
     x = np.linspace(-0.95, 0.95, 9)
     tab = legendre_table(6, x)
-    for m in range(7):
-        ref = np.array([legendre_normalized(m, xi) for xi in x])
-        assert np.allclose(tab[m], ref, atol=1e-14)
+    # numpy's unnormalized Vandermonde matrix as the independent reference
+    ref = legvander(x, 6) * np.sqrt(np.arange(7) + 0.5)
+    assert np.allclose(tab, ref.T, atol=1e-14)
     # derivative table vs central differences
     dtab = legendre_derivative_table(6, x)
     h = 1e-6
