@@ -4,13 +4,15 @@ Subcommands: svd | bounds | widom | extrapolate | selftest. Everything is
 written as CSV ('.' decimal, ',' separator, 17 significant digits) or JSON
 (raw doubles), so the files round-trip exactly and identical inputs give
 byte-identical outputs at a fixed BLAS thread count. The run manifest is
-the only file with a clock in it. SVD documents are cached on disk under a
-content hash of the parameters; SECHPROLATE_CACHE overrides the cache
-directory.
+the only file with a clock in it; its `environment` holds the numpy
+version, longdouble eps and the BLAS thread-count variables. SVD documents
+are cached on disk under a content hash of the parameters and read back as
+an SvdBasis; SECHPROLATE_CACHE overrides the cache directory.
 
 Exit codes: 0 on success, 2 on usage errors, 3 on numerical failures.
 """
 
+import functools
 import hashlib
 import json
 import math
@@ -24,11 +26,12 @@ import numpy as np
 
 from . import __version__
 from . import bounds as bounds_lib
-from .extrapolation import (adaptive_N, builtin_case, cutoff_estimate,
-                            l2_error, n_max, rate_sweep, ObservationWindow)
+from .extrapolation import (adaptive_N, basis_m_max, builtin_case,
+                            cutoff_estimate, l2_error, n_max, rate_sweep,
+                            ObservationWindow)
 from .sech_operator import OperatorParams, SampledFunction, nystrom_grid_size
 from .special_functions import gauss_legendre
-from .svd_assembly import (SvdBasis, compute_svd, svd_to_json_dict,
+from .svd_assembly import (compute_svd, svd_to_json_dict,
                            triplets_from_json_dict)
 
 EXIT_NUMERICAL = 3
@@ -89,22 +92,12 @@ def atomic_write(path: str, data: bytes):
         raise
 
 
-def sha256_file(path: str) -> str:
-    h = hashlib.sha256()
-    with open(path, "rb") as f:
-        for chunk in iter(lambda: f.read(1 << 16), b""):
-            h.update(chunk)
-    return h.hexdigest()
-
-
 # ---------------------------------------------------------------------------
 # SVD document cache
 
 def cache_dir() -> str:
-    env = os.environ.get("SECHPROLATE_CACHE")
-    if env:
-        return env
-    return os.path.join(os.path.expanduser("~"), ".cache", "sechprolate")
+    return os.environ.get("SECHPROLATE_CACHE") or os.path.join(
+        os.path.expanduser("~"), ".cache", "sechprolate")
 
 
 def svd_cache_key(b: float, c: float, m_max: int, n) -> str:
@@ -115,52 +108,61 @@ def svd_cache_key(b: float, c: float, m_max: int, n) -> str:
     return hashlib.sha256(enc.encode("ascii")).hexdigest()
 
 
-def cached_svd_document(b: float, c: float, m_max: int, n=None) -> bytes:
-    """JSON bytes of the SVD document, computed once per parameter set."""
+def cached_svd_document(b: float, c: float, m_max: int, n=None):
+    """(SvdBasis, JSON bytes) of the SVD document, computed once per
+    parameter set. A hit parses the cached file; a miss returns the basis
+    it computed with the bytes it wrote to the cache."""
     path = os.path.join(cache_dir(), svd_cache_key(b, c, m_max, n) + ".json")
     if os.path.exists(path):
         with open(path, "rb") as f:
-            return f.read()
+            data = f.read()
+        return triplets_from_json_dict(json.loads(data)), data
     svd = compute_svd(OperatorParams(b=b, c=c), m_max=m_max, n=n)
     data = json_bytes(svd_to_json_dict(svd))
     atomic_write(path, data)
-    return data
-
-
-def cached_svd_basis(b: float, c: float, m_max: int, n=None) -> SvdBasis:
-    return triplets_from_json_dict(json.loads(cached_svd_document(b, c, m_max, n)))
+    return svd, data
 
 
 # ---------------------------------------------------------------------------
-# run manifest
+# run output and failures
 
-def write_manifest(out_dir: str, command: str, parameters: dict,
-                   input_hashes: dict, outputs: list, wall_time_s: float,
-                   results: dict = None) -> str:
-    for name in outputs:
-        path = os.path.join(out_dir, name)
-        if not (os.path.exists(path) and os.path.getsize(path) > 0):
-            raise RuntimeError(f"output file {name} is missing or empty")
+def run_environment() -> dict:
+    """What the data files' last bits depend on besides the inputs: the
+    numpy version, longdouble precision and the BLAS thread-count variables
+    (None when unset)."""
+    return {"numpy": np.__version__,
+            "longdouble_eps": float(np.finfo(np.longdouble).eps),
+            **{var: os.environ.get(var) for var in (
+                "OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")}}
+
+
+def write_run(out: str, command: str, parameters: dict, files: dict,
+              t0: float, input_hashes: dict = None, results: dict = None):
+    """Write each of files ({name: bytes}, in order) atomically into out,
+    then <command>_manifest.json listing them, with the wall time since t0
+    and the run environment."""
+    for name, data in files.items():
+        atomic_write(os.path.join(out, name), data)
     doc = {"command": command, "parameters": parameters,
-           "version": __version__, "input_hashes": input_hashes,
-           "outputs": outputs, "wall_time_s": wall_time_s}
+           "version": __version__, "input_hashes": input_hashes or {},
+           "outputs": list(files), "wall_time_s": time.perf_counter() - t0,
+           "environment": run_environment()}
     if results is not None:
         doc["results"] = results
-    path = os.path.join(out_dir, f"{command}_manifest.json")
-    atomic_write(path, json_bytes(doc))
-    return path
+    atomic_write(os.path.join(out, f"{command}_manifest.json"), json_bytes(doc))
 
 
-def run_guarded(body):
-    """Map library failures to exit code 3 with the diagnostic on stderr;
-    usage errors keep click's exit code 2."""
-    try:
-        return body()
-    except click.ClickException:
-        raise
-    except (ValueError, ArithmeticError, np.linalg.LinAlgError) as exc:
-        click.echo(f"numerical failure: {exc}", err=True)
-        sys.exit(EXIT_NUMERICAL)
+def guarded(command):
+    """Map library failures to exit code 3 with the diagnostic on stderr.
+    click's usage errors are none of these and keep their exit code 2."""
+    @functools.wraps(command)
+    def run(*args, **kwargs):
+        try:
+            return command(*args, **kwargs)
+        except (ValueError, ArithmeticError, np.linalg.LinAlgError) as exc:
+            click.echo(f"numerical failure: {exc}", err=True)
+            sys.exit(EXIT_NUMERICAL)
+    return run
 
 
 # ---------------------------------------------------------------------------
@@ -201,27 +203,19 @@ def main():
               help="size of the Gauss grid the g_m are sampled on")
 @click.option("--out", type=click.Path(file_okay=False), default=".",
               show_default=True, help="output directory")
+@guarded
 def svd(b, c, m_max, n, out):
     """Compute singular triplets; write svd.json and a summary CSV."""
     if n is not None and n < 2 * (m_max + 1):
         raise click.UsageError("n is too small for the requested m-max")
     t0 = time.perf_counter()
-
-    def body():
-        data = cached_svd_document(b, c, m_max, n)
-        os.makedirs(out, exist_ok=True)
-        atomic_write(os.path.join(out, "svd.json"), data)
-        doc = json.loads(data)
-        rows = [(e["m"], e["sigma"], e["rho"], e["trusted"])
-                for e in doc["entries"]]
-        atomic_write(os.path.join(out, "svd_summary.csv"),
-                     csv_bytes(["m", "sigma", "rho", "trusted"], rows))
-        write_manifest(out, "svd", {"b": b, "c": c, "m_max": m_max, "n": n},
-                       {}, ["svd.json", "svd_summary.csv"],
-                       time.perf_counter() - t0)
-        click.echo(f"svd: {len(rows)} triplets written to {out}")
-
-    run_guarded(body)
+    basis, data = cached_svd_document(b, c, m_max, n)
+    rows = zip(basis.m, basis.sigma, basis.rho, basis.trusted)
+    write_run(out, "svd", {"b": b, "c": c, "m_max": m_max, "n": n},
+              {"svd.json": data,
+               "svd_summary.csv": csv_bytes(["m", "sigma", "rho", "trusted"],
+                                            rows)}, t0)
+    click.echo(f"svd: {len(basis)} triplets written to {out}")
 
 
 @main.command()
@@ -231,31 +225,25 @@ def svd(b, c, m_max, n, out):
               show_default=True)
 @click.option("--out", type=click.Path(file_okay=False), default=".",
               show_default=True)
+@guarded
 def bounds(c_values, m_max, out):
     """Eigenvalue bound table: one row per (c, m), every closed-form bound
     next to the computed spectrum, plus the per-c decay exponents."""
     t0 = time.perf_counter()
-
-    def body():
-        header = ["c"] + bounds_lib.ROW_FIELDS + [
-            "lower_exponent", "upper_exponent", "widom_slope", "slope_fit"]
-        rows = []
-        for c in c_values:
-            rep = bounds_lib.build_report(c, m_max=m_max)
-            lower_exp = 2 * bounds_lib.beta(c)
-            upper_exp = 2 * math.log(1 / c) if c < 1 else None
-            for r in rep.rows:
-                rows.append([c] + [r[k] for k in bounds_lib.ROW_FIELDS]
-                            + [lower_exp, upper_exp, rep.widom_slope,
-                               rep.slope_fit])
-        os.makedirs(out, exist_ok=True)
-        atomic_write(os.path.join(out, "bounds.csv"), csv_bytes(header, rows))
-        write_manifest(out, "bounds",
-                       {"c": list(c_values), "m_max": m_max}, {},
-                       ["bounds.csv"], time.perf_counter() - t0)
-        click.echo(f"bounds: {len(rows)} rows written to {out}")
-
-    run_guarded(body)
+    header = ["c"] + bounds_lib.ROW_FIELDS + [
+        "lower_exponent", "upper_exponent", "widom_slope", "slope_fit"]
+    rows = []
+    for c in c_values:
+        rep = bounds_lib.build_report(c, m_max=m_max)
+        lower_exp = 2 * bounds_lib.beta(c)
+        upper_exp = 2 * math.log(1 / c) if c < 1 else None
+        for r in rep.rows:
+            rows.append([c] + [r[k] for k in bounds_lib.ROW_FIELDS]
+                        + [lower_exp, upper_exp, rep.widom_slope,
+                           rep.slope_fit])
+    write_run(out, "bounds", {"c": list(c_values), "m_max": m_max},
+              {"bounds.csv": csv_bytes(header, rows)}, t0)
+    click.echo(f"bounds: {len(rows)} rows written to {out}")
 
 
 @main.command()
@@ -268,39 +256,35 @@ def bounds(c_values, m_max, out):
               help="spectrum size used for the fit")
 @click.option("--out", type=click.Path(file_okay=False), default=".",
               show_default=True)
+@guarded
 def widom(c_values, fit, m_max, out):
     """Predicted decay exponent of the eigenvalues per c, with the
     closed-form exponent bounds it should sit between."""
     if not c_values:
         c_values = (0.25, 0.5, 0.75, 1.0, 1.25, 1.5, 2.0, 2.5, 3.0)
     t0 = time.perf_counter()
-
-    def body():
-        rows = []
-        for c in c_values:
-            row = [c, bounds_lib.widom_slope(c), 2 * bounds_lib.beta(c),
-                   2 * math.log(1 / c) if c < 1 else None]
-            row.append(bounds_lib.build_report(c, m_max=m_max).slope_fit
-                       if fit else None)
-            rows.append(row)
-        os.makedirs(out, exist_ok=True)
-        header = ["c", "widom_slope", "lower_exponent", "upper_exponent",
-                  "slope_fit"]
-        atomic_write(os.path.join(out, "widom.csv"), csv_bytes(header, rows))
-        write_manifest(out, "widom",
-                       {"c": list(c_values), "fit": fit, "m_max": m_max}, {},
-                       ["widom.csv"], time.perf_counter() - t0)
-        click.echo(f"widom: {len(rows)} rows written to {out}")
-
-    run_guarded(body)
+    rows = [[c, bounds_lib.widom_slope(c), 2 * bounds_lib.beta(c),
+             2 * math.log(1 / c) if c < 1 else None,
+             bounds_lib.build_report(c, m_max=m_max).slope_fit if fit else None]
+            for c in c_values]
+    header = ["c", "widom_slope", "lower_exponent", "upper_exponent",
+              "slope_fit"]
+    write_run(out, "widom", {"c": list(c_values), "fit": fit, "m_max": m_max},
+              {"widom.csv": csv_bytes(header, rows)}, t0)
+    click.echo(f"widom: {len(rows)} rows written to {out}")
 
 
 def read_window_csv(path: str):
-    """Window samples from a two-column CSV (header 'x,f_delta'); x is the
-    window coordinate in [-1, 1], f_delta the observed value at c*x + x0."""
+    """Window samples from a two-column ASCII CSV (header 'x,f_delta'); x is
+    the window coordinate in [-1, 1], f_delta the observed value at
+    c*x + x0. Every value must be a finite number."""
     xs, ys = [], []
-    with open(path, "r", encoding="ascii") as f:
+    # undecodable bytes become lone surrogates, so the line is named below
+    with open(path, "r", encoding="ascii", errors="surrogateescape") as f:
         for lineno, raw in enumerate(f, start=1):
+            if not raw.isascii():
+                raise click.UsageError(
+                    f"{path}: line {lineno}: not ASCII text")
             line = raw.strip()
             if not line:
                 continue
@@ -311,17 +295,19 @@ def read_window_csv(path: str):
                 raise click.UsageError(
                     f"{path}: line {lineno}: expected 2 columns, got {len(parts)}")
             try:
-                xs.append(float(parts[0]))
-                ys.append(float(parts[1]))
+                x, y = float(parts[0]), float(parts[1])
             except ValueError:
                 raise click.UsageError(
                     f"{path}: line {lineno}: could not parse a number")
+            if not (math.isfinite(x) and math.isfinite(y)):
+                raise click.UsageError(
+                    f"{path}: line {lineno}: values must be finite")
+            xs.append(x)
+            ys.append(y)
     if len(xs) < 8:
         raise click.UsageError(f"{path}: need at least 8 sample rows")
-    x = np.asarray(xs)
-    y = np.asarray(ys)
-    order = np.argsort(x)
-    x, y = x[order], y[order]
+    order = np.argsort(xs)
+    x, y = np.asarray(xs)[order], np.asarray(ys)[order]
     if np.any(np.diff(x) <= 0):
         raise click.UsageError(f"{path}: x values must be distinct")
     if x[0] > -0.999 or x[-1] < 0.999:
@@ -341,8 +327,7 @@ def read_window_csv(path: str):
               help="window half-width (required with --input)")
 @click.option("--x0", type=FiniteFloat(), default=0.0, show_default=True,
               help="window center (with --input)")
-@click.option("--delta", "deltas", type=FiniteFloat(0),
-              multiple=True,
+@click.option("--delta", "deltas", type=FiniteFloat(0), multiple=True,
               help="noise level; may repeat with --sweep")
 @click.option("--adaptive", is_flag=True, help="data-driven truncation level")
 @click.option("--N", "n_level", type=click.IntRange(0, None), default=None,
@@ -355,7 +340,7 @@ def read_window_csv(path: str):
 @click.option("--rule", type=click.Choice(["polynomial", "exponential"]),
               default="polynomial", show_default=True,
               help="oracle truncation rule for --sweep")
-@click.option("--kappa", type=float, default=1.0, show_default=True,
+@click.option("--kappa", type=FiniteFloat(0), default=1.0, show_default=True,
               help="smoothness exponent for the exponential rule")
 @click.option("--n-window", type=click.IntRange(64, 15000), default=2048,
               show_default=True, help="window quadrature size")
@@ -365,6 +350,7 @@ def read_window_csv(path: str):
               help="reconstruction grid size (default: nfft)")
 @click.option("--out", type=click.Path(file_okay=False), default=".",
               show_default=True)
+@guarded
 def extrapolate(case_id, input_path, b, c, x0, deltas, adaptive, n_level,
                 variant, sweep, rule, kappa, n_window, nfft, report_points,
                 out):
@@ -382,28 +368,19 @@ def extrapolate(case_id, input_path, b, c, x0, deltas, adaptive, n_level,
         if adaptive or n_level is not None:
             raise click.UsageError("--sweep chooses its own levels")
         delta_list = list(deltas) if deltas else [1e-1, 1e-2, 1e-3]
-
-        def body():
-            table = rate_sweep(case_id, delta_list, oracle_rule=rule,
-                               kappa=kappa, variant=variant)
-            rows = [(r["delta"], r["N_bar"], r["err_bar"], r["N_hat"],
-                     r["err_hat"]) for r in table["rows"]]
-            os.makedirs(out, exist_ok=True)
-            atomic_write(os.path.join(out, "rates.csv"),
-                         csv_bytes(["delta", "N_bar", "err_bar", "N_hat",
-                                    "err_hat"], rows))
-            write_manifest(out, "extrapolate",
-                           {"case": case_id, "deltas": delta_list,
-                            "rule": rule, "kappa": kappa, "variant": variant,
-                            "sweep": True},
-                           {}, ["rates.csv"], time.perf_counter() - t0,
-                           results={"slope_bar": table["slope_bar"],
-                                    "slope_hat": table["slope_hat"]})
-            click.echo(f"extrapolate sweep: slopes "
-                       f"{table['slope_bar']:.4f} (rule) / "
-                       f"{table['slope_hat']:.4f} (adaptive) -> {out}")
-
-        run_guarded(body)
+        table = rate_sweep(case_id, delta_list, oracle_rule=rule,
+                           kappa=kappa, variant=variant)
+        header = ["delta", "N_bar", "err_bar", "N_hat", "err_hat"]
+        rows = [[r[k] for k in header] for r in table["rows"]]
+        write_run(out, "extrapolate",
+                  {"case": case_id, "deltas": delta_list, "rule": rule,
+                   "kappa": kappa, "variant": variant, "sweep": True},
+                  {"rates.csv": csv_bytes(header, rows)}, t0,
+                  results={"slope_bar": table["slope_bar"],
+                           "slope_hat": table["slope_hat"]})
+        click.echo(f"extrapolate sweep: slopes "
+                   f"{table['slope_bar']:.4f} (rule) / "
+                   f"{table['slope_hat']:.4f} (adaptive) -> {out}")
         return
 
     if adaptive == (n_level is not None):
@@ -427,109 +404,94 @@ def extrapolate(case_id, input_path, b, c, x0, deltas, adaptive, n_level,
                                 samples=SampledFunction(
                                     grid, np.interp(grid.nodes, xi, yi)))
         truth, params = None, OperatorParams(b=b, c=c)
-        input_hashes[os.path.basename(input_path)] = sha256_file(input_path)
+        with open(input_path, "rb") as f:
+            input_hashes[os.path.basename(input_path)] = \
+                hashlib.sha256(f.read()).hexdigest()
 
     if adaptive and not obs.delta > 0:
         raise click.UsageError("adaptive selection needs delta > 0")
 
-    def body():
-        m_top = max(8, n_level or 0,
-                    n_max(obs.delta) if obs.delta > 0 else 0)
-        svd = cached_svd_basis(params.b, params.c, m_top)
-        results = {"delta": obs.delta, "N_max": n_max(obs.delta)
-                   if obs.delta > 0 else None}
-        if adaptive:
-            n_hat, diag = adaptive_N(obs, svd, variant=variant)
-            results.update({"N_hat": n_hat, "variant": variant,
-                            "B": diag["B"].tolist(),
-                            "Sigma": diag["Sigma"].tolist(),
-                            "q": diag["q"].tolist(),
-                            "criterion": diag["criterion"].tolist()})
-            level, d = n_hat, diag["d"]
-        else:
-            results["N"] = n_level
-            level, d = n_level, None
-        est = cutoff_estimate(obs, svd, level, nfft=nfft,
-                              report_points=report_points, d=d)
-        if truth is not None:
-            results["error_l2"] = l2_error(est.grid, est.values, truth)
-        os.makedirs(out, exist_ok=True)
-        header = ["x", "f_hat_re", "f_hat_im"]
-        cols = [est.grid, est.values.real, est.values.imag]
-        if truth is not None:
-            header.append("f_true")
-            cols.append(truth(est.grid))
-        atomic_write(os.path.join(out, "reconstruction.csv"),
-                     csv_bytes(header, zip(*cols)))
-        write_manifest(out, "extrapolate",
-                       {"case": case_id, "input": input_path,
-                        "b": params.b, "c": params.c, "x0": obs.x0,
-                        "delta": obs.delta, "adaptive": adaptive,
-                        "N": n_level, "variant": variant,
-                        "n_window": n_window, "nfft": nfft,
-                        "report_points": report_points},
-                       input_hashes, ["reconstruction.csv"],
-                       time.perf_counter() - t0, results=results)
-        msg = f"N_hat = {level}" if adaptive else f"N = {level}"
-        if "error_l2" in results:
-            msg += f", error {results['error_l2']:.5g}"
-        click.echo(f"extrapolate: {msg} -> {out}")
-
-    run_guarded(body)
+    svd, _ = cached_svd_document(params.b, params.c,
+                                 basis_m_max(obs.delta, n_level or 0))
+    results = {"delta": obs.delta, "N_max": n_max(obs.delta)
+               if obs.delta > 0 else None}
+    if adaptive:
+        n_hat, diag = adaptive_N(obs, svd, variant=variant)
+        results.update({"N_hat": n_hat, "variant": variant,
+                        "B": diag["B"].tolist(),
+                        "Sigma": diag["Sigma"].tolist(),
+                        "q": diag["q"].tolist(),
+                        "criterion": diag["criterion"].tolist()})
+        level, d = n_hat, diag["d"]
+    else:
+        results["N"] = n_level
+        level, d = n_level, None
+    est = cutoff_estimate(obs, svd, level, nfft=nfft,
+                          report_points=report_points, d=d)
+    if truth is not None:
+        results["error_l2"] = l2_error(est.grid, est.values, truth)
+    header = ["x", "f_hat_re", "f_hat_im"]
+    cols = [est.grid, est.values.real, est.values.imag]
+    if truth is not None:
+        header.append("f_true")
+        cols.append(truth(est.grid))
+    write_run(out, "extrapolate",
+              {"case": case_id, "input": input_path,
+               "b": params.b, "c": params.c, "x0": obs.x0,
+               "delta": obs.delta, "adaptive": adaptive,
+               "N": n_level, "variant": variant,
+               "n_window": n_window, "nfft": nfft,
+               "report_points": report_points},
+              {"reconstruction.csv": csv_bytes(header, zip(*cols))}, t0,
+              input_hashes=input_hashes, results=results)
+    msg = f"N_hat = {level}" if adaptive else f"N = {level}"
+    if "error_l2" in results:
+        msg += f", error {results['error_l2']:.5g}"
+    click.echo(f"extrapolate: {msg} -> {out}")
 
 
 @main.command()
 @click.option("--out", type=click.Path(file_okay=False),
               default="selftest_out", show_default=True)
+@guarded
 def selftest(out):
     """Deterministic battery over all three pipelines with internal
-    consistency checks; the data files are byte-reproducible run to run."""
+    consistency checks; the data files are byte-reproducible run to run and
+    are written only once every check has passed."""
     t0 = time.perf_counter()
+    svd, svd_data = cached_svd_document(1.0, 1.0, 8)
+    if not np.all(np.diff(svd.sigma) < 0):
+        raise ValueError("singular values are not strictly decreasing")
+    broken = svd.trusted & (np.abs(svd.sigma ** 2 - svd.rho) > 1e-12 * svd.rho)
+    if np.any(broken):
+        raise ValueError(f"sigma^2 c = rho broken at m={svd.m[broken].tolist()}")
 
-    def body():
-        os.makedirs(out, exist_ok=True)
-        outputs = []
+    rep = bounds_lib.build_report(0.5, m_max=8)
+    bad = [r["m"] for r in rep.rows
+           if not r["lower_combined"] <= r["rho_computed"] * (1 + 1e-8)]
+    if bad:
+        raise ValueError(f"lower eigenvalue bound violated at m={bad}")
 
-        data = cached_svd_document(1.0, 1.0, 8)
-        doc = json.loads(data)
-        sig = [e["sigma"] for e in doc["entries"]]
-        if not all(s0 > s1 for s0, s1 in zip(sig, sig[1:])):
-            raise ValueError("singular values are not strictly decreasing")
-        for e in doc["entries"]:
-            if e["trusted"] and abs(e["sigma"] ** 2 - e["rho"]) > 1e-12 * e["rho"]:
-                raise ValueError(f"sigma^2 c = rho broken at m={e['m']}")
-        atomic_write(os.path.join(out, "selftest_svd.json"), data)
-        outputs.append("selftest_svd.json")
+    obs, truth, params = builtin_case("a")
+    basis, _ = cached_svd_document(params.b, params.c, basis_m_max(obs.delta, 2))
+    est = cutoff_estimate(obs, basis, 2)
+    err = l2_error(est.grid, est.values, truth)
+    if not err < 0.05:
+        raise ValueError(f"case (a) N=2 error {err:.3g} out of range")
 
-        rep = bounds_lib.build_report(0.5, m_max=8)
-        bad = [r["m"] for r in rep.rows
-               if not r["lower_combined"] <= r["rho_computed"] * (1 + 1e-8)]
-        if bad:
-            raise ValueError(f"lower eigenvalue bound violated at m={bad}")
-        rows = [[r[k] for k in bounds_lib.ROW_FIELDS] for r in rep.rows]
-        atomic_write(os.path.join(out, "selftest_bounds.csv"),
-                     csv_bytes(bounds_lib.ROW_FIELDS, rows))
-        outputs.append("selftest_bounds.csv")
-
-        obs, truth, params = builtin_case("a")
-        est = cutoff_estimate(obs, cached_svd_basis(params.b, params.c, 8), 2)
-        err = l2_error(est.grid, est.values, truth)
-        if not err < 0.05:
-            raise ValueError(f"case (a) N=2 error {err:.3g} out of range")
-        rows = zip(est.grid, est.values.real, est.values.imag,
-                   truth(est.grid))
-        atomic_write(os.path.join(out, "selftest_reconstruction.csv"),
-                     csv_bytes(["x", "f_hat_re", "f_hat_im", "f_true"], rows))
-        outputs.append("selftest_reconstruction.csv")
-
-        write_manifest(out, "selftest", {}, {}, outputs,
-                       time.perf_counter() - t0,
-                       results={"case_a_n2_error": err})
-        for name in outputs:
-            click.echo(f"{sha256_file(os.path.join(out, name))}  {name}")
-        click.echo("selftest: ok")
-
-    run_guarded(body)
+    files = {
+        "selftest_svd.json": svd_data,
+        "selftest_bounds.csv": csv_bytes(
+            bounds_lib.ROW_FIELDS,
+            [[r[k] for k in bounds_lib.ROW_FIELDS] for r in rep.rows]),
+        "selftest_reconstruction.csv": csv_bytes(
+            ["x", "f_hat_re", "f_hat_im", "f_true"],
+            zip(est.grid, est.values.real, est.values.imag, truth(est.grid))),
+    }
+    write_run(out, "selftest", {}, files, t0, results={"case_a_n2_error": err})
+    for name, data in files.items():
+        click.echo(f"{hashlib.sha256(data).hexdigest()}  {name}")
+    click.echo("selftest: ok")
 
 
 if __name__ == "__main__":

@@ -26,6 +26,7 @@ __all__ = [
     "cutoff_estimate",
     "sigma_penalty",
     "n_max",
+    "basis_m_max",
     "adaptive_N",
     "rate_sweep",
     "l2_error",
@@ -122,6 +123,12 @@ def n_max(delta: float) -> int:
         warnings.warn("delta >= 1: no usable truncation levels, N_max = 0")
         return 0
     return int(math.floor(math.log(1.0 / delta)))
+
+
+def basis_m_max(delta: float, level: int = 0) -> int:
+    """m_max of the basis an estimate at noise delta needs: through N_max
+    (when delta > 0) and through a fixed level, and at least 8."""
+    return max(8, level, n_max(delta) if delta > 0 else 0)
 
 
 def _invert_transform(F_vals, xu, wu, x0, s_grid):
@@ -253,10 +260,11 @@ def rate_sweep(case_id: str, delta_list, oracle_rule: str = "polynomial",
     deltas = list(delta_list)
     if any(not 0 < dl <= 0.5 for dl in deltas):
         raise ValueError("deltas must lie in (0, 0.5]")
+    if not 0 <= kappa < math.inf:
+        raise ValueError("kappa must be finite and nonnegative")
     obs0, truth, params = builtin_case(case_id, delta=deltas[-1])
     be = beta(params.kernel_parameter)
-    m_top = max(n_max(min(deltas)), 8)
-    svd = compute_svd(params, m_max=m_top)
+    svd = compute_svd(params, m_max=basis_m_max(min(deltas)))
     rows = []
     for dl in deltas:
         obs, _, _ = builtin_case(case_id, delta=dl)

@@ -69,6 +69,22 @@ def coefficient_calls(monkeypatch):
 
 
 @pytest.fixture
+def document_parses(monkeypatch):
+    """List that grows by one on every triplets_from_json_dict call the
+    command line makes."""
+    import sechprolate.cli as cli
+    calls = []
+    original = cli.triplets_from_json_dict
+
+    def counted(doc):
+        calls.append(1)
+        return original(doc)
+
+    monkeypatch.setattr(cli, "triplets_from_json_dict", counted)
+    return calls
+
+
+@pytest.fixture
 def operator_calls(monkeypatch):
     """Counts of apply_adjoint, rho_rayleigh and nystrom_eigensystem calls,
     by name. Each is rebound in sech_operator and in every module that

@@ -62,6 +62,11 @@ def test_svd_outputs(tmp_path, cache):
     assert man["command"] == "svd"
     assert man["outputs"] == ["svd.json", "svd_summary.csv"]
     assert man["parameters"] == {"b": 1.0, "c": 1.0, "m_max": 12, "n": None}
+    assert man["environment"] == {
+        "numpy": np.__version__,
+        "longdouble_eps": float(np.finfo(np.longdouble).eps),
+        **{var: os.environ.get(var) for var in (
+            "OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")}}
 
 
 def test_svd_rerun_is_byte_identical(tmp_path, cache):
@@ -300,6 +305,10 @@ def test_extrapolate_usage_errors(tmp_path):
         ["extrapolate", "--case", "a", "--N", "3", "--delta", "-0.1"],
         ["extrapolate", "--case", "a", "--N", "3", "--delta", "nan"],
         ["extrapolate", "--case", "a", "--sweep", "--delta", "inf"],
+    ] + [
+        # each exited 3 or ran with N_bar = 0 while --kappa was a bare float
+        ["extrapolate", "--case", "a", "--sweep", "--rule", "exponential",
+         "--kappa", v] for v in ("nan", "-5", "inf")
     ] + [["extrapolate", "--case", "a", "--N", "1", opt, v]
          for opt in ("--nfft", "--report-points") for v in ("0", "1")] + [
         ["extrapolate", "--input", str(window), "--b", b, "--c", c,
@@ -328,6 +337,31 @@ def test_extrapolate_window_csv_validation(tmp_path, cache):
                   "--out", str(tmp_path / "o2"))
     assert res.exit_code == 2
     assert "must cover" in res.stderr
+
+    # each of these crashed (exit 1) or ran (exit 0) while unchecked
+    rows = [f"{x},0.1" for x in np.linspace(-1, 1, 21)]
+
+    def text(lines):
+        return ("x,f_delta\n" + "\n".join(lines) + "\n").encode("ascii")
+
+    half = [f"{x},0.1" for x in np.linspace(-1, 0.5, 21)]
+    bad_inputs = {
+        "bom.csv": (b"\xef\xbb\xbf" + text(rows), "line 1: not ASCII"),
+        "latin1.csv": (text(rows) + b"0.05,\xe9\n", "line 23: not ASCII"),
+        "nan_f.csv": (text(rows[:4] + ["-0.55,nan"] + rows[4:]),
+                      "line 6: values must be finite"),
+        "nan_x.csv": (text(rows[:4] + ["nan,0.1"] + rows[4:]),
+                      "line 6: values must be finite"),
+        "half_inf.csv": (text(half + ["inf,0.5"]),
+                         "line 23: values must be finite"),
+    }
+    for name, (data, msg) in bad_inputs.items():
+        path = tmp_path / name
+        path.write_bytes(data)
+        res = run_usage_error(tmp_path, "extrapolate", "--input", str(path),
+                              "--b", "1", "--c", "0.5", "--delta", "0.05",
+                              "--adaptive")
+        assert f"{name}: {msg}" in res.stderr, name
 
 
 def test_extrapolate_untrusted_level_exits_3(tmp_path, cache):
@@ -424,6 +458,39 @@ def test_extrapolate_adaptive_projects_the_window_once(tmp_path, cache,
                   "--out", str(tmp_path / "run"))
     assert res.exit_code == 0
     assert len(coefficient_calls) == 1
+
+
+def test_cli_parses_a_document_only_on_a_cache_hit(tmp_path, document_parses):
+    """svd on an empty cache writes the document it computed without
+    parsing it back; extrapolate on the now warm key parses it once, and
+    on a key it has to compute, not at all."""
+    cache_dir = str(tmp_path / "cache")
+    res = run_cli(cache_dir, "svd", "--b", "1", "--c", "0.5", "--m-max", "8",
+                  "--out", str(tmp_path / "svd"))
+    assert res.exit_code == 0
+    assert len(document_parses) == 0
+    # case (a) is b = 1, c = 0.5 with an m_max = 8 basis: the key just written
+    res = run_cli(cache_dir, "extrapolate", "--case", "a", "--N", "2",
+                  "--out", str(tmp_path / "ex"))
+    assert res.exit_code == 0
+    assert len(document_parses) == 1
+    res = run_cli(cache_dir, "extrapolate", "--case", "b", "--N", "2",
+                  "--out", str(tmp_path / "miss"))
+    assert res.exit_code == 0
+    assert len(document_parses) == 1
+
+
+def test_extrapolate_cache_miss_and_hit_are_byte_identical(tmp_path):
+    """A miss estimates from the basis in memory, a hit from the parsed
+    document; both must give the same reconstruction bytes."""
+    cache_dir = str(tmp_path / "cache")
+    outs = [tmp_path / name for name in ("miss", "hit")]
+    for out in outs:
+        res = run_cli(cache_dir, "extrapolate", "--case", "b", "--N", "3",
+                      "--out", str(out))
+        assert res.exit_code == 0
+    first, second = [(out / "reconstruction.csv").read_bytes() for out in outs]
+    assert first == second
 
 
 def test_extrapolate_twice_in_one_process_is_byte_identical(tmp_path, cache):

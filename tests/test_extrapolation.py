@@ -6,7 +6,8 @@ import pytest
 
 from sechprolate.bounds import beta
 from sechprolate.extrapolation import (ObservationWindow, _invert_transform,
-                                       adaptive_N, builtin_case, coefficients,
+                                       adaptive_N, basis_m_max, builtin_case,
+                                       coefficients,
                                        cutoff_estimate, l2_error, n_max,
                                        rate_sweep, sigma_penalty)
 from sechprolate.sech_operator import OperatorParams, SampledFunction
@@ -342,6 +343,19 @@ def test_rate_sweep_validation():
         rate_sweep("a", [0.1, 0.0])
     with pytest.raises(ValueError):
         rate_sweep("a", [0.1, 0.01], oracle_rule="linear")
+    # nan failed inside int(), -5 as a negative level, inf gave N_bar = 0
+    for kappa in (math.nan, -5.0, math.inf):
+        with pytest.raises(ValueError, match="kappa"):
+            rate_sweep("a", [0.1, 0.01], oracle_rule="exponential",
+                       kappa=kappa)
+
+
+def test_basis_m_max_covers_every_level_and_at_least_8():
+    assert basis_m_max(0.05) == 8           # N_max = 2
+    assert basis_m_max(0.0) == 8            # no N_max without noise
+    assert basis_m_max(1e-5) == n_max(1e-5) == 11
+    assert basis_m_max(0.05, 10) == 10
+    assert basis_m_max(0.0, 3) == 8
 
 
 def test_rate_sweep_constant_delta_deterministic():
