@@ -7,7 +7,7 @@ independently computed spectra, and uses the truncated SVD for stable
 analytic continuation of noisily observed functions.
 """
 
-__version__ = "0.3.0"
+__version__ = "0.3.1"
 
 from .sech_operator import (
     OperatorParams,

@@ -16,6 +16,7 @@ import numpy as np
 
 from .special_functions import agm, elliptic_K
 from .commuting_ode import family_parameter, _u_closed_form
+from .sech_operator import check_c
 from .svd_assembly import commuting_eigenpairs
 
 __all__ = [
@@ -65,16 +66,14 @@ def recompute_c0(tol: float = 1e-10) -> float:
 
 def beta(c: float) -> float:
     """Exponent of the combined eigenvalue lower bound rho_m >= theta e^{-2 beta m}."""
-    if not 0 < c < math.inf:
-        raise ValueError("c must be positive and finite")
+    check_c(c)
     if c <= C0:
         return math.log(7 * math.e ** 2 * math.pi / (2 * c))
     return math.pi / (4 * c)
 
 
 def theta(c: float) -> float:
-    if not 0 < c < math.inf:
-        raise ValueError("c must be positive and finite")
+    check_c(c)
     if c <= C0:
         return 2 * math.sin(2 * c) ** 2 / (math.e ** 2 * c)
     return math.pi * math.exp(-math.pi / (2 * c))
@@ -82,8 +81,7 @@ def theta(c: float) -> float:
 
 def theta_tilde(c: float) -> float:
     """Monotone-in-c variant of theta; same exponent beta applies."""
-    if not 0 < c < math.inf:
-        raise ValueError("c must be positive and finite")
+    check_c(c)
     if c <= C0:
         return 2 * math.sin(2 * C0) ** 2 * c / (math.e * C0) ** 2
     return math.pi * math.exp(-math.pi / (2 * c))
@@ -99,8 +97,7 @@ def lower_bound_small_c(c: float, m: int) -> float:
 
 def lower_bound_all_c(c: float, m: int) -> float:
     """Lower bound pi * exp(-pi (m+1)/(2c)), valid for every c > 0."""
-    if not 0 < c < math.inf:
-        raise ValueError("c must be positive and finite")
+    check_c(c)
     return math.pi * math.exp(-math.pi * (m + 1) / (2 * c))
 
 
@@ -124,8 +121,7 @@ def widom_slope(c: float) -> float:
     denominator is pi / (2 AGM(1, sech(pi c))). Evaluating through the AGM
     keeps the slope finite for large c, where tanh(pi c) rounds to 1.
     """
-    if not 0 < c < math.inf:
-        raise ValueError("c must be positive and finite")
+    check_c(c)
     k = 1 / math.cosh(math.pi * c)
     return 2.0 * agm(1.0, k) * elliptic_K(k)
 

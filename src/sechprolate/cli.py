@@ -111,12 +111,16 @@ def svd_cache_key(b: float, c: float, m_max: int, n) -> str:
 def cached_svd_document(b: float, c: float, m_max: int, n=None):
     """(SvdBasis, JSON bytes) of the SVD document, computed once per
     parameter set. A hit parses the cached file; a miss returns the basis
-    it computed with the bytes it wrote to the cache."""
+    it computed with the bytes it wrote to the cache. A cached file that
+    does not parse as a document counts as a miss and is overwritten."""
     path = os.path.join(cache_dir(), svd_cache_key(b, c, m_max, n) + ".json")
     if os.path.exists(path):
         with open(path, "rb") as f:
             data = f.read()
-        return triplets_from_json_dict(json.loads(data)), data
+        try:
+            return triplets_from_json_dict(json.loads(data)), data
+        except (ValueError, KeyError, TypeError):
+            pass
     svd = compute_svd(OperatorParams(b=b, c=c), m_max=m_max, n=n)
     data = json_bytes(svd_to_json_dict(svd))
     atomic_write(path, data)
@@ -260,6 +264,8 @@ def bounds(c_values, m_max, out):
 def widom(c_values, fit, m_max, out):
     """Predicted decay exponent of the eigenvalues per c, with the
     closed-form exponent bounds it should sit between."""
+    if fit and m_max < 2:
+        raise click.UsageError("--fit needs --m-max of at least 2")
     if not c_values:
         c_values = (0.25, 0.5, 0.75, 1.0, 1.25, 1.5, 2.0, 2.5, 3.0)
     t0 = time.perf_counter()

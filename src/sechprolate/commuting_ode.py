@@ -33,7 +33,7 @@ from .special_functions import (
     legendre_derivative_table,
     legendre_table,
 )
-from .sech_operator import SampledFunction
+from .sech_operator import SampledFunction, check_c
 
 __all__ = [
     "LiouvilleTransform",
@@ -186,8 +186,7 @@ class LiouvilleTransform:
 
 
 def build_transform(c: float) -> LiouvilleTransform:
-    if not 0 < c < math.inf:
-        raise ValueError("c must be positive and finite")
+    check_c(c)
     t = family_parameter(c)
     return LiouvilleTransform(c=c, t=t, U=_u_closed_form(t))
 
@@ -276,8 +275,7 @@ def galerkin_eigensystem(c: float, n_b: int = None, m_max: int = 20) -> OdeSpect
     g_m(1) > 0. m_max sizes the default basis and must stay clear of the
     truncation-polluted top of the spectrum.
     """
-    if not 0 < c < math.inf:
-        raise ValueError("c must be positive and finite")
+    check_c(c)
     n_b = galerkin_basis_size(m_max, n_b)
     tr = build_transform(c)
     qgrid = gauss_legendre(n_b + 32)

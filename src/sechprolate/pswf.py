@@ -20,7 +20,7 @@ from .special_functions import (
     spherical_bessel_ratio,
     uniform_grid,
 )
-from .sech_operator import SampledFunction, _symmetric_nystrom
+from .sech_operator import SampledFunction, _symmetric_nystrom, check_c
 from .extrapolation import ObservationWindow, _invert_transform
 
 __all__ = [
@@ -51,8 +51,7 @@ def pswf_basis(c: float, m_max: int, n_b: int = None) -> PswfBasis:
     eigenvalues interleave; sorting the merged spectrum recovers the m
     ordering. Sign convention: psi_m(1) > 0.
     """
-    if not 0 < c < math.inf:
-        raise ValueError("c must be positive and finite")
+    check_c(c)
     if n_b is None:
         n_b = 2 * m_max + 32 + int(2 * c)
     if n_b < 2 * m_max + 16:

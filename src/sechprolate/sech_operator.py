@@ -18,6 +18,7 @@ from .special_functions import (QuadratureGrid, UniformGrid, gauss_legendre,
 
 __all__ = [
     "OperatorParams",
+    "check_c",
     "SampledFunction",
     "NystromSpectrum",
     "kernel",
@@ -30,10 +31,9 @@ __all__ = [
     "nystrom_grid_size",
     "TRUST_FLOOR_FACTOR",
     "RAYLEIGH_TAIL_MULTIPLE",
-    "RAYLEIGH_NODES_PER_PANEL",
-    "RAYLEIGH_WIDE_PANELS",
-    "RAYLEIGH_WIDE_MAX_LENGTH",
-    "RAYLEIGH_WIDE_NODES",
+    "RAYLEIGH_PANELS",
+    "RAYLEIGH_MAX_PANEL_LENGTH",
+    "RAYLEIGH_NODES",
     "REFINE_WINDOW",
     "REFINE_SWEEPS",
 ]
@@ -49,12 +49,11 @@ REFINE_SWEEPS = 2
 # sech tail is ~e^-60; eigenvalues within two decades of that truncation
 # level are flagged untrusted
 RAYLEIGH_TAIL_MULTIPLE = 60.0
-# Rayleigh panels: unit ones of 32 nodes below c = 1, else 15 of length 4c
-# (cut to at most 64) with 48 nodes; see rho_rayleigh
-RAYLEIGH_NODES_PER_PANEL = 32
-RAYLEIGH_WIDE_PANELS = 15
-RAYLEIGH_WIDE_MAX_LENGTH = 64.0
-RAYLEIGH_WIDE_NODES = 48
+# Rayleigh panels: 15 of length 4c, cut to at most 64, with 48 nodes each;
+# see rho_rayleigh
+RAYLEIGH_PANELS = 15
+RAYLEIGH_MAX_PANEL_LENGTH = 64.0
+RAYLEIGH_NODES = 48
 
 
 @dataclass(frozen=True)
@@ -70,6 +69,12 @@ class OperatorParams:
     @property
     def kernel_parameter(self):
         return self.c / self.b
+
+
+def check_c(c: float):
+    """The check on a bare c (or c/b); written so that nan fails too."""
+    if not 0 < c < math.inf:
+        raise ValueError("c must be positive and finite")
 
 
 @dataclass
@@ -91,8 +96,7 @@ class SampledFunction:
 
 def kernel(c: float, x, y):
     """Kernel of Q_c: pi*c*sech(pi*c*(x-y)/2). Symmetric, positive, entire."""
-    if not 0 < c < math.inf:
-        raise ValueError("c must be positive and finite")
+    check_c(c)
     return math.pi * c / np.cosh(math.pi * c * (np.asarray(x) - np.asarray(y)) / 2.0)
 
 
@@ -201,8 +205,7 @@ def nystrom_eigensystem(c: float, n: int = None, m_max: int = 12) -> NystromSpec
     (_symmetric_nystrom), which makes the eigenVECTORS good to ~1e-9 down to
     eigenvalues around 1e-10.
     """
-    if not 0 < c < math.inf:
-        raise ValueError("c must be positive and finite")
+    check_c(c)
     n = nystrom_grid_size(m_max, n)
     grid = gauss_legendre(n)
     xl = grid.nodes.astype(np.longdouble)
@@ -229,9 +232,11 @@ def rho_rayleigh(c: float, g: SampledFunction):
     eps/sqrt(rho). Perturbing g by relative eps moves rho by 3e-7 at
     rho = 1.2e-23 (c = 0.25, m = 16) and by 1e-3 at rho = 2e-29 (m = 20).
     The outer integral is truncated at RAYLEIGH_TAIL_MULTIPLE*c (sech tail
-    below 1e-26), on unit panels of 32 Gauss nodes below c = 1, else on 15
-    panels of length 4c, cut to at most 64, with 48 nodes: |g_hat|^2 has
-    exponential type 2, and uncut panels were off by 42 % at c = 32. On all
+    below 1e-26), on 15 panels of length 4c, cut to at most 64, with 48
+    Gauss nodes each. sech(x/c) has its poles pi c/2 off the real axis, so
+    panels that scale with c give the same accuracy at every c (unit panels
+    put rho_0 off by 2e-6 at c = 0.01); the cut is for |g_hat|^2, of
+    exponential type 2 (uncut panels were off by 42 % at c = 32). On all
     rows of m_max = 30 this is within 3e-12 relative of unit panels for
     c = 1..64, bar one row at c = 1 (7.6e-11 where eps/sqrt(rho) is 2e-8).
 
@@ -240,24 +245,18 @@ def rho_rayleigh(c: float, g: SampledFunction):
     cos/sin matrices are formed once and multiply all rows together. Every
     row must have unit L2(-1,1) norm.
     """
-    if not 0 < c < math.inf:
-        raise ValueError("c must be positive and finite")
+    check_c(c)
     nrm = g.norm()
     if np.any(np.abs(nrm - 1.0) > 1e-8):
         raise ValueError(f"input must be L2(-1,1)-normalized, got norm {nrm!r}")
     xg = g.grid.nodes
     wg = (g.grid.weights * np.real(g.values)).T      # (n,) or (n, M)
     x_t = RAYLEIGH_TAIL_MULTIPLE * c
-    if c < 1:
-        panels, nodes = int(math.ceil(x_t)), RAYLEIGH_NODES_PER_PANEL
-    else:
-        panels = max(RAYLEIGH_WIDE_PANELS,
-                     math.ceil(x_t / RAYLEIGH_WIDE_MAX_LENGTH))
-        nodes = RAYLEIGH_WIDE_NODES
-    quad = panel_grid(np.linspace(0.0, x_t, panels + 1), nodes)
+    panels = max(RAYLEIGH_PANELS, math.ceil(x_t / RAYLEIGH_MAX_PANEL_LENGTH))
+    quad = panel_grid(np.linspace(0.0, x_t, panels + 1), RAYLEIGH_NODES)
     total = 0.0
-    for xi, wi in zip(quad.nodes.reshape(panels, nodes),
-                      quad.weights.reshape(panels, nodes)):
+    for xi, wi in zip(quad.nodes.reshape(panels, RAYLEIGH_NODES),
+                      quad.weights.reshape(panels, RAYLEIGH_NODES)):
         ph = xi[:, None] * xg[None, :]
         re = np.cos(ph) @ wg
         im = np.sin(ph) @ wg

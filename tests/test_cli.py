@@ -5,6 +5,7 @@ import hashlib
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 
@@ -109,6 +110,13 @@ def test_svd_usage_errors(tmp_path):
         res = run_usage_error(tmp_path, *args, "--m-max", "-1")
         assert "'--m-max'" in res.stderr and "x>=0" in res.stderr, args
 
+    # a decay fit needs at least three points
+    for m_max in ("0", "1"):
+        res = run_usage_error(tmp_path, "widom", "--c", "1", "--fit",
+                              "--m-max", m_max)
+        assert "--m-max" in res.stderr, m_max
+    assert not (tmp_path / "u").exists()
+
     # nan passes every comparison with 0, and inf every lower bound
     for b, c, msg in [("nan", "1", "not a finite number"),
                       ("1", "nan", "not a finite number"),
@@ -124,6 +132,15 @@ def test_svd_cache_key_changes_with_version(monkeypatch):
     assert cli.svd_cache_key(1.0, 1.0, 12, 260) == key
     monkeypatch.setattr(cli, "__version__", "0.0.0")
     assert cli.svd_cache_key(1.0, 1.0, 12, None) != key
+
+
+def test_version_matches_pyproject():
+    """The cache key reads only __version__, so a change that moves numbers
+    must bump it and pyproject.toml together."""
+    root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+    with open(os.path.join(root, "pyproject.toml"), encoding="utf-8") as f:
+        found = re.search(r'^version\s*=\s*"([^"]+)"', f.read(), re.MULTILINE)
+    assert found and found.group(1) == cli.__version__
 
 
 def fresh_interpreter_env(**extra):
@@ -504,3 +521,25 @@ def test_extrapolate_twice_in_one_process_is_byte_identical(tmp_path, cache):
     first, second = [(out / "reconstruction.csv").read_bytes() for out in outs]
     assert first == second
     assert len(first.splitlines()) == 4097
+
+
+@pytest.mark.parametrize("corrupt", ["truncated", "empty_dict"])
+def test_corrupt_cached_document_is_recomputed(tmp_path, corrupt):
+    """A cached document that does not parse is a miss: the run recomputes
+    it, overwrites the file and gives the bytes of a fresh-cache run."""
+    fresh, cache_dir = tmp_path / "fresh", tmp_path / "cache"
+    res = run_cli(str(fresh), "extrapolate", "--case", "a", "--N", "2",
+                  "--out", str(tmp_path / "ref"))
+    assert res.exit_code == 0
+    # case (a) is b = 1, c = 0.5 with an m_max = 8 basis
+    name = cli.svd_cache_key(1.0, 0.5, 8, None) + ".json"
+    document = (fresh / name).read_bytes()
+    cache_dir.mkdir()
+    (cache_dir / name).write_bytes(
+        {"truncated": document[:100], "empty_dict": b"{}"}[corrupt])
+    res = run_cli(str(cache_dir), "extrapolate", "--case", "a", "--N", "2",
+                  "--out", str(tmp_path / "run"))
+    assert res.exit_code == 0, res.output
+    assert (cache_dir / name).read_bytes() == document
+    assert ((tmp_path / "run" / "reconstruction.csv").read_bytes()
+            == (tmp_path / "ref" / "reconstruction.csv").read_bytes())

@@ -5,8 +5,7 @@ import pytest
 import scipy.integrate
 
 from sechprolate.commuting_ode import galerkin_eigensystem
-from sechprolate.sech_operator import (RAYLEIGH_NODES_PER_PANEL,
-                                       RAYLEIGH_TAIL_MULTIPLE, OperatorParams,
+from sechprolate.sech_operator import (RAYLEIGH_TAIL_MULTIPLE, OperatorParams,
                                        SampledFunction, apply_adjoint,
                                        apply_forward, kernel,
                                        nystrom_eigensystem, rho_rayleigh,
@@ -88,13 +87,17 @@ def test_untrusted_flagging():
 
 
 def test_rho_rayleigh_constant_oracle():
-    """g = 1/sqrt(2) has an analytic transform; outer integral by scipy."""
+    """g = 1/sqrt(2) has an analytic transform; outer integral by scipy.
+    Below c = 1 the poles of sech(x/c) close in on the real axis: fixed
+    unit panels were off by 2.0e-6 at c = 0.01 and 4.4e-9 at c = 0.02."""
     g = gauss_legendre(64)
     f = SampledFunction(g, np.full(64, 1 / math.sqrt(2)))
-    ref, _ = scipy.integrate.quad(
-        lambda x: 2 / math.cosh(x) * (math.sin(x) / x) ** 2 if x != 0 else 2.0,
-        0, 70, limit=400, epsabs=1e-14, epsrel=1e-13)
-    assert rho_rayleigh(1.0, f) == pytest.approx(2 * ref, rel=1e-10)
+    for c in (0.01, 0.02, 0.25, 1.0):
+        ref, _ = scipy.integrate.quad(
+            lambda x: (2 / math.cosh(x / c) * (math.sin(x) / x) ** 2
+                       if x != 0 else 2.0),
+            0, 70 * c, limit=400, epsabs=0, epsrel=1e-13)
+        assert rho_rayleigh(c, f) == pytest.approx(2 * ref, rel=1e-10), c
 
 
 def test_rho_rayleigh_cross_method(ny_c1):
@@ -143,18 +146,17 @@ def test_rho_rayleigh_stacked_matches_per_function(sample_g):
 
 
 @pytest.mark.parametrize("c", [1.0, 4.0, 16.0, 32.0])
-def test_rho_rayleigh_wide_panels_match_unit_panels(c):
-    """From c = 1 on the Rayleigh integral takes 15 panels of length 4c,
-    cut further where 4c exceeds RAYLEIGH_WIDE_MAX_LENGTH (c = 32); on
-    every row of m_max = 30 it agrees with the unit-panel rule of
-    RAYLEIGH_NODES_PER_PANEL nodes, summed here, to
-    max(1e-10, eps/sqrt(rho)) relative (measured at most 7.6e-11 at c = 1,
-    2.8e-12 at c = 16 and 8.7e-13 at c = 32; uncut 4c panels were off by
-    0.42 at c = 32)."""
+def test_rho_rayleigh_matches_unit_panels(c):
+    """The Rayleigh integral takes 15 panels of length 4c, cut further
+    where 4c exceeds RAYLEIGH_MAX_PANEL_LENGTH (c = 32). From c = 1 on, the
+    poles of sech(x/c) are at least pi/2 from the real axis, so unit panels
+    of 32 nodes, summed here, are an independent reference. On every row of
+    m_max = 30 the two agree to max(1e-10, eps/sqrt(rho)) relative
+    (measured at most 7.6e-11 at c = 1, 2.8e-12 at c = 16 and 8.7e-13 at
+    c = 32; uncut 4c panels were off by 0.42 at c = 32)."""
     g = compute_svd(OperatorParams(b=1.0, c=c), m_max=30).g
     x_t = RAYLEIGH_TAIL_MULTIPLE * c
-    quad = panel_grid(np.linspace(0.0, x_t, math.ceil(x_t) + 1),
-                      RAYLEIGH_NODES_PER_PANEL)
+    quad = panel_grid(np.linspace(0.0, x_t, math.ceil(x_t) + 1), 32)
     wg = (g.grid.weights * g.values).T
     ref = np.zeros(len(g.values))
     for x, w in zip(np.array_split(quad.nodes, 32),

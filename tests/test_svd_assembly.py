@@ -75,6 +75,16 @@ def test_rho_monotone_in_c():
         prev = rho
 
 
+@pytest.mark.parametrize("cp", [0.01, 0.25])
+def test_trace_identity_on_compute_svd(cp):
+    """README's trace contract holds on the SVD itself: sum rho = 2 pi c/b
+    to 1e-10 relative (past m_max = 12 the tail is below 1e-15 here). Fixed
+    unit Rayleigh panels missed it by 2.0e-6 at c/b = 0.01."""
+    svd = compute_svd(OperatorParams(b=2.0, c=2.0 * cp), m_max=12)
+    trace = 2 * np.pi * cp
+    assert abs(np.sum(svd.rho) - trace) <= 1e-10 * trace
+
+
 def test_expansion_closes_coefficient_loop():
     """Expand the transform of f(x) = sech(2x) in the g basis, rebuild the
     12-term partial sum from the phi side, and push it back through the
