@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .special_functions import agm, elliptic_K
-from .commuting_ode import family_parameter, _u_closed_form
+from .commuting_ode import family_parameter, liouville_normalizer
 from .sech_operator import check_c
 from .svd_assembly import commuting_eigenpairs
 
@@ -138,7 +138,7 @@ def fit_log_slope(ms, rhos) -> float:
 def R_of_c(c: float) -> float:
     """Oscillation constant of the flattened potential, at scale t = pi*c/2."""
     t = family_parameter(c)
-    U = _u_closed_form(t)
+    U = liouville_normalizer(t)
     return 2 / math.pi ** 2 + (U * t / math.pi) ** 2 * (
         (math.cosh(4 * t) * (1 + (t / 3) / math.tanh(2 * t)) - 1)
         + 2 * t * math.sinh(4 * t))
@@ -159,7 +159,7 @@ def supnorm_bound(c: float, m: int) -> float:
 def chi_sandwich(c: float, m: int):
     """Two-sided enclosure claimed for the m-th commuting-operator eigenvalue."""
     t = family_parameter(c)
-    U = _u_closed_form(t)
+    U = liouville_normalizer(t)
     R = R_of_c(c)
     base = m * (m + 1) + 0.5
     lo = (math.pi / U) ** 2 * (base - R) - t * t

@@ -26,9 +26,9 @@ import numpy as np
 
 from . import __version__
 from . import bounds as bounds_lib
-from .extrapolation import (adaptive_N, basis_m_max, builtin_case,
-                            cutoff_estimate, l2_error, n_max, rate_sweep,
-                            ObservationWindow)
+from .extrapolation import (WINDOW_NODES, adaptive_N, basis_m_max,
+                            builtin_case, cutoff_estimate, l2_error, n_max,
+                            rate_sweep, ObservationWindow)
 from .sech_operator import OperatorParams, SampledFunction, nystrom_grid_size
 from .special_functions import gauss_legendre
 from .svd_assembly import (compute_svd, svd_to_json_dict,
@@ -108,17 +108,28 @@ def svd_cache_key(b: float, c: float, m_max: int, n) -> str:
     return hashlib.sha256(enc.encode("ascii")).hexdigest()
 
 
+def _is_document_of(svd, b: float, c: float, m_max: int, n) -> bool:
+    """Whether a parsed document is its key's, with finite values only."""
+    return ((svd.b, svd.c, len(svd), len(svd.g.grid))
+            == (b, c, m_max + 1, nystrom_grid_size(m_max, n))
+            and all(np.isfinite(v).all() for v in (
+                svd.sigma, svd.rho, svd.g.values, svd.phi.values)))
+
+
 def cached_svd_document(b: float, c: float, m_max: int, n=None):
     """(SvdBasis, JSON bytes) of the SVD document, computed once per
     parameter set. A hit parses the cached file; a miss returns the basis
     it computed with the bytes it wrote to the cache. A cached file that
-    does not parse as a document counts as a miss and is overwritten."""
+    does not parse as a document, or parses as one for other parameters or
+    with non-finite values, counts as a miss and is overwritten."""
     path = os.path.join(cache_dir(), svd_cache_key(b, c, m_max, n) + ".json")
     if os.path.exists(path):
         with open(path, "rb") as f:
             data = f.read()
         try:
-            return triplets_from_json_dict(json.loads(data)), data
+            svd = triplets_from_json_dict(json.loads(data))
+            if _is_document_of(svd, b, c, m_max, n):
+                return svd, data
         except (ValueError, KeyError, TypeError):
             pass
     svd = compute_svd(OperatorParams(b=b, c=c), m_max=m_max, n=n)
@@ -321,6 +332,16 @@ def read_window_csv(path: str):
     return x, y
 
 
+# the options each extrapolate mode reads besides --out, --variant with
+# --adaptive and --kappa with the exponential rule; any other is a usage error
+EXTRAPOLATE_READS = {
+    "--sweep": {"--case", "--sweep", "--delta", "--rule", "--variant"},
+    "--case": {"--case", "--delta", "--adaptive", "--N", "--report-points"},
+    "--input": {"--input", "--b", "--c", "--x0", "--delta", "--adaptive", "--N",
+                "--report-points"},
+}
+
+
 @main.command()
 @click.option("--case", "case_id", type=click.Choice(["a", "b"]), default=None,
               help="built-in benchmark case")
@@ -340,39 +361,39 @@ def read_window_csv(path: str):
               help="fixed truncation level")
 @click.option("--variant", type=click.Choice(["plus", "minus"]),
               default="plus", show_default=True,
-              help="sign of the penalty inside the comparison rule")
+              help="penalty sign in the comparison rule (--adaptive, --sweep)")
 @click.option("--sweep", is_flag=True,
               help="error-vs-delta rate table (built-in cases only)")
 @click.option("--rule", type=click.Choice(["polynomial", "exponential"]),
               default="polynomial", show_default=True,
               help="oracle truncation rule for --sweep")
 @click.option("--kappa", type=FiniteFloat(0), default=1.0, show_default=True,
-              help="smoothness exponent for the exponential rule")
-@click.option("--n-window", type=click.IntRange(64, 15000), default=2048,
-              show_default=True, help="window quadrature size")
-@click.option("--nfft", type=click.IntRange(2, None), default=4096,
-              show_default=True, help="inverse-transform resolution")
-@click.option("--report-points", type=click.IntRange(2, None), default=None,
-              help="reconstruction grid size (default: nfft)")
+              help="smoothness exponent for --rule exponential")
+@click.option("--report-points", type=click.IntRange(2, None), default=4096,
+              show_default=True, help="reconstruction grid size")
 @click.option("--out", type=click.Path(file_okay=False), default=".",
               show_default=True)
 @guarded
 def extrapolate(case_id, input_path, b, c, x0, deltas, adaptive, n_level,
-                variant, sweep, rule, kappa, n_window, nfft, report_points,
-                out):
+                variant, sweep, rule, kappa, report_points, out):
     """Spectral cut-off reconstruction from a noisy window, either adaptive
     or at a fixed level; --sweep runs the error-vs-noise rate table."""
     if (case_id is None) == (input_path is None):
         raise click.UsageError("give exactly one of --case or --input")
-    if report_points is None:
-        report_points = nfft
+    mode = "--sweep" if sweep else "--case" if case_id else "--input"
+    reads = EXTRAPOLATE_READS[mode] | {"--out"}
+    if adaptive:
+        reads.add("--variant")
+    if rule == "exponential":
+        reads.add("--kappa")
+    ctx = click.get_current_context()
+    for param in ctx.command.params:
+        if param.opts[0] not in reads and ctx.get_parameter_source(
+                param.name) is not click.core.ParameterSource.DEFAULT:
+            raise click.UsageError(f"{param.opts[0]} is not read with {mode}")
     t0 = time.perf_counter()
 
     if sweep:
-        if case_id is None:
-            raise click.UsageError("--sweep works on built-in cases only")
-        if adaptive or n_level is not None:
-            raise click.UsageError("--sweep chooses its own levels")
         delta_list = list(deltas) if deltas else [1e-1, 1e-2, 1e-3]
         table = rate_sweep(case_id, delta_list, oracle_rule=rule,
                            kappa=kappa, variant=variant)
@@ -397,15 +418,12 @@ def extrapolate(case_id, input_path, b, c, x0, deltas, adaptive, n_level,
 
     input_hashes = {}
     if case_id is not None:
-        if b is not None or c is not None:
-            raise click.UsageError("--case fixes b and c")
-        obs, truth, params = builtin_case(case_id, delta=delta,
-                                          n_window=n_window)
+        obs, truth, params = builtin_case(case_id, delta=delta)
     else:
         if b is None or c is None or delta is None:
             raise click.UsageError("--input needs --b, --c and --delta")
         xi, yi = read_window_csv(input_path)
-        grid = gauss_legendre(n_window)
+        grid = gauss_legendre(WINDOW_NODES)
         obs = ObservationWindow(x0=x0, c=c, delta=delta,
                                 samples=SampledFunction(
                                     grid, np.interp(grid.nodes, xi, yi)))
@@ -432,8 +450,7 @@ def extrapolate(case_id, input_path, b, c, x0, deltas, adaptive, n_level,
     else:
         results["N"] = n_level
         level, d = n_level, None
-    est = cutoff_estimate(obs, svd, level, nfft=nfft,
-                          report_points=report_points, d=d)
+    est = cutoff_estimate(obs, svd, level, report_points=report_points, d=d)
     if truth is not None:
         results["error_l2"] = l2_error(est.grid, est.values, truth)
     header = ["x", "f_hat_re", "f_hat_im"]
@@ -446,7 +463,6 @@ def extrapolate(case_id, input_path, b, c, x0, deltas, adaptive, n_level,
                "b": params.b, "c": params.c, "x0": obs.x0,
                "delta": obs.delta, "adaptive": adaptive,
                "N": n_level, "variant": variant,
-               "n_window": n_window, "nfft": nfft,
                "report_points": report_points},
               {"reconstruction.csv": csv_bytes(header, zip(*cols))}, t0,
               input_hashes=input_hashes, results=results)

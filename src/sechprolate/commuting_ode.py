@@ -46,6 +46,7 @@ __all__ = [
     "weak_form_chi",
     "commutation_residual",
     "family_parameter",
+    "liouville_normalizer",
 ]
 
 
@@ -67,9 +68,10 @@ def case1_coefficients(c: float, x):
     return p, q
 
 
-def _u_closed_form(t: float) -> float:
-    # U = K(tanh 2t) / (t sqrt(1+cosh 4t)), K in the modulus convention. The
-    # complementary modulus is exactly sech 2t; forming it as
+def liouville_normalizer(t: float) -> float:
+    """Normalizer U = K(tanh 2t) / (t sqrt(1+cosh 4t)) of the Liouville map,
+    K in the modulus convention."""
+    # The complementary modulus is exactly sech 2t; forming it as
     # sqrt(1 - tanh(2t)^2) would cancel (U off by 2e-8 relative at c = 4).
     if 4 * t > 700:
         raise ValueError("parameter too large for the transform normalizer")
@@ -188,7 +190,7 @@ class LiouvilleTransform:
 def build_transform(c: float) -> LiouvilleTransform:
     check_c(c)
     t = family_parameter(c)
-    return LiouvilleTransform(c=c, t=t, U=_u_closed_form(t))
+    return LiouvilleTransform(c=c, t=t, U=liouville_normalizer(t))
 
 
 def q_c_potential(transform: LiouvilleTransform, y):

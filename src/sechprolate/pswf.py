@@ -14,14 +14,16 @@ from dataclasses import dataclass
 import numpy as np
 
 from .special_functions import (
+    REAL_LINE_HALF_WIDTH,
     QuadratureGrid,
     gauss_legendre,
     legendre_table,
     spherical_bessel_ratio,
     uniform_grid,
 )
-from .sech_operator import SampledFunction, _symmetric_nystrom, check_c
-from .extrapolation import ObservationWindow, _invert_transform
+from .sech_operator import (SampledFunction, check_c,
+                            symmetric_nystrom_eigenpairs)
+from .extrapolation import TRANSFORM_NODES, ObservationWindow, invert_transform
 
 __all__ = [
     "PswfBasis",
@@ -101,7 +103,8 @@ def pswf_basis(c: float, m_max: int, n_b: int = None) -> PswfBasis:
                      phase=phase)
 
 
-def pswf_values(basis: PswfBasis, m: int, x) -> np.ndarray:
+def pswf_values(basis: PswfBasis, m, x) -> np.ndarray:
+    """psi_m at x; an index array or slice m gives one row per index."""
     x = np.atleast_1d(np.asarray(x, dtype=float))
     return basis.coefficients[m] @ legendre_table(basis.n_b - 1, x)
 
@@ -149,38 +152,34 @@ def sinc_nystrom(c: float, n: int = 400, m_max: int = 12):
     np.fill_diagonal(dx, 1.0)
     Kl = 2.0 * np.sin(np.longdouble(c) * dx) / dx
     np.fill_diagonal(Kl, 2.0 * c)
-    lam, g = _symmetric_nystrom(Kl, grid, m_max + 1)
+    lam, g = symmetric_nystrom_eigenpairs(Kl, grid, m_max + 1)
     return lam[: m_max + 1], g, grid
 
 
 def pswf_cutoff_estimate(obs: ObservationWindow, basis: PswfBasis, N: int,
-                         scale_b: float, nfft: int = 4096,
-                         report_points: int = 1201,
+                         scale_b: float, report_points: int = 1201,
                          report_halfwidth: float = 6.0):
     """Spectral cut-off estimate in the prolate system.
 
     Models the truth's transform as supported on [-1/scale_b, 1/scale_b]:
     F_hat(x) = scale_b * sum_m conj(phase_m)/mu_m * <obs, psi_m> * psi_m(scale_b x)
-    inside the support, zero outside, then runs through the same uniform-grid
-    inverse transform as the primary estimator. Returns (s_grid, values).
+    inside the support, zero outside, on the primary estimator's uniform grid
+    (TRANSFORM_NODES nodes over [-T, T], T = REAL_LINE_HALF_WIDTH / scale_b),
+    then runs through the same invert_transform. Returns (s_grid, values).
     """
     if N > basis.m_max:
         raise ValueError("truncation level exceeds the basis")
     if basis.mu[N] < 1e-13:
         raise ValueError("truncation level reaches untrusted singular values")
     ng = obs.samples.grid
-    Psi_obs = np.stack([pswf_values(basis, m, ng.nodes) for m in range(N + 1)])
-    d = Psi_obs @ (ng.weights * obs.samples.values)
-    coef = np.conj(basis.phase[: N + 1]) / basis.mu[: N + 1] * d
-    ug = uniform_grid(22.0 / scale_b, nfft)
+    head = slice(0, N + 1)
+    d = pswf_values(basis, head, ng.nodes) @ (ng.weights * obs.samples.values)
+    coef = np.conj(basis.phase[head]) / basis.mu[head] * d
+    ug = uniform_grid(REAL_LINE_HALF_WIDTH / scale_b, TRANSFORM_NODES)
     xu = ug.nodes
     inside = np.abs(scale_b * xu) <= 1.0
     F = np.zeros(xu.size, dtype=complex)
-    Pin = np.stack([pswf_values(basis, m, scale_b * xu[inside])
-                    for m in range(N + 1)])
-    F[inside] = scale_b * (coef @ Pin)
-    s_grid = np.linspace(obs.x0 - report_halfwidth, obs.x0 + report_halfwidth,
-                         report_points)
-    vals = _invert_transform(F, xu, ug.weights, obs.x0, s_grid)
-    return s_grid, vals
+    F[inside] = scale_b * (coef @ pswf_values(basis, head, scale_b * xu[inside]))
+    return invert_transform(SampledFunction(ug, F), obs.x0, report_halfwidth,
+                            report_points)
 

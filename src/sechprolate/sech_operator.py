@@ -28,6 +28,7 @@ __all__ = [
     "apply_adjoint",
     "verify_factorization",
     "refine_eigh_block",
+    "symmetric_nystrom_eigenpairs",
     "nystrom_grid_size",
     "TRUST_FLOOR_FACTOR",
     "RAYLEIGH_TAIL_MULTIPLE",
@@ -169,7 +170,7 @@ def nystrom_grid_size(m_max: int, n: int = None) -> int:
     return n
 
 
-def _symmetric_nystrom(Kl, grid: QuadratureGrid, count: int):
+def symmetric_nystrom_eigenpairs(Kl, grid: QuadratureGrid, count: int):
     """Eigenpairs of a symmetric kernel on a Gauss grid, refined in extended
     precision: the Nystrom core shared by the sech and sinc oracles.
 
@@ -202,8 +203,8 @@ def nystrom_eigensystem(c: float, n: int = None, m_max: int = 12) -> NystromSpec
     A dense float64 eigh resolves eigenvalues down to about 1e-13*rho_0;
     the pairs m <= m_max with eigenvalues in REFINE_WINDOW are then refined
     by residual correction against the longdouble matrix
-    (_symmetric_nystrom), which makes the eigenVECTORS good to ~1e-9 down to
-    eigenvalues around 1e-10.
+    (symmetric_nystrom_eigenpairs), which makes the eigenVECTORS good to
+    ~1e-9 down to eigenvalues around 1e-10.
     """
     check_c(c)
     n = nystrom_grid_size(m_max, n)
@@ -212,7 +213,7 @@ def nystrom_eigensystem(c: float, n: int = None, m_max: int = 12) -> NystromSpec
     cl = np.longdouble(c)
     Kl = np.pi * cl / np.cosh(np.pi * cl * (xl[:, None] - xl[None, :]) / 2)
     try:
-        lam, g = _symmetric_nystrom(Kl, grid, m_max + 1)
+        lam, g = symmetric_nystrom_eigenpairs(Kl, grid, m_max + 1)
     except np.linalg.LinAlgError as e:
         raise np.linalg.LinAlgError(
             f"eigendecomposition failed for c={c}, n={n}: {e}") from e

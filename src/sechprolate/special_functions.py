@@ -14,6 +14,8 @@ import numpy as np
 
 # Gauss nodes on each panel of the phi grid
 PHI_NODES_PER_PANEL = 16
+# b T of every real-line grid [-T, T]: sech(b T) < 1e-9 beyond it
+REAL_LINE_HALF_WIDTH = 22.0
 
 __all__ = [
     "QuadratureGrid",
@@ -24,6 +26,7 @@ __all__ = [
     "phi_grid",
     "real_line_grid",
     "PHI_NODES_PER_PANEL",
+    "REAL_LINE_HALF_WIDTH",
     "legendre_table",
     "legendre_derivative_table",
     "agm",
@@ -114,29 +117,29 @@ def panel_grid(edges, nodes_per_panel: int) -> QuadratureGrid:
 
 
 def phi_grid(b: float) -> QuadratureGrid:
-    """Symmetric panel grid on (-T, T), T = 22/b, so sech(bT) < 1e-9, with
+    """Symmetric panel grid on (-T, T), T = REAL_LINE_HALF_WIDTH / b, with
     PHI_NODES_PER_PANEL Gauss nodes per panel; the phi_m of an SVD live here.
 
     Unit-width panels cover |x| <= 6/b where sech^2 * cosh is order one;
     panel widths then grow geometrically (ratio 1.6) into the tails.
     """
     edges = [float(k) for k in range(7)]
-    while edges[-1] < 22.0:
-        edges.append(min(edges[-1] * 1.6, 22.0))
+    while edges[-1] < REAL_LINE_HALF_WIDTH:
+        edges.append(min(edges[-1] * 1.6, REAL_LINE_HALF_WIDTH))
     edges = np.array(edges) / b
     return panel_grid(np.concatenate([-edges[::-1], edges[1:]]),
                       PHI_NODES_PER_PANEL)
 
 
 def real_line_grid(b: float) -> QuadratureGrid:
-    """Symmetric unit panels of 24 Gauss nodes out to T = 22/b, where
-    sech(bT) < 1e-9: the real-line grid of the factorisation self-check.
+    """Symmetric unit panels of 24 Gauss nodes out to T = 22/b
+    (REAL_LINE_HALF_WIDTH): the real-line grid of the factorisation self-check.
 
     phi_grid covers the same interval with fewer nodes; on it the largest
     self-check residual at (b, c) = (0.5, 2) rises from 2.9e-11 to 2.4e-9,
     so this finer grid stays.
     """
-    T = 22.0 / b
+    T = REAL_LINE_HALF_WIDTH / b
     edges = np.linspace(-T, T, 2 * int(math.ceil(T)) + 1)
     return panel_grid(edges, 24)
 

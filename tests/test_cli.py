@@ -326,8 +326,17 @@ def test_extrapolate_usage_errors(tmp_path):
         # each exited 3 or ran with N_bar = 0 while --kappa was a bare float
         ["extrapolate", "--case", "a", "--sweep", "--rule", "exponential",
          "--kappa", v] for v in ("nan", "-5", "inf")
-    ] + [["extrapolate", "--case", "a", "--N", "1", opt, v]
-         for opt in ("--nfft", "--report-points") for v in ("0", "1")] + [
+    ] + [["extrapolate", "--case", "a", "--N", "1", "--report-points", v]
+         for v in ("0", "1")] + [
+        # options the mode does not read, each ignored while unchecked
+        ["extrapolate", "--case", "a", "--N", "2", "--x0", "0.3"],
+        ["extrapolate", "--case", "a", "--N", "2", "--rule", "exponential",
+         "--kappa", "5"],
+        ["extrapolate", "--case", "a", "--sweep", "--delta", "0.1", "--b", "2",
+         "--c", "3", "--x0", "1", "--report-points", "99"],
+        ["extrapolate", "--case", "a", "--N", "2", "--variant", "minus"],
+        ["extrapolate", "--case", "a", "--sweep", "--kappa", "5"],
+    ] + [
         ["extrapolate", "--input", str(window), "--b", b, "--c", c,
          "--x0", x0, "--delta", "0.05", "--N", "1"]
         for b, c, x0 in [("nan", "0.5", "0"), ("1", "nan", "0"),
@@ -335,6 +344,9 @@ def test_extrapolate_usage_errors(tmp_path):
                          ("1", "0.5", "nan"), ("1", "0.5", "-inf")]]
     for args in bad_args:
         run_usage_error(tmp_path, *args)
+    res = run_usage_error(tmp_path, "extrapolate", "--case", "a", "--N", "2",
+                          "--variant", "minus")
+    assert "--variant" in res.stderr
 
 
 def test_extrapolate_window_csv_validation(tmp_path, cache):
@@ -523,9 +535,25 @@ def test_extrapolate_twice_in_one_process_is_byte_identical(tmp_path, cache):
     assert len(first.splitlines()) == 4097
 
 
-@pytest.mark.parametrize("corrupt", ["truncated", "empty_dict"])
+def other_document(tmp_path, *svd_args):
+    """The document `svd` writes for other parameters than case (a)'s."""
+    other = tmp_path / "other"
+    res = run_cli(str(other), "svd", *svd_args, "--out", str(tmp_path / "o"))
+    assert res.exit_code == 0
+    return (tmp_path / "o" / "svd.json").read_bytes()
+
+
+def nan_rho_document(document):
+    doc = json.loads(document)
+    doc["entries"][3]["rho"] = float("nan")
+    return json.dumps(doc).encode("ascii")
+
+
+@pytest.mark.parametrize("corrupt", ["truncated", "empty_dict", "other_c",
+                                     "other_n", "nan_rho"])
 def test_corrupt_cached_document_is_recomputed(tmp_path, corrupt):
-    """A cached document that does not parse is a miss: the run recomputes
+    """A cached document that does not parse, or parses as one for other
+    parameters or with a non-finite value, is a miss: the run recomputes
     it, overwrites the file and gives the bytes of a fresh-cache run."""
     fresh, cache_dir = tmp_path / "fresh", tmp_path / "cache"
     res = run_cli(str(fresh), "extrapolate", "--case", "a", "--N", "2",
@@ -535,8 +563,15 @@ def test_corrupt_cached_document_is_recomputed(tmp_path, corrupt):
     name = cli.svd_cache_key(1.0, 0.5, 8, None) + ".json"
     document = (fresh / name).read_bytes()
     cache_dir.mkdir()
-    (cache_dir / name).write_bytes(
-        {"truncated": document[:100], "empty_dict": b"{}"}[corrupt])
+    (cache_dir / name).write_bytes({
+        "truncated": lambda: document[:100],
+        "empty_dict": lambda: b"{}",
+        "other_c": lambda: other_document(tmp_path, "--b", "1", "--c", "1",
+                                          "--m-max", "8"),
+        "other_n": lambda: other_document(tmp_path, "--b", "1", "--c", "0.5",
+                                          "--m-max", "8", "--n", "400"),
+        "nan_rho": lambda: nan_rho_document(document),
+    }[corrupt]())
     res = run_cli(str(cache_dir), "extrapolate", "--case", "a", "--N", "2",
                   "--out", str(tmp_path / "run"))
     assert res.exit_code == 0, res.output

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from sechprolate.bounds import beta
-from sechprolate.extrapolation import (ObservationWindow, _invert_transform,
+from sechprolate.extrapolation import (ObservationWindow, invert_transform,
                                        adaptive_N, basis_m_max, builtin_case,
                                        coefficients,
                                        cutoff_estimate, l2_error, n_max,
@@ -19,7 +19,7 @@ from sechprolate.svd_assembly import compute_svd, evaluate_g, evaluate_phi
 def scaled_window(obs, lam):
     samples = SampledFunction(obs.samples.grid, lam * obs.samples.values)
     return ObservationWindow(x0=obs.x0, c=obs.c, delta=lam * obs.delta,
-                             samples=samples, truth=obs.truth)
+                             samples=samples)
 
 
 def test_builtin_case_a_fields(case_a):
@@ -122,8 +122,10 @@ def test_chirp_z_inverse_matches_dense_longdouble(b, nfft, report_points):
     ug = uniform_grid(22.0 / b, nfft)
     xu, wu = ug.nodes, ug.weights
     F = np.exp(0.3j * xu) / np.cosh(b * xu) * (1.0 + 0.2 * np.sin(2.0 * xu))
-    s_grid = np.linspace(x0 - 6.0, x0 + 6.0, report_points)
-    vals = _invert_transform(F, xu, wu, x0, s_grid)
+    s_grid, vals = invert_transform(SampledFunction(ug, F), x0, 6.0,
+                                    report_points)
+    assert np.array_equal(s_grid, np.linspace(x0 - 6.0, x0 + 6.0,
+                                              report_points))
     idx = np.unique(np.r_[np.arange(0, report_points, 37), report_points - 1])
     ph = ((np.longdouble(x0) - s_grid[idx].astype(np.longdouble))[:, None]
           * xu.astype(np.longdouble)[None, :])
@@ -139,24 +141,24 @@ def test_chirp_z_inverse_matches_dense_longdouble(b, nfft, report_points):
 def test_inverse_needs_two_points_per_grid():
     ug = uniform_grid(22.0, 64)
     with pytest.raises(ValueError):
-        _invert_transform(np.ones(64), ug.nodes, ug.weights, 0.0,
-                          np.array([0.0]))
+        invert_transform(SampledFunction(ug, np.ones(64)), 0.0, 6.0, 1)
 
 
 def test_fused_transform_side_equals_sum_of_modes(case_a):
     """One adjoint of the combined g equals the sum of coef_m * phi_m, both
-    on the stored panel grid and, through the linear inverse, on the line."""
+    on the uniform grid it is inverted on and, through the linear inverse,
+    on the line."""
     obs, _, _, svd = case_a
     N, nfft = 4, 1024
     est = cutoff_estimate(obs, svd, N, nfft=nfft, report_points=601)
     coef = est.d / np.array([t.sigma for t in svd[: N + 1]])
     ug = uniform_grid(svd[0].phi.grid.interval[1], nfft)
     F_u = sum(coef[m] * evaluate_phi(svd[m], ug.nodes) for m in range(N + 1))
-    ref = _invert_transform(F_u, ug.nodes, ug.weights, obs.x0, est.grid)
+    assert np.array_equal(est.F.grid.nodes, ug.nodes)
+    assert np.max(np.abs(est.F.values - F_u)) <= 1e-13 * np.max(np.abs(F_u))
+    s_grid, ref = invert_transform(SampledFunction(ug, F_u), obs.x0, 6.0, 601)
+    assert np.array_equal(s_grid, est.grid)
     assert np.max(np.abs(est.values - ref)) <= 1e-13 * np.max(np.abs(ref))
-    F_panel = sum(coef[m] * svd[m].phi.values for m in range(N + 1))
-    assert np.max(np.abs(est.F.values - F_panel)) \
-        <= 1e-13 * np.max(np.abs(F_panel))
 
 
 def test_cutoff_estimate_forms_no_nfft_by_ng_matrix(case_a):

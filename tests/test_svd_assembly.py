@@ -10,8 +10,9 @@ from sechprolate.sech_operator import (OperatorParams, SampledFunction,
                                        nystrom_eigensystem, nystrom_grid_size,
                                        rho_rayleigh)
 from sechprolate.special_functions import gauss_legendre, panel_grid, phi_grid
-from sechprolate.svd_assembly import (compute_svd, evaluate_g, evaluate_phi,
-                                      rescale_phi, svd_to_json_dict,
+from sechprolate.svd_assembly import (commuting_eigenpairs, compute_svd,
+                                      evaluate_g, evaluate_phi, rescale_phi,
+                                      svd_to_json_dict,
                                       triplets_from_json_dict)
 
 
@@ -83,6 +84,19 @@ def test_trace_identity_on_compute_svd(cp):
     svd = compute_svd(OperatorParams(b=2.0, c=2.0 * cp), m_max=12)
     trace = 2 * np.pi * cp
     assert abs(np.sum(svd.rho) - trace) <= 1e-10 * trace
+
+
+@pytest.mark.parametrize("c", [0.25, 1.0, 4.0])
+def test_eigenvalue_endpoint_identity(c):
+    """Moving the window edge is the only c-dependence of F*F, so at b = 1
+    d log rho_m / dc = 2 g_m(1)^2 / c: the Rayleigh rho against the
+    Galerkin endpoint values, by central differences with h = 1e-4 c."""
+    h = 1e-4 * c
+    ode, _, _ = commuting_eigenpairs(c, 12)
+    log_rho = [np.log(commuting_eigenpairs(cc, 12)[2]) for cc in (c - h, c + h)]
+    slope = (log_rho[1] - log_rho[0]) / (2 * h)
+    g1 = ode.evaluate_g(np.arange(13), [1.0])[:, 0]
+    assert np.max(np.abs(slope / (2 * g1 ** 2 / c) - 1)) <= 1e-6
 
 
 def test_expansion_closes_coefficient_loop():
