@@ -57,10 +57,7 @@ def recompute_c0(tol: float = 1e-10) -> float:
         raise ValueError("bisection bracket invalid")
     while hi - lo > tol:
         mid = 0.5 * (lo + hi)
-        if h(mid) < 0:
-            lo = mid
-        else:
-            hi = mid
+        lo, hi = (mid, hi) if h(mid) < 0 else (lo, mid)
     return 0.5 * (lo + hi)
 
 
@@ -197,7 +194,7 @@ def build_report(c: float, m_max: int = 12) -> BoundsReport:
     rows = []
     for m in range(m_max + 1):
         lo_chi, hi_chi = chi_sandwich(c, m)
-        row = {
+        rows.append({
             "m": m,
             "lower_small_c": lower_bound_small_c(c, m) if c <= math.pi / 4 else None,
             "lower_all_c": lower_bound_all_c(c, m),
@@ -209,8 +206,7 @@ def build_report(c: float, m_max: int = 12) -> BoundsReport:
             "chi_computed": float(ode.chi[m]),
             "supnorm_bound": supnorm_bound(c, m),
             "supnorm_observed": float(sup[m]),
-        }
-        rows.append(row)
+        })
     m_fit_lo = min(6, max(0, m_max - 4))
     ms = np.arange(m_fit_lo, m_max + 1)
     fit = fit_log_slope(ms, rhos[ms]) if len(ms) >= 2 else float("nan")

@@ -26,11 +26,10 @@ import numpy as np
 
 from . import __version__
 from . import bounds as bounds_lib
-from .extrapolation import (WINDOW_NODES, adaptive_N, basis_m_max,
-                            builtin_case, cutoff_estimate, l2_error, n_max,
-                            rate_sweep, ObservationWindow)
-from .sech_operator import OperatorParams, SampledFunction, nystrom_grid_size
-from .special_functions import gauss_legendre
+from .extrapolation import (adaptive_N, basis_m_max, builtin_case,
+                            cutoff_estimate, l2_error, n_max, rate_sweep,
+                            ObservationWindow)
+from .sech_operator import OperatorParams, nystrom_grid_size
 from .svd_assembly import (compute_svd, svd_to_json_dict,
                            triplets_from_json_dict)
 
@@ -108,14 +107,6 @@ def svd_cache_key(b: float, c: float, m_max: int, n) -> str:
     return hashlib.sha256(enc.encode("ascii")).hexdigest()
 
 
-def _is_document_of(svd, b: float, c: float, m_max: int, n) -> bool:
-    """Whether a parsed document is its key's, with finite values only."""
-    return ((svd.b, svd.c, len(svd), len(svd.g.grid))
-            == (b, c, m_max + 1, nystrom_grid_size(m_max, n))
-            and all(np.isfinite(v).all() for v in (
-                svd.sigma, svd.rho, svd.g.values, svd.phi.values)))
-
-
 def cached_svd_document(b: float, c: float, m_max: int, n=None):
     """(SvdBasis, JSON bytes) of the SVD document, computed once per
     parameter set. A hit parses the cached file; a miss returns the basis
@@ -128,7 +119,10 @@ def cached_svd_document(b: float, c: float, m_max: int, n=None):
             data = f.read()
         try:
             svd = triplets_from_json_dict(json.loads(data))
-            if _is_document_of(svd, b, c, m_max, n):
+            if ((svd.b, svd.c, len(svd), len(svd.g.grid))
+                    == (b, c, m_max + 1, nystrom_grid_size(m_max, n))
+                    and all(np.isfinite(v).all() for v in (
+                        svd.sigma, svd.rho, svd.g.values, svd.phi.values))):
                 return svd, data
         except (ValueError, KeyError, TypeError):
             pass
@@ -333,7 +327,8 @@ def read_window_csv(path: str):
 
 
 # the options each extrapolate mode reads besides --out, --variant with
-# --adaptive and --kappa with the exponential rule; any other is a usage error
+# --adaptive and --kappa with the exponential rule; any other is a usage
+# error, and the manifest records --variant and --kappa only where read
 EXTRAPOLATE_READS = {
     "--sweep": {"--case", "--sweep", "--delta", "--rule", "--variant"},
     "--case": {"--case", "--delta", "--adaptive", "--N", "--report-points"},
@@ -381,11 +376,8 @@ def extrapolate(case_id, input_path, b, c, x0, deltas, adaptive, n_level,
     if (case_id is None) == (input_path is None):
         raise click.UsageError("give exactly one of --case or --input")
     mode = "--sweep" if sweep else "--case" if case_id else "--input"
-    reads = EXTRAPOLATE_READS[mode] | {"--out"}
-    if adaptive:
-        reads.add("--variant")
-    if rule == "exponential":
-        reads.add("--kappa")
+    reads = EXTRAPOLATE_READS[mode] | {"--out"} | {opt for opt, read in (
+        ("--variant", adaptive), ("--kappa", rule == "exponential")) if read}
     ctx = click.get_current_context()
     for param in ctx.command.params:
         if param.opts[0] not in reads and ctx.get_parameter_source(
@@ -401,7 +393,8 @@ def extrapolate(case_id, input_path, b, c, x0, deltas, adaptive, n_level,
         rows = [[r[k] for k in header] for r in table["rows"]]
         write_run(out, "extrapolate",
                   {"case": case_id, "deltas": delta_list, "rule": rule,
-                   "kappa": kappa, "variant": variant, "sweep": True},
+                   "variant": variant, "sweep": True,
+                   **({"kappa": kappa} if "--kappa" in reads else {})},
                   {"rates.csv": csv_bytes(header, rows)}, t0,
                   results={"slope_bar": table["slope_bar"],
                            "slope_hat": table["slope_hat"]})
@@ -423,10 +416,8 @@ def extrapolate(case_id, input_path, b, c, x0, deltas, adaptive, n_level,
         if b is None or c is None or delta is None:
             raise click.UsageError("--input needs --b, --c and --delta")
         xi, yi = read_window_csv(input_path)
-        grid = gauss_legendre(WINDOW_NODES)
-        obs = ObservationWindow(x0=x0, c=c, delta=delta,
-                                samples=SampledFunction(
-                                    grid, np.interp(grid.nodes, xi, yi)))
+        obs = ObservationWindow.sampled(x0, c, delta,
+                                        lambda x: np.interp(x, xi, yi))
         truth, params = None, OperatorParams(b=b, c=c)
         with open(input_path, "rb") as f:
             input_hashes[os.path.basename(input_path)] = \
@@ -462,8 +453,8 @@ def extrapolate(case_id, input_path, b, c, x0, deltas, adaptive, n_level,
               {"case": case_id, "input": input_path,
                "b": params.b, "c": params.c, "x0": obs.x0,
                "delta": obs.delta, "adaptive": adaptive,
-               "N": n_level, "variant": variant,
-               "report_points": report_points},
+               "N": n_level, "report_points": report_points,
+               **({"variant": variant} if "--variant" in reads else {})},
               {"reconstruction.csv": csv_bytes(header, zip(*cols))}, t0,
               input_hashes=input_hashes, results=results)
     msg = f"N_hat = {level}" if adaptive else f"N = {level}"

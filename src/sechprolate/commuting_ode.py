@@ -334,9 +334,7 @@ def commutation_residual(c: float, g: SampledFunction, chi: float) -> float:
     ks = np.arange(K, dtype=float)
     # Legendre ODE: (1-x^2) P'' = 2x P' - k(k+1) P
     Pddi = (2 * x[None, :] * Pdi - (ks * (ks + 1))[:, None] * Pi) / (1 - x ** 2)[None, :]
-    gv = coef @ Pi
-    gd = coef @ Pdi
-    gdd = coef @ Pddi
+    gv, gd, gdd = coef @ Pi, coef @ Pdi, coef @ Pddi
     t = family_parameter(c)
     p, q = case1_coefficients(c, x)
     dp = -4 * t * np.sinh(4 * t * x)

@@ -13,8 +13,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .special_functions import (REAL_LINE_HALF_WIDTH, gauss_legendre,
-                                uniform_grid)
+from .special_functions import (REAL_LINE_HALF_WIDTH, UniformGrid,
+                                gauss_legendre, uniform_grid)
 from .sech_operator import OperatorParams, SampledFunction, apply_adjoint
 from .svd_assembly import SvdBasis, compute_svd, evaluate_g
 from .bounds import beta
@@ -24,6 +24,7 @@ __all__ = [
     "CutoffEstimate",
     "builtin_case",
     "coefficients",
+    "transform_grid",
     "invert_transform",
     "cutoff_estimate",
     "sigma_penalty",
@@ -35,7 +36,7 @@ __all__ = [
 ]
 
 WINDOW_NODES = 2048       # Gauss nodes of an observation window
-# uniform transform-side nodes; 1024..16384 agree to 1e-12 on the cases
+# least uniform transform-side nodes; 1024..16384 agree to 1e-12 on the cases
 TRANSFORM_NODES = 4096
 
 
@@ -51,6 +52,12 @@ class ObservationWindow:
             raise ValueError("delta must be nonnegative")
         if not np.all(np.isfinite(self.samples.values)):
             raise ValueError("window samples must be finite")
+
+    @classmethod
+    def sampled(cls, x0: float, c: float, delta: float, f):
+        """The window whose f_delta(c x + x0) is f(x), at WINDOW_NODES Gauss nodes."""
+        grid = gauss_legendre(WINDOW_NODES)
+        return cls(x0, c, delta, SampledFunction(grid, f(grid.nodes)))
 
 
 @dataclass
@@ -81,10 +88,8 @@ def builtin_case(case_id: str, delta: float = None):
     c, x0 = 0.5, 0.0
     if delta is None:
         delta = dflt
-    grid = gauss_legendre(WINDOW_NODES)
-    vals = truth(c * grid.nodes + x0) + delta * np.cos(50.0 * grid.nodes)
-    obs = ObservationWindow(x0=x0, c=c, delta=delta,
-                            samples=SampledFunction(grid, vals))
+    obs = ObservationWindow.sampled(
+        x0, c, delta, lambda x: truth(c * x + x0) + delta * np.cos(50.0 * x))
     return obs, truth, OperatorParams(b=b, c=c)
 
 
@@ -134,10 +139,25 @@ def basis_m_max(delta: float, level: int = 0) -> int:
     return max(8, level, n_max(delta) if delta > 0 else 0)
 
 
+def transform_grid(b: float, c: float, report_halfwidth: float,
+                   nfft: int = TRANSFORM_NODES) -> UniformGrid:
+    """At least nfft uniform nodes over [-T, T], T = REAL_LINE_HALF_WIDTH / b,
+    and enough that the trapezoid sum's period 2 pi / dx in s is at least
+    2 (report_halfwidth + c): a report point's nearest alias then lies
+    report_halfwidth + c beyond the window, where the cosh-route estimate has
+    decayed by exp(-pi (report_halfwidth + c) / (2 b)). At the defaults only
+    b < 0.02 needs more than TRANSFORM_NODES."""
+    T = REAL_LINE_HALF_WIDTH / b
+    n = max(nfft, math.ceil(2 * T * (report_halfwidth + c) / math.pi) + 1)
+    if n > 1 << 20:             # over 100 MB of inverse-transform arrays
+        raise ValueError(f"b = {b:.3g} would need {n} transform nodes")
+    return uniform_grid(T, n)
+
+
 def invert_transform(F: SampledFunction, x0: float, halfwidth: float,
                      points: int):
     """(s_grid, f) with f(s) = int exp(-i (x0 - s) x) F(x) dx by the
-    trapezoid rule on F's uniform grid, at every point of the report grid
+    trapezoid rule on F's UniformGrid, at every point of the report grid
     s_grid = np.linspace(x0 - halfwidth, x0 + halfwidth, points).
 
     Written about the grid centres, x_j = xc + j dx and s_k = sc + k ds with
@@ -147,12 +167,14 @@ def invert_transform(F: SampledFunction, x0: float, halfwidth: float,
     convolution. The centred indices keep the chirp phases, and with them
     the roundoff, small.
     """
+    if not isinstance(F.grid, UniformGrid):
+        raise ValueError("the transform side must lie on a UniformGrid")
     xu, wu = F.grid.nodes, F.grid.weights
     s_grid = np.linspace(x0 - halfwidth, x0 + halfwidth, points)
     n, M = xu.size, s_grid.size
     if n < 2 or M < 2:
         raise ValueError("transform and report grids need at least 2 points")
-    dx = (xu[-1] - xu[0]) / (n - 1)
+    dx = F.grid.step
     ds = (s_grid[-1] - s_grid[0]) / (M - 1)
     xc = 0.5 * (xu[0] + xu[-1])
     uc = x0 - 0.5 * (s_grid[0] + s_grid[-1])
@@ -179,13 +201,12 @@ def cutoff_estimate(obs: ObservationWindow, svd: SvdBasis, N: int,
 
     The transform-side estimate F = sum_{m<=N} (d_m/sigma_m) phi_m is linear
     in the g_m, so it is one adjoint applied to sum_m (d_m/sigma_m^2) g_m,
-    sampled on the nfft-node uniform_grid over [-T, T],
-    T = REAL_LINE_HALF_WIDTH / b. Its nodes are x_0 + j dx, so e^{-i c x_j t}
-    is exactly a factor in j // p times a factor in j % p, and apply_adjoint
-    forms those two small matrices instead of an nfft x n_g one. F, returned
-    with its trapezoid weights, is inverted by invert_transform; since F and
-    all its derivatives are ~1e-9 at the grid ends, the trapezoid rule is
-    spectrally accurate here.
+    sampled on transform_grid(b, c, report_halfwidth, nfft). Its nodes are
+    x_0 + j dx, so e^{-i c x_j t} is exactly a factor in j // p times a
+    factor in j % p, and apply_adjoint forms those two small matrices
+    instead of an nfft x n_g one. F, returned with its trapezoid weights,
+    is inverted by invert_transform; since F and all its derivatives are
+    ~1e-9 at the grid ends, the trapezoid rule is spectrally accurate here.
     """
     if N < 0:
         raise ValueError(f"truncation level must be nonnegative, got {N}")
@@ -200,7 +221,7 @@ def cutoff_estimate(obs: ObservationWindow, svd: SvdBasis, N: int,
     coef = d[: N + 1] / head.sigma
     h = SampledFunction(svd.g.grid, (coef / head.sigma) @ head.g.values)
     F = apply_adjoint(OperatorParams(b=svd.b, c=svd.c), h,
-                      uniform_grid(REAL_LINE_HALF_WIDTH / svd.b, nfft))
+                      transform_grid(svd.b, svd.c, report_halfwidth, nfft))
     s_grid, vals = invert_transform(F, obs.x0, report_halfwidth, report_points)
     return CutoffEstimate(N=N, d=d[: N + 1], F=F, grid=s_grid, values=vals)
 
@@ -239,9 +260,8 @@ def adaptive_N(obs: ObservationWindow, svd: SvdBasis, variant: str = "plus"):
     B = np.maximum(R, 0.0)
     crit = B + Sig
     n_hat = int(np.argmin(crit))   # argmin returns the first (smallest) index
-    diagnostics = {"B": B, "Sigma": Sig, "q": q, "criterion": crit,
+    return n_hat, {"B": B, "Sigma": Sig, "q": q, "criterion": crit,
                    "n_max": nm, "variant": variant, "d": d}
-    return n_hat, diagnostics
 
 
 def rate_sweep(case_id: str, delta_list, oracle_rule: str = "polynomial",
@@ -260,16 +280,14 @@ def rate_sweep(case_id: str, delta_list, oracle_rule: str = "polynomial",
         raise ValueError("deltas must lie in (0, 0.5]")
     if not 0 <= kappa < math.inf:
         raise ValueError("kappa must be finite and nonnegative")
-    obs0, truth, params = builtin_case(case_id, delta=deltas[-1])
+    _, truth, params = builtin_case(case_id)
     be = beta(params.kernel_parameter)
     svd = compute_svd(params, m_max=basis_m_max(min(deltas)))
     rows = []
     for dl in deltas:
         obs, _, _ = builtin_case(case_id, delta=dl)
-        if oracle_rule == "polynomial":
-            nbar = math.log(1.0 / dl) / (2 * be)
-        else:
-            nbar = math.log(1.0 / dl) / (kappa + be)
+        nbar = math.log(1.0 / dl) / (2 * be if oracle_rule == "polynomial"
+                                     else kappa + be)
         nbar = min(int(math.floor(nbar)), svd.last_trusted)
         nhat, diag = adaptive_N(obs, svd, variant=variant)
         est_bar = cutoff_estimate(obs, svd, nbar, d=diag["d"])
@@ -278,13 +296,11 @@ def rate_sweep(case_id: str, delta_list, oracle_rule: str = "polynomial",
         err_hat = l2_error(est_hat.grid, est_hat.values, truth)
         rows.append({"delta": dl, "N_bar": nbar, "err_bar": err_bar,
                      "N_hat": nhat, "err_hat": err_hat})
-    logd = np.log([r["delta"] for r in rows])
-    if np.ptp(logd) > 0:
-        slope_bar = float(np.polyfit(logd, np.log([r["err_bar"] for r in rows]), 1)[0])
-        slope_hat = float(np.polyfit(logd, np.log([r["err_hat"] for r in rows]), 1)[0])
-    else:
-        # a constant delta list pins every run to one point; no slope exists
-        slope_bar = slope_hat = float("nan")
+    logd = np.log(deltas)
+    # a constant delta list pins every run to one point; no slope exists
+    slope_bar, slope_hat = (
+        float(np.polyfit(logd, np.log([r[k] for r in rows]), 1)[0])
+        if np.ptp(logd) > 0 else float("nan") for k in ("err_bar", "err_hat"))
     return {"case": case_id, "rule": oracle_rule, "kappa": kappa,
             "rows": rows, "slope_bar": slope_bar, "slope_hat": slope_hat}
 

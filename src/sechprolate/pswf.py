@@ -14,16 +14,14 @@ from dataclasses import dataclass
 import numpy as np
 
 from .special_functions import (
-    REAL_LINE_HALF_WIDTH,
     QuadratureGrid,
     gauss_legendre,
     legendre_table,
     spherical_bessel_ratio,
-    uniform_grid,
 )
 from .sech_operator import (SampledFunction, check_c,
                             symmetric_nystrom_eigenpairs)
-from .extrapolation import TRANSFORM_NODES, ObservationWindow, invert_transform
+from .extrapolation import ObservationWindow, invert_transform, transform_grid
 
 __all__ = [
     "PswfBasis",
@@ -62,43 +60,32 @@ def pswf_basis(c: float, m_max: int, n_b: int = None) -> PswfBasis:
     ak = (k + 1) / np.sqrt((2 * k + 1) * (2 * k + 3))
     diag = k * (k + 1) + c ** 2 * (ak ** 2 + np.concatenate(([0.0], ak[:-1] ** 2)))
     off = c ** 2 * ak[:-2] * ak[1:-1]
-    pairs = []
+    vals, rows = [], []
     for par in (0, 1):
         idx = np.arange(par, n_b, 2)
         Mp = np.diag(diag[idx]) + np.diag(off[idx[:-1]], 1) + np.diag(off[idx[:-1]], -1)
         val, vec = np.linalg.eigh(Mp)
-        for j in range(val.size):
-            v = np.zeros(n_b)
-            v[idx] = vec[:, j]
-            pairs.append((float(val[j]), v))
-    pairs.sort(key=lambda t: t[0])
-    C = np.stack([v for _, v in pairs[: m_max + 1]], axis=0)
+        vals.append(val)
+        rows.append(np.zeros((val.size, n_b)))
+        rows[-1][:, idx] = vec.T
+    C = np.concatenate(rows)[np.argsort(np.concatenate(vals), kind="stable")[: m_max + 1]]
     tail = np.max(np.abs(C[:, -2:]), axis=1)
     if np.any(tail > 1e-10):
         raise ValueError("basis too small: coefficient tails have not decayed")
     p1 = np.sqrt(np.arange(n_b) + 0.5)      # normalized Legendre values at 1
-    for m in range(m_max + 1):
-        if C[m] @ p1 < 0:
-            C[m] = -C[m]
+    C[C @ p1 < 0] *= -1.0
 
     # singular values as the L2 norm of the adjoint image (nonnegative
     # integrand, so tiny mu keep full relative accuracy)
     quad = gauss_legendre(max(400, 2 * n_b))
-    mu = np.empty(m_max + 1)
-    images = np.empty((m_max + 1, quad.nodes.size), dtype=complex)
-    for m in range(m_max + 1):
-        img = _adjoint_image_values(c, C[m], quad.nodes)
-        images[m] = img
-        mu[m] = math.sqrt(float(np.sum(quad.weights * np.abs(img) ** 2)))
+    images = _adjoint_image_values(c, C, quad.nodes)
+    mu = np.sqrt(np.sum(quad.weights * np.abs(images) ** 2, axis=1))
     # eigenrelation (F^W psi_m)(x) = conj(adjoint image)(x) = alpha_m psi_m(x)
-    Psi = C @ legendre_table(n_b - 1, quad.nodes)
-    phase = np.empty(m_max + 1, dtype=complex)
-    for m in range(m_max + 1):
-        z = np.sum(quad.weights * np.conj(images[m]) * Psi[m])
-        if abs(z) > 1e-12:
-            phase[m] = z / abs(z)
-        else:
-            phase[m] = 1j ** (m % 4)
+    z = np.sum(quad.weights * np.conj(images)
+               * (C @ legendre_table(n_b - 1, quad.nodes)), axis=1)
+    found = np.abs(z) > 1e-12
+    phase = np.array([1, 1j, -1, -1j])[np.arange(m_max + 1) % 4]
+    phase[found] = z[found] / np.abs(z[found])
     return PswfBasis(c=c, m_max=m_max, n_b=n_b, coefficients=C, mu=mu,
                      phase=phase)
 
@@ -111,17 +98,17 @@ def pswf_values(basis: PswfBasis, m, x) -> np.ndarray:
 
 def _adjoint_image_values(c: float, coeffs: np.ndarray, x: np.ndarray) -> np.ndarray:
     # int_{-1}^1 e^{-icxt} P_k-bar(t) dt = sqrt(k+1/2) * 2 (-i)^k j_k(cx),
-    # with j_k(-z) = (-1)^k j_k(z)
+    # with j_k(-z) = (-1)^k j_k(z): one table of these terms at x, for every
+    # k some row of coeffs (m_max+1, n_b) uses, gives all the images at once
     x = np.asarray(x, dtype=float)
-    out = np.zeros(x.size, dtype=complex)
-    nz = np.nonzero(np.abs(coeffs) > 1e-16 * np.max(np.abs(coeffs)))[0]
+    mag = np.abs(coeffs)
+    ks = np.nonzero(np.any(mag > 1e-16 * mag.max(axis=1, keepdims=True), axis=0))[0]
     sgn = np.where(x < 0, -1.0, 1.0)
     az = c * np.abs(x)
-    for k in nz:
-        jk = np.array([spherical_bessel_ratio(int(k), float(z)) for z in az])
-        out += coeffs[k] * math.sqrt(k + 0.5) * 2.0 * (-1j) ** int(k) \
-            * sgn ** int(k) * jk
-    return out
+    terms = np.array([math.sqrt(k + 0.5) * 2.0 * (-1j) ** int(k) * sgn ** int(k)
+                      * np.array([spherical_bessel_ratio(int(k), float(z)) for z in az])
+                      for k in ks])
+    return coeffs[:, ks] @ terms
 
 
 def pswf_adjoint_image(c: float, m: int, x_grid, basis: PswfBasis = None) -> SampledFunction:
@@ -135,7 +122,7 @@ def pswf_adjoint_image(c: float, m: int, x_grid, basis: PswfBasis = None) -> Sam
     else:
         x = np.atleast_1d(np.asarray(x_grid, dtype=float))
         xg = QuadratureGrid(x, np.full(x.size, np.nan), (float(x[0]), float(x[-1])))
-    vals = _adjoint_image_values(c, basis.coefficients[m], xg.nodes)
+    vals = _adjoint_image_values(c, basis.coefficients[[m]], xg.nodes)[0]
     return SampledFunction(xg, vals)
 
 
@@ -163,9 +150,9 @@ def pswf_cutoff_estimate(obs: ObservationWindow, basis: PswfBasis, N: int,
 
     Models the truth's transform as supported on [-1/scale_b, 1/scale_b]:
     F_hat(x) = scale_b * sum_m conj(phase_m)/mu_m * <obs, psi_m> * psi_m(scale_b x)
-    inside the support, zero outside, on the primary estimator's uniform grid
-    (TRANSFORM_NODES nodes over [-T, T], T = REAL_LINE_HALF_WIDTH / scale_b),
-    then runs through the same invert_transform. Returns (s_grid, values).
+    inside the support, zero outside, on the primary estimator's
+    transform_grid at b = scale_b, then runs through the same
+    invert_transform. Returns (s_grid, values).
     """
     if N > basis.m_max:
         raise ValueError("truncation level exceeds the basis")
@@ -175,7 +162,7 @@ def pswf_cutoff_estimate(obs: ObservationWindow, basis: PswfBasis, N: int,
     head = slice(0, N + 1)
     d = pswf_values(basis, head, ng.nodes) @ (ng.weights * obs.samples.values)
     coef = np.conj(basis.phase[head]) / basis.mu[head] * d
-    ug = uniform_grid(REAL_LINE_HALF_WIDTH / scale_b, TRANSFORM_NODES)
+    ug = transform_grid(scale_b, obs.c, report_halfwidth)
     xu = ug.nodes
     inside = np.abs(scale_b * xu) <= 1.0
     F = np.zeros(xu.size, dtype=complex)

@@ -190,10 +190,8 @@ def symmetric_nystrom_eigenpairs(Kl, grid: QuadratureGrid, count: int):
     V = V[:, ::-1].copy()
     refine_eigh_block(Al, lam, V, count)
     g = V[:, :count] / np.sqrt(grid.weights)[:, None]
-    for m in range(count):
-        if g[-1, m] < 0:
-            g[:, m] = -g[:, m]
-        g[:, m] /= math.sqrt(float(np.sum(grid.weights * g[:, m] ** 2)))
+    g *= np.where(g[-1] < 0, -1.0, 1.0)
+    g /= np.sqrt(np.sum(grid.weights[:, None] * g ** 2, axis=0))
     return lam, g
 
 
@@ -342,7 +340,5 @@ def verify_factorization(params: OperatorParams, h: SampledFunction) -> float:
     rhs = K @ (h.grid.weights * h.values)
     num = math.sqrt(float(np.sum(h.grid.weights * np.abs(lhs - rhs) ** 2)))
     den = h.norm()
-    if den == 0:
-        return 0.0
-    return num / den
+    return num / den if den > 0 else 0.0
 

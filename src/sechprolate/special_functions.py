@@ -252,16 +252,16 @@ def spherical_bessel_ratio(k: int, z: float) -> float:
         raise ValueError("order must be nonnegative")
     if z < 0:
         raise ValueError("argument must be nonnegative")
+    if k == 0:
+        return 1.0 if z == 0.0 else math.sin(z) / z
     if z < 1e-6:
         # series head: z^k / (2k+1)!!, relative error below z^2 ~ 1e-12;
         # also covers denormal z where the recurrences overflow
-        if k == 0:
-            return 1.0 if z == 0.0 else math.sin(z) / z
         val = 1.0
         for n in range(1, k + 1):
             val *= z / (2 * n + 1)
         return val
-    if z > 2.0 * k and k > 0:
+    if z > 2.0 * k:
         # upward recurrence is stable here and cheaper
         jm, j = math.sin(z) / z, (math.sin(z) / z - math.cos(z)) / z
         for n in range(1, k):
@@ -281,8 +281,5 @@ def spherical_bessel_ratio(k: int, z: float) -> float:
             jp *= 1e-280
             target *= 1e-280
     # j now holds the downward value at order 0
-    scale = (math.sin(z) / z) / j
-    if k == 0:
-        return math.sin(z) / z
-    return target * scale
+    return target * ((math.sin(z) / z) / j)
 

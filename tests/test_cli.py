@@ -299,6 +299,7 @@ def test_extrapolate_case_b_fixed_level(tmp_path, cache):
     assert "N = 0" in res.output
     man = json.loads((out / "extrapolate_manifest.json").read_text())
     assert man["parameters"]["case"] == "b"
+    assert "variant" not in man["parameters"]   # a fixed level reads none
     assert man["results"]["N"] == 0
     assert man["results"]["error_l2"] > 0
     _, rows = read_csv(out / "reconstruction.csv")
@@ -334,7 +335,6 @@ def test_extrapolate_usage_errors(tmp_path):
          "--kappa", "5"],
         ["extrapolate", "--case", "a", "--sweep", "--delta", "0.1", "--b", "2",
          "--c", "3", "--x0", "1", "--report-points", "99"],
-        ["extrapolate", "--case", "a", "--N", "2", "--variant", "minus"],
         ["extrapolate", "--case", "a", "--sweep", "--kappa", "5"],
     ] + [
         ["extrapolate", "--input", str(window), "--b", b, "--c", c,
@@ -422,6 +422,26 @@ def test_extrapolate_input_csv_runs(tmp_path, cache):
     assert header == ["x", "f_hat_re", "f_hat_im"]  # no truth column
 
 
+def test_extrapolate_input_small_b_is_not_aliased(tmp_path, cache):
+    """At b = 0.01 the default 4096 transform nodes repeat the reconstruction
+    every 2 pi / dx = 5.85 in x, inside the report grid [x0 - 6, x0 + 6].
+    The node count follows b, so away from the window the estimate has
+    decayed like exp(-pi |x - x0| / (2 b)) instead of showing a copy."""
+    b, c, x0 = 0.01, 0.005, 0.3
+    x = np.linspace(-1.0, 1.0, 201)
+    window = tmp_path / "window.csv"
+    window.write_text("x,f_delta\n" + "".join(
+        f"{xi:.17g},{0.5 / np.cosh(2 * c * xi / b):.17g}\n" for xi in x))
+    out = tmp_path / "run"
+    res = run_cli(cache, "extrapolate", "--input", str(window), "--b", str(b),
+                  "--c", str(c), "--x0", str(x0), "--delta", "0.01", "--N", "2",
+                  "--out", str(out))
+    assert res.exit_code == 0, res.output
+    data = np.loadtxt(out / "reconstruction.csv", delimiter=",", skiprows=1)
+    mag = np.abs(data[:, 1] + 1j * data[:, 2])
+    assert np.max(mag[np.abs(data[:, 0] - x0) > 0.5]) < 1e-9 * np.max(mag)
+
+
 def test_extrapolate_sweep_rates(tmp_path, cache):
     out = tmp_path / "run"
     res = run_cli(cache, "extrapolate", "--case", "a", "--sweep",
@@ -433,6 +453,8 @@ def test_extrapolate_sweep_rates(tmp_path, cache):
     assert [float(r[0]) for r in rows] == [0.1, 0.01]
     assert float(rows[0][4]) > float(rows[1][4])
     man = json.loads((out / "extrapolate_manifest.json").read_text())
+    assert man["parameters"]["variant"] == "plus"
+    assert "kappa" not in man["parameters"]     # the polynomial rule reads none
     assert math.isfinite(man["results"]["slope_bar"])
     assert math.isfinite(man["results"]["slope_hat"])
 

@@ -6,6 +6,7 @@ import pytest
 
 from sechprolate.bounds import beta
 from sechprolate.extrapolation import (ObservationWindow, invert_transform,
+                                       transform_grid,
                                        adaptive_N, basis_m_max, builtin_case,
                                        coefficients,
                                        cutoff_estimate, l2_error, n_max,
@@ -142,6 +143,26 @@ def test_inverse_needs_two_points_per_grid():
     ug = uniform_grid(22.0, 64)
     with pytest.raises(ValueError):
         invert_transform(SampledFunction(ug, np.ones(64)), 0.0, 6.0, 1)
+
+
+def test_inverse_needs_a_uniform_grid(case_a):
+    """phi lives on the panel grid, whose spacing is not the step the
+    chirp-z sum assumes."""
+    svd = case_a[3]
+    with pytest.raises(ValueError, match="UniformGrid"):
+        invert_transform(svd[0].phi, 0.0, 6.0, 64)
+
+
+@pytest.mark.parametrize("b, c, n", [(1.0, 0.5, 4096), (1 / 6.5, 0.5, 4096),
+                                     (0.01, 0.005, 8412)])
+def test_transform_grid_period_covers_the_report_grid(b, c, n):
+    """The trapezoid sum repeats every 2 pi / dx in s; the grid keeps that
+    period at least 2 (halfwidth + c), with TRANSFORM_NODES as its floor."""
+    ug = transform_grid(b, c, 6.0)
+    assert len(ug) == n and ug.interval == (-22.0 / b, 22.0 / b)
+    assert 2 * np.pi / ug.step >= 2 * (6.0 + c)
+    with pytest.raises(ValueError, match="transform nodes"):
+        transform_grid(1e-6, 5e-7, 6.0)   # raises before allocating
 
 
 def test_fused_transform_side_equals_sum_of_modes(case_a):
