@@ -13,9 +13,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .special_functions import (REAL_LINE_HALF_WIDTH, UniformGrid,
-                                gauss_legendre, uniform_grid)
-from .sech_operator import OperatorParams, SampledFunction, apply_adjoint
+from .special_functions import gauss_legendre
+from .sech_operator import OperatorParams, SampledFunction
 from .svd_assembly import SvdBasis, compute_svd, evaluate_g
 from .bounds import beta
 
@@ -24,8 +23,6 @@ __all__ = [
     "CutoffEstimate",
     "builtin_case",
     "coefficients",
-    "transform_grid",
-    "invert_transform",
     "cutoff_estimate",
     "sigma_penalty",
     "n_max",
@@ -36,8 +33,7 @@ __all__ = [
 ]
 
 WINDOW_NODES = 2048       # Gauss nodes of an observation window
-# least uniform transform-side nodes; 1024..16384 agree to 1e-12 on the cases
-TRANSFORM_NODES = 4096
+REPORT_BLOCK = 256        # report points per block of the estimator's kernel
 
 
 @dataclass
@@ -64,9 +60,8 @@ class ObservationWindow:
 class CutoffEstimate:
     N: int
     d: np.ndarray                 # coefficients for m <= N
-    F: SampledFunction            # transform side on the uniform grid it inverts
     grid: np.ndarray              # report grid for the reconstruction
-    values: np.ndarray            # complex f_delta^N on the report grid
+    values: np.ndarray            # real f_delta^N on the report grid
 
 
 def builtin_case(case_id: str, delta: float = None):
@@ -139,75 +134,26 @@ def basis_m_max(delta: float, level: int = 0) -> int:
     return max(8, level, n_max(delta) if delta > 0 else 0)
 
 
-def transform_grid(b: float, c: float, report_halfwidth: float,
-                   nfft: int = TRANSFORM_NODES) -> UniformGrid:
-    """At least nfft uniform nodes over [-T, T], T = REAL_LINE_HALF_WIDTH / b,
-    and enough that the trapezoid sum's period 2 pi / dx in s is at least
-    2 (report_halfwidth + c): a report point's nearest alias then lies
-    report_halfwidth + c beyond the window, where the cosh-route estimate has
-    decayed by exp(-pi (report_halfwidth + c) / (2 b)). At the defaults only
-    b < 0.02 needs more than TRANSFORM_NODES."""
-    T = REAL_LINE_HALF_WIDTH / b
-    n = max(nfft, math.ceil(2 * T * (report_halfwidth + c) / math.pi) + 1)
-    if n > 1 << 20:             # over 100 MB of inverse-transform arrays
-        raise ValueError(f"b = {b:.3g} would need {n} transform nodes")
-    return uniform_grid(T, n)
-
-
-def invert_transform(F: SampledFunction, x0: float, halfwidth: float,
-                     points: int):
-    """(s_grid, f) with f(s) = int exp(-i (x0 - s) x) F(x) dx by the
-    trapezoid rule on F's UniformGrid, at every point of the report grid
-    s_grid = np.linspace(x0 - halfwidth, x0 + halfwidth, points).
-
-    Written about the grid centres, x_j = xc + j dx and s_k = sc + k ds with
-    centred indices j, k, the sum is the chirp-z transform
-    sum_j a_j exp(i dx ds j k) (Rabiner, Schafer & Rader 1969). Bluestein's
-    identity j k = (j^2 + k^2 - (k - j)^2) / 2 turns it into one FFT
-    convolution. The centred indices keep the chirp phases, and with them
-    the roundoff, small.
-    """
-    if not isinstance(F.grid, UniformGrid):
-        raise ValueError("the transform side must lie on a UniformGrid")
-    xu, wu = F.grid.nodes, F.grid.weights
-    s_grid = np.linspace(x0 - halfwidth, x0 + halfwidth, points)
-    n, M = xu.size, s_grid.size
-    if n < 2 or M < 2:
-        raise ValueError("transform and report grids need at least 2 points")
-    dx = F.grid.step
-    ds = (s_grid[-1] - s_grid[0]) / (M - 1)
-    xc = 0.5 * (xu[0] + xu[-1])
-    uc = x0 - 0.5 * (s_grid[0] + s_grid[-1])
-    al = dx * ds
-    j = np.arange(n) - 0.5 * (n - 1)
-    k = np.arange(M) - 0.5 * (M - 1)
-    a = wu * F.values * np.exp(1j * (0.5 * al * j * j - uc * dx * j))
-    d = np.arange(1 - n, M) + 0.5 * (n - M)           # k - j
-    L = 1 << (n + M - 2).bit_length()
-    chirp = np.exp(-0.5j * al * d * d)
-    conv = np.fft.ifft(np.fft.fft(a, L) * np.fft.fft(chirp, L))
-    return s_grid, conv[n - 1: n - 1 + M] * np.exp(
-        1j * (0.5 * al * k * k + ds * xc * k - uc * xc))
-
-
 def cutoff_estimate(obs: ObservationWindow, svd: SvdBasis, N: int,
-                    nfft: int = TRANSFORM_NODES, report_points: int = 1201,
+                    nfft: int = 4096, report_points: int = 1201,
                     report_halfwidth: float = 6.0,
                     d: np.ndarray = None) -> CutoffEstimate:
-    """Spectral cut-off estimate at level N.
+    """Spectral cut-off estimate at level N on the report grid
+    np.linspace(x0 - report_halfwidth, x0 + report_halfwidth, report_points).
 
     d is coefficients(obs, svd) if the caller already has it (adaptive_N
     returns it in its diagnostics); otherwise the window is projected here.
 
-    The transform-side estimate F = sum_{m<=N} (d_m/sigma_m) phi_m is linear
-    in the g_m, so it is one adjoint applied to sum_m (d_m/sigma_m^2) g_m,
-    sampled on transform_grid(b, c, report_halfwidth, nfft). Its nodes are
-    x_0 + j dx, so e^{-i c x_j t} is exactly a factor in j // p times a
-    factor in j % p, and apply_adjoint forms those two small matrices
-    instead of an nfft x n_g one. F, returned with its trapezoid weights,
-    is inverted by invert_transform; since F and all its derivatives are
-    ~1e-9 at the grid ends, the trapezoid rule is spectrally accurate here.
+    The transform-side estimate F = sum_{m<=N} (d_m/sigma_m) phi_m is
+    sech(b x) times the transform int e^{-i c x t} h(t) dt of
+    h = sum_m (d_m/sigma_m^2) g_m, and sech(b x) has the Fourier transform
+    (pi/b) sech(pi w / (2b)). So the inverse transform of F is exact on h's
+    Gauss grid, with no grid on the line:
+    f(s) = (pi/b) sum_j w_j h(t_j) sech(pi (c t_j + x0 - s) / (2b)).
+    It is real. The sech matrix is formed REPORT_BLOCK report points at a
+    time, and where cosh overflows (b below about 0.013) sech is correctly 0.
     """
+    # nfft is unused: read only by benchmarks/worker.py (ROADMAP item 1 drops it)
     if N < 0:
         raise ValueError(f"truncation level must be nonnegative, got {N}")
     last_trusted = _last_trusted(svd)
@@ -218,12 +164,19 @@ def cutoff_estimate(obs: ObservationWindow, svd: SvdBasis, N: int,
     elif np.shape(d) != (len(svd),):
         raise ValueError("d must hold one coefficient per svd triplet")
     head = svd[: N + 1]
-    coef = d[: N + 1] / head.sigma
-    h = SampledFunction(svd.g.grid, (coef / head.sigma) @ head.g.values)
-    F = apply_adjoint(OperatorParams(b=svd.b, c=svd.c), h,
-                      transform_grid(svd.b, svd.c, report_halfwidth, nfft))
-    s_grid, vals = invert_transform(F, obs.x0, report_halfwidth, report_points)
-    return CutoffEstimate(N=N, d=d[: N + 1], F=F, grid=s_grid, values=vals)
+    h = (d[: N + 1] / head.sigma ** 2) @ head.g.values
+    k = math.pi / (2 * svd.b)
+    wh = (math.pi / svd.b) * svd.g.grid.weights * h
+    kt = (k * svd.c) * svd.g.grid.nodes
+    s_grid = np.linspace(obs.x0 - report_halfwidth, obs.x0 + report_halfwidth,
+                         report_points)
+    vals = np.empty(report_points)
+    with np.errstate(over="ignore"):
+        for lo in range(0, report_points, REPORT_BLOCK):
+            K = np.add.outer(k * (obs.x0 - s_grid[lo: lo + REPORT_BLOCK]), kt)
+            np.reciprocal(np.cosh(K, out=K), out=K)
+            vals[lo: lo + REPORT_BLOCK] = K @ wh
+    return CutoffEstimate(N=N, d=d[: N + 1], grid=s_grid, values=vals)
 
 
 def l2_error(s_grid: np.ndarray, fhat: np.ndarray, ftrue) -> float:

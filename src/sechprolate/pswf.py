@@ -21,7 +21,7 @@ from .special_functions import (
 )
 from .sech_operator import (SampledFunction, check_c,
                             symmetric_nystrom_eigenpairs)
-from .extrapolation import ObservationWindow, invert_transform, transform_grid
+from .extrapolation import ObservationWindow
 
 __all__ = [
     "PswfBasis",
@@ -150,9 +150,12 @@ def pswf_cutoff_estimate(obs: ObservationWindow, basis: PswfBasis, N: int,
 
     Models the truth's transform as supported on [-1/scale_b, 1/scale_b]:
     F_hat(x) = scale_b * sum_m conj(phase_m)/mu_m * <obs, psi_m> * psi_m(scale_b x)
-    inside the support, zero outside, on the primary estimator's
-    transform_grid at b = scale_b, then runs through the same
-    invert_transform. Returns (s_grid, values).
+    inside the support, zero outside. With y = scale_b x its inverse
+    transform on the report grid is one integral over [-1, 1],
+    f(s) = int e^{-i (x0 - s) y / scale_b} sum_m coef_m psi_m(y) dy, taken by
+    a Gauss rule that covers both the psi_m (degree below n_b) and the
+    exponential (frequency up to report_halfwidth / scale_b). Returns
+    (s_grid, values).
     """
     if N > basis.m_max:
         raise ValueError("truncation level exceeds the basis")
@@ -162,11 +165,9 @@ def pswf_cutoff_estimate(obs: ObservationWindow, basis: PswfBasis, N: int,
     head = slice(0, N + 1)
     d = pswf_values(basis, head, ng.nodes) @ (ng.weights * obs.samples.values)
     coef = np.conj(basis.phase[head]) / basis.mu[head] * d
-    ug = transform_grid(scale_b, obs.c, report_halfwidth)
-    xu = ug.nodes
-    inside = np.abs(scale_b * xu) <= 1.0
-    F = np.zeros(xu.size, dtype=complex)
-    F[inside] = scale_b * (coef @ pswf_values(basis, head, scale_b * xu[inside]))
-    return invert_transform(SampledFunction(ug, F), obs.x0, report_halfwidth,
-                            report_points)
-
+    quad = gauss_legendre(basis.n_b + math.ceil(report_halfwidth / scale_b))
+    s_grid = np.linspace(obs.x0 - report_halfwidth, obs.x0 + report_halfwidth,
+                         report_points)
+    F = coef @ pswf_values(basis, head, quad.nodes)
+    ph = np.exp(-1j * np.outer(obs.x0 - s_grid, quad.nodes / scale_b))
+    return s_grid, ph @ (quad.weights * F)

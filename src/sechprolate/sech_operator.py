@@ -13,8 +13,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .special_functions import (QuadratureGrid, UniformGrid, gauss_legendre,
-                                panel_grid, real_line_grid)
+from .special_functions import (QuadratureGrid, gauss_legendre, panel_grid,
+                                real_line_grid)
 
 __all__ = [
     "OperatorParams",
@@ -287,18 +287,6 @@ def apply_adjoint(params: OperatorParams, h: SampledFunction, x_grid) -> Sampled
     x_grid may be a QuadratureGrid (kept, so the result can be integrated) or
     a plain array of points. h.values may hold one function, giving values
     of shape (len(x),), or M stacked rows of shape (M, n), giving (M, len(x)).
-
-    On a UniformGrid, the transform grid of the cut-off estimate, the kernel
-    is factorised. Write x_j = x_0 + j dx with j = p j0 + j1, where
-    p = ceil(sqrt(len(x))) and q = ceil(len(x)/p). Then
-    e^{-i c x_j t} = e^{-i c (x_0 + p dx j0) t} e^{-i c dx j1 t}
-    holds exactly (the Cooley-Tukey index split, Math. Comp. 19, 1965, with
-    non-uniform t). So a q x n and a p x n exponential matrix and one
-    (q, n) x (n, p) product per row give every x_j: (p + q) n exponentials
-    instead of len(x) n. The result differs from the dense sum only by the
-    rounding of the phases. Every other grid, such as the phi panel grid,
-    whose panel widths differ, forms the len(x) x n exponential matrix once
-    and multiplies all rows by it.
     """
     if isinstance(x_grid, QuadratureGrid):
         xg = x_grid
@@ -307,22 +295,10 @@ def apply_adjoint(params: OperatorParams, h: SampledFunction, x_grid) -> Sampled
         xg = QuadratureGrid(x, np.full(x.size, np.nan), (float(x[0]), float(x[-1])))
     t = h.grid.nodes
     wh = h.grid.weights * h.values
-    if isinstance(xg, UniformGrid):
-        n_x = xg.nodes.size
-        p = math.isqrt(n_x - 1) + 1
-        q = -(-n_x // p)
-        x_hi = xg.start + xg.step * (p * np.arange(q))
-        x_lo = xg.step * np.arange(p)
-        A = np.exp(-1j * params.c * x_hi[:, None] * t[None, :])
-        B = np.exp(-1j * params.c * x_lo[:, None] * t[None, :])
-        # one row at a time keeps the work array at q x n
-        rows = [((A * r) @ B.T).ravel()[:n_x] for r in np.atleast_2d(wh)]
-        vals = np.stack(rows) if wh.ndim > 1 else rows[0]
-    else:
-        ph = np.exp(-1j * params.c * xg.nodes[:, None] * t[None, :])
-        # the rows times ph^T, written so that a single function keeps its
-        # matrix-vector product
-        vals = (ph @ wh.T).T
+    ph = np.exp(-1j * params.c * xg.nodes[:, None] * t[None, :])
+    # the rows times ph^T, written so that a single function keeps its
+    # matrix-vector product
+    vals = (ph @ wh.T).T
     vals = vals / np.cosh(params.b * xg.nodes)
     return SampledFunction(xg, vals)
 

@@ -1,4 +1,5 @@
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -9,6 +10,7 @@ from sechprolate.pswf import pswf_basis
 from sechprolate.sech_operator import (SampledFunction, kernel,
                                        nystrom_eigensystem, rho_rayleigh)
 from sechprolate.special_functions import gauss_legendre
+from sechprolate.svd_assembly import commuting_eigenpairs
 
 
 @pytest.mark.parametrize("bad", [math.nan, math.inf])
@@ -116,6 +118,75 @@ def test_upper_bound_holds_moderate_c():
             if not ny.trusted[m]:
                 break
             assert ny.eigenvalues[m] <= bounds.upper_bound(c, m) * (1 + 1e-8)
+
+
+def _det(rows):
+    """Exact determinant of a square matrix of Fractions, by elimination."""
+    M = [list(r) for r in rows]
+    d = Fraction(1)
+    for i in range(len(M)):
+        p = next(r for r in range(i, len(M)) if M[r][i] != 0)
+        if p != i:
+            M[i], M[p], d = M[p], M[i], -d
+        d *= M[i][i]
+        for r in range(i + 1, len(M)):
+            f = M[r][i] / M[i][i]
+            M[r] = [a - f * b for a, b in zip(M[r], M[i])]
+    return d
+
+
+def small_c_constants(m_top):
+    """A_m / pi^(2m+1), m = 0..m_top, as exact Fractions.
+
+    With eps = pi c / 2 the kernel is pi c sech(eps (x - y)) =
+    pi c sum_{j,k} eps^j x^j C_jk eps^k y^k, where C_jk =
+    a_{j+k} binom(j+k, j) (-1)^k and a_n = E_n / n! are the Taylor
+    coefficients of sech (Euler numbers E_n). On L2(-1, 1) its nonzero
+    eigenvalues are those of pi c D C D G, with D = diag(eps^j) and G the
+    Gram matrix of the monomials. As eps -> 0 the m-th one is
+    pi c eps^(2m) (det C_{m+1} / det C_m) (det G_{m+1} / det G_m), to
+    relative O(eps^2): the flat limit of Driscoll & Fornberg (2002) and
+    Schaback (2005). det G_{m+1} / det G_m is the squared norm of the monic
+    Legendre polynomial of degree m."""
+    euler = [Fraction(1)]                  # E_0, E_2, E_4, ...
+    for n in range(1, m_top + 1):
+        euler.append(-sum(math.comb(2 * n, 2 * k) * euler[k] for k in range(n)))
+    a = [euler[n // 2] / math.factorial(n) if n % 2 == 0 else Fraction(0)
+         for n in range(2 * m_top + 1)]
+
+    def minors(entry, size):
+        return _det([[entry(j, k) for k in range(size)] for j in range(size)])
+
+    def C(j, k):
+        return a[j + k] * math.comb(j + k, j) * (-1) ** k
+
+    def G(j, k):
+        return Fraction(2, j + k + 1) if (j + k) % 2 == 0 else Fraction(0)
+
+    return [Fraction(1, 4 ** m) * minors(C, m + 1) / minors(C, m)
+            * minors(G, m + 1) / minors(G, m) for m in range(m_top + 1)]
+
+
+def test_small_c_limit_of_every_eigenvalue():
+    """rho_m = A_m c^(2m+1) (1 + O(c^2)) for m <= 4, at c = 0.01 and 0.02.
+    For the sech kernel det C_{m+1} / det C_m = 1, so
+    A_m = 2 pi^(2m+1) (m!)^4 / ((2m+1) ((2m)!)^2): 2 pi, pi^3/6, pi^5/90,
+    pi^7/1400, pi^9/22050. The upper bound's constant 2 sqrt(pi) / sqrt(m+3/4)
+    lies below A_m for exactly m = 0..3, so as c -> 0 upper_bound fails for
+    those m whatever the solver: criterion 2's standing deviation."""
+    m = np.arange(5)
+    exact = small_c_constants(4)
+    assert exact == [Fraction(2 * math.factorial(k) ** 4,
+                              (2 * k + 1) * math.factorial(2 * k) ** 2)
+                     for k in range(5)]
+    A = np.array([float(q) for q in exact]) * math.pi ** (2 * m + 1)
+    gap = [commuting_eigenpairs(c, 4)[2] / (A * c ** (2 * m + 1)) - 1
+           for c in (0.01, 0.02)]
+    assert np.all(np.abs(gap[0]) < 1e-3), gap[0]
+    assert np.all(np.abs(gap[1] / gap[0] - 4.0) < 0.05), gap[1] / gap[0]
+    upper = np.array([bounds.upper_bound(0.01, k) / 0.01 ** (2 * k + 1)
+                      for k in range(5)])
+    assert list(A > upper) == [True] * 4 + [False]
 
 
 def test_widom_slope_ordering():

@@ -422,11 +422,13 @@ def test_extrapolate_input_csv_runs(tmp_path, cache):
     assert header == ["x", "f_hat_re", "f_hat_im"]  # no truth column
 
 
+@pytest.mark.filterwarnings("error")
 def test_extrapolate_input_small_b_is_not_aliased(tmp_path, cache):
-    """At b = 0.01 the default 4096 transform nodes repeat the reconstruction
-    every 2 pi / dx = 5.85 in x, inside the report grid [x0 - 6, x0 + 6].
-    The node count follows b, so away from the window the estimate has
-    decayed like exp(-pi |x - x0| / (2 b)) instead of showing a copy."""
+    """At b = 0.01 no copy of the estimate lands on the report grid
+    [x0 - 6, x0 + 6]: away from the window it has decayed like
+    exp(-pi |x - x0| / (2 b)). The kernel's cosh argument reaches about 940
+    here, past its overflow at 710, where sech is 0; the run must give no
+    warning, and this test turns any warning into an error."""
     b, c, x0 = 0.01, 0.005, 0.3
     x = np.linspace(-1.0, 1.0, 201)
     window = tmp_path / "window.csv"

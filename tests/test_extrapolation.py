@@ -5,15 +5,14 @@ import numpy as np
 import pytest
 
 from sechprolate.bounds import beta
-from sechprolate.extrapolation import (ObservationWindow, invert_transform,
-                                       transform_grid,
+from sechprolate.extrapolation import (ObservationWindow,
                                        adaptive_N, basis_m_max, builtin_case,
                                        coefficients,
                                        cutoff_estimate, l2_error, n_max,
                                        rate_sweep, sigma_penalty)
-from sechprolate.sech_operator import OperatorParams, SampledFunction
+from sechprolate.sech_operator import SampledFunction
 from sechprolate.special_functions import (QuadratureGrid, gauss_legendre,
-                                           uniform_grid)
+                                           real_line_grid)
 from sechprolate.svd_assembly import compute_svd, evaluate_g, evaluate_phi
 
 
@@ -113,84 +112,31 @@ def test_coefficients_batched_equals_per_triplet_loop(case_a):
     assert np.max(np.abs(d - ref)) <= 1e-13 * np.max(np.abs(ref))
 
 
-@pytest.mark.parametrize("b", [1.0, 1 / 6.5])
-@pytest.mark.parametrize("nfft, report_points",
-                         [(4096, 301), (4096, 1201), (4096, 4096), (2047, 1201)])
-def test_chirp_z_inverse_matches_dense_longdouble(b, nfft, report_points):
-    """The chirp-z inverse against the dense trapezoid sum in longdouble,
-    on every 37th report point and both ends, with an off-centre window."""
-    x0 = 0.37
-    ug = uniform_grid(22.0 / b, nfft)
-    xu, wu = ug.nodes, ug.weights
-    F = np.exp(0.3j * xu) / np.cosh(b * xu) * (1.0 + 0.2 * np.sin(2.0 * xu))
-    s_grid, vals = invert_transform(SampledFunction(ug, F), x0, 6.0,
-                                    report_points)
-    assert np.array_equal(s_grid, np.linspace(x0 - 6.0, x0 + 6.0,
-                                              report_points))
-    idx = np.unique(np.r_[np.arange(0, report_points, 37), report_points - 1])
-    ph = ((np.longdouble(x0) - s_grid[idx].astype(np.longdouble))[:, None]
-          * xu.astype(np.longdouble)[None, :])
-    wF = wu.astype(np.longdouble) * F.real.astype(np.longdouble)
-    wG = wu.astype(np.longdouble) * F.imag.astype(np.longdouble)
-    # exp(-i ph) (Fr + i Fi) = (cos ph Fr + sin ph Fi) + i (cos ph Fi - sin ph Fr)
-    ref_re = np.cos(ph) @ wF + np.sin(ph) @ wG
-    ref_im = np.cos(ph) @ wG - np.sin(ph) @ wF
-    ref = ref_re.astype(float) + 1j * ref_im.astype(float)
-    assert np.max(np.abs(vals[idx] - ref)) <= 1e-12 * np.max(np.abs(ref))
-
-
-def test_inverse_needs_two_points_per_grid():
-    ug = uniform_grid(22.0, 64)
-    with pytest.raises(ValueError):
-        invert_transform(SampledFunction(ug, np.ones(64)), 0.0, 6.0, 1)
-
-
-def test_inverse_needs_a_uniform_grid(case_a):
-    """phi lives on the panel grid, whose spacing is not the step the
-    chirp-z sum assumes."""
-    svd = case_a[3]
-    with pytest.raises(ValueError, match="UniformGrid"):
-        invert_transform(svd[0].phi, 0.0, 6.0, 64)
-
-
-@pytest.mark.parametrize("b, c, n", [(1.0, 0.5, 4096), (1 / 6.5, 0.5, 4096),
-                                     (0.01, 0.005, 8412)])
-def test_transform_grid_period_covers_the_report_grid(b, c, n):
-    """The trapezoid sum repeats every 2 pi / dx in s; the grid keeps that
-    period at least 2 (halfwidth + c), with TRANSFORM_NODES as its floor."""
-    ug = transform_grid(b, c, 6.0)
-    assert len(ug) == n and ug.interval == (-22.0 / b, 22.0 / b)
-    assert 2 * np.pi / ug.step >= 2 * (6.0 + c)
-    with pytest.raises(ValueError, match="transform nodes"):
-        transform_grid(1e-6, 5e-7, 6.0)   # raises before allocating
-
-
 def test_fused_transform_side_equals_sum_of_modes(case_a):
-    """One adjoint of the combined g equals the sum of coef_m * phi_m, both
-    on the uniform grid it is inverted on and, through the linear inverse,
-    on the line."""
+    """The closed-form kernel sum against the inverse transform of
+    F = sum_{m<=N} (d_m/sigma_m) phi_m by direct quadrature on
+    real_line_grid(b), with phi_m from evaluate_phi. That grid stops at
+    b T = 22, where sech is 5.6e-10, which sets the tolerance."""
     obs, _, _, svd = case_a
-    N, nfft = 4, 1024
-    est = cutoff_estimate(obs, svd, N, nfft=nfft, report_points=601)
-    coef = est.d / np.array([t.sigma for t in svd[: N + 1]])
-    ug = uniform_grid(svd[0].phi.grid.interval[1], nfft)
-    F_u = sum(coef[m] * evaluate_phi(svd[m], ug.nodes) for m in range(N + 1))
-    assert np.array_equal(est.F.grid.nodes, ug.nodes)
-    assert np.max(np.abs(est.F.values - F_u)) <= 1e-13 * np.max(np.abs(F_u))
-    s_grid, ref = invert_transform(SampledFunction(ug, F_u), obs.x0, 6.0, 601)
-    assert np.array_equal(s_grid, est.grid)
-    assert np.max(np.abs(est.values - ref)) <= 1e-13 * np.max(np.abs(ref))
+    N = 4
+    est = cutoff_estimate(obs, svd, N, report_points=301)
+    assert np.array_equal(est.grid, np.linspace(obs.x0 - 6.0, obs.x0 + 6.0, 301))
+    xg = real_line_grid(svd.b)
+    F = (est.d / svd.sigma[: N + 1]) @ evaluate_phi(svd[: N + 1], xg.nodes)
+    ref = np.exp(-1j * np.outer(obs.x0 - est.grid, xg.nodes)) @ (xg.weights * F)
+    assert np.max(np.abs(est.values - ref)) <= 1e-9 * np.max(np.abs(ref))
 
 
 def test_cutoff_estimate_forms_no_nfft_by_ng_matrix(case_a):
-    """The transform side on the uniform grid is factorised: one estimate at
-    nfft = 4096 peaks far below the 13 MB of a 4096 x n_g complex matrix."""
+    """The sech kernel is formed in blocks of report points: one estimate
+    at 4096 report points peaks far below the 8.5 MB of a 4096 x n_g real
+    matrix."""
     obs, _, _, svd = case_a
     d = coefficients(obs, svd)
-    cutoff_estimate(obs, svd, 4, nfft=4096, d=d)
+    cutoff_estimate(obs, svd, 4, report_points=4096, d=d)
     tracemalloc.start()
     try:
-        cutoff_estimate(obs, svd, 4, nfft=4096, d=d)
+        cutoff_estimate(obs, svd, 4, report_points=4096, d=d)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -226,19 +172,23 @@ def test_n_max_values():
 
 def test_increment_norm_two_ways(case_a):
     """The adaptive rule's coefficient form q of the cosh-norm against
-    direct grid quadrature of the transform-side differences."""
+    direct quadrature on real_line_grid(b) of the differences of the
+    transform sides F^N = sum_{m<=N} (d_m/sigma_m) phi_m. The grid's cut at
+    b T = 22 leaves about 5e-10 relative."""
     obs, _, _, svd = case_a
     _, diag = adaptive_N(obs, svd)
     q = diag["q"]
-    est = [cutoff_estimate(obs, svd, N, d=diag["d"]) for N in range(3)]
-    w = est[2].F.grid.weights * np.cosh(1.0 * est[2].F.grid.nodes)
+    xg = real_line_grid(svd.b)
+    terms = (diag["d"][:3] / svd.sigma[:3])[:, None] \
+        * evaluate_phi(svd[:3], xg.nodes)
+    w = xg.weights * np.cosh(svd.b * xg.nodes)
 
     def grid_norm_sq(lo, hi):
-        diff = est[hi].F.values - est[lo].F.values
+        diff = terms[lo + 1: hi + 1].sum(axis=0)
         return (2 * math.pi) ** 2 * float(np.sum(w * np.abs(diff) ** 2))
 
-    assert grid_norm_sq(0, 2) == pytest.approx(q[1] + q[2], rel=1e-3)
-    assert grid_norm_sq(1, 2) == pytest.approx(q[2], rel=1e-3)
+    assert grid_norm_sq(0, 2) == pytest.approx(q[1] + q[2], rel=1e-8)
+    assert grid_norm_sq(1, 2) == pytest.approx(q[2], rel=1e-8)
 
 
 def test_cutoff_untrusted_level(case_a):
@@ -400,7 +350,6 @@ def test_adaptive_estimate_projects_the_window_once(case_a, coefficient_calls):
     for N, ref in fresh.items():
         got = est if N == n_hat else cutoff_estimate(obs, svd, N, d=diag["d"])
         assert got.values.tobytes() == ref.values.tobytes()
-        assert got.F.values.tobytes() == ref.F.values.tobytes()
         assert got.d.tobytes() == ref.d.tobytes()
 
 

@@ -10,10 +10,9 @@ from sechprolate.sech_operator import (RAYLEIGH_TAIL_MULTIPLE, OperatorParams,
                                        apply_forward, kernel,
                                        nystrom_eigensystem, rho_rayleigh,
                                        verify_factorization)
-from sechprolate.special_functions import (UniformGrid, gauss_legendre,
-                                           legendre_table, panel_grid,
-                                           phi_grid, spherical_bessel_ratio,
-                                           uniform_grid)
+from sechprolate.special_functions import (gauss_legendre, legendre_table,
+                                           panel_grid, phi_grid,
+                                           spherical_bessel_ratio)
 from sechprolate.svd_assembly import compute_svd
 
 
@@ -190,68 +189,6 @@ def test_adjoint_stacked_matches_per_row(sample_g):
     x = np.array([-3.0, 0.4, 2.5])
     pts = apply_adjoint(params, SampledFunction(g.grid, g.values[:3]), x)
     assert pts.values.shape == (3, 3)
-
-
-def _adjoint_longdouble(b, c, h, x):
-    """sech(b x) sum_k w_k h_k e^{-i c x t_k} with cos/sin in longdouble,
-    for real stacked rows h.values."""
-    ph = (np.longdouble(c) * x.astype(np.longdouble)[:, None]
-          * h.grid.nodes.astype(np.longdouble)[None, :])
-    wh = (h.grid.weights * h.values).T.astype(np.longdouble)
-    re = (np.cos(ph) @ wh).astype(float)
-    im = (np.sin(ph) @ wh).astype(float)
-    return (re - 1j * im).T / np.cosh(b * x)
-
-
-@pytest.mark.parametrize("b", [1.0, 1 / 6.5, 2.0])
-@pytest.mark.parametrize("c_over_b", [0.25, 0.5, 2.0, 4.0])
-def test_factorised_adjoint_on_uniform_grid(b, c_over_b):
-    """On a UniformGrid the index-split adjoint stays within
-    max(4 x the dense path's own error, 1e-13 max|ref|) of a longdouble
-    reference, per row, at every 7th node and both ends."""
-    params = OperatorParams(b=b, c=c_over_b * b)
-    gl = gauss_legendre(200)
-    t = gl.nodes
-    h = SampledFunction(gl, np.stack([np.cos(1.3 * t) * np.exp(t),
-                                      np.sin(2.7 * t + 0.4) / (1.5 - t)]))
-    for nfft in (2, 3, 1024, 2047, 4096, 4097):
-        ug = uniform_grid(22.0 / b, nfft)
-        fact = apply_adjoint(params, h, ug)
-        assert fact.grid is ug and fact.values.shape == (2, nfft)
-        one = apply_adjoint(params, SampledFunction(gl, h.values[1]), ug)
-        assert one.values.tobytes() == fact.values[1].tobytes()
-        idx = np.unique(np.r_[np.arange(0, nfft, 7), nfft - 1])
-        dense = apply_adjoint(params, h, ug.nodes[idx]).values
-        ref = _adjoint_longdouble(b, params.c, h, ug.nodes[idx])
-        scale = np.max(np.abs(ref), axis=1)
-        err_fact = np.max(np.abs(fact.values[:, idx] - ref), axis=1)
-        err_dense = np.max(np.abs(dense - ref), axis=1)
-        assert np.all(err_fact <= np.maximum(4 * err_dense, 1e-13 * scale)), \
-            (nfft, err_fact / scale, err_dense / scale)
-
-
-def test_adjoint_factorises_only_on_uniform_grids(monkeypatch):
-    """A plain array or a QuadratureGrid with the same uniform nodes keeps
-    the dense matrix; only the UniformGrid type selects the split."""
-    params = OperatorParams(b=1.0, c=0.5)
-    gl = gauss_legendre(64)
-    h = SampledFunction(gl, np.cos(gl.nodes))
-    ug = uniform_grid(22.0, 1000)
-    exp_shapes = []
-    real_exp = np.exp
-
-    def spy(z, *a, **k):
-        exp_shapes.append(np.shape(z))
-        return real_exp(z, *a, **k)
-
-    monkeypatch.setattr(np, "exp", spy)
-    apply_adjoint(params, h, ug)
-    assert exp_shapes == [(32, 64), (32, 64)]
-    exp_shapes.clear()
-    apply_adjoint(params, h, ug.nodes)
-    apply_adjoint(params, h, phi_grid(1.0))
-    assert exp_shapes == [(1000, 64), (phi_grid(1.0).nodes.size, 64)]
-    assert not isinstance(phi_grid(1.0), UniformGrid)
 
 
 def test_forward_sech_closed_form():

@@ -1,4 +1,5 @@
 import json
+import math
 
 import numpy as np
 import pytest
@@ -97,6 +98,21 @@ def test_eigenvalue_endpoint_identity(c):
     slope = (log_rho[1] - log_rho[0]) / (2 * h)
     g1 = ode.evaluate_g(np.arange(13), [1.0])[:, 0]
     assert np.max(np.abs(slope / (2 * g1 ** 2 / c) - 1)) <= 1e-6
+
+
+def test_eigenvalue_endpoint_identity_integrated():
+    """The endpoint identity integrated in log c:
+    log rho_m(1) - log rho_m(0.5) = int 2 g_m(1)^2 d(log c), by an 8-node
+    Gauss rule in log c with one Galerkin solve per node, against the
+    Rayleigh rho of commuting_eigenpairs for m <= 8 (rho >= 1.1e-7 here)."""
+    rule = gauss_legendre(8, (math.log(0.5), 0.0))
+    m = np.arange(9)
+    g1 = np.array([galerkin_eigensystem(math.exp(u), m_max=8)
+                   .evaluate_g(m, [1.0])[:, 0] for u in rule.nodes])
+    integral = rule.weights @ (2 * g1 ** 2)
+    diff = np.log(commuting_eigenpairs(1.0, 8)[2]
+                  / commuting_eigenpairs(0.5, 8)[2])
+    assert np.max(np.abs(integral / diff - 1)) <= 1e-10
 
 
 def test_expansion_closes_coefficient_loop():
