@@ -112,6 +112,39 @@ def test_coefficients_batched_equals_per_triplet_loop(case_a):
     assert np.max(np.abs(d - ref)) <= 1e-13 * np.max(np.abs(ref))
 
 
+@pytest.mark.parametrize("b", [1.0, 1 / 6.5])
+@pytest.mark.parametrize("nfft, report_points",
+                         [(4096, 301), (4096, 1201), (4096, 4096), (2047, 1201)])
+def test_chirp_z_inverse_matches_dense_longdouble(case_a, b, nfft,
+                                                  report_points):
+    """The inverse onto the report grid (a chirp-z sum before the closed
+    form) against the sech kernel sum in longdouble, on every 37th report
+    point and both ends, with an off-centre window. Report grids of 301,
+    1201 and 4096 points end mid-block. nfft changes nothing."""
+    if b == 1.0:
+        obs, svd = case_a[0], case_a[3]
+    else:
+        obs, _, params = builtin_case("b")
+        svd = compute_svd(params, m_max=8)
+    assert svd.b == b
+    obs = ObservationWindow(x0=0.37, c=obs.c, delta=obs.delta,
+                            samples=obs.samples)
+    est = cutoff_estimate(obs, svd, 4, nfft=nfft, report_points=report_points)
+    assert np.array_equal(est.grid, np.linspace(0.37 - 6.0, 0.37 + 6.0,
+                                                report_points))
+    default = cutoff_estimate(obs, svd, 4, report_points=report_points)
+    assert est.values.tobytes() == default.values.tobytes()
+    idx = np.unique(np.r_[np.arange(0, report_points, 37), report_points - 1])
+    ld = np.longdouble
+    h = (est.d / svd.sigma[:5] ** 2) @ svd[:5].g.values
+    wh = svd.g.grid.weights.astype(ld) * h.astype(ld)
+    arg = (ld(math.pi) / (2 * ld(b))) * (
+        ld(svd.c) * svd.g.grid.nodes.astype(ld)[None, :]
+        + (ld(0.37) - est.grid[idx].astype(ld))[:, None])
+    ref = ((ld(math.pi) / ld(b)) * ((1 / np.cosh(arg)) @ wh)).astype(float)
+    assert np.max(np.abs(est.values[idx] - ref)) <= 1e-12 * np.max(np.abs(ref))
+
+
 def test_fused_transform_side_equals_sum_of_modes(case_a):
     """The closed-form kernel sum against the inverse transform of
     F = sum_{m<=N} (d_m/sigma_m) phi_m by direct quadrature on
