@@ -15,11 +15,9 @@ from .sech_operator import (
     kernel,
     nystrom_eigensystem,
     rho_rayleigh,
-    apply_forward,
     apply_adjoint,
-    verify_factorization,
 )
-from .svd_assembly import compute_svd, rescale_phi
+from .svd_assembly import compute_svd
 from .extrapolation import (
     builtin_case,
     coefficients,
@@ -36,11 +34,8 @@ __all__ = [
     "kernel",
     "nystrom_eigensystem",
     "rho_rayleigh",
-    "apply_forward",
     "apply_adjoint",
-    "verify_factorization",
     "compute_svd",
-    "rescale_phi",
     "builtin_case",
     "coefficients",
     "cutoff_estimate",

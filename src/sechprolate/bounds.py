@@ -21,7 +21,6 @@ from .svd_assembly import commuting_eigenpairs
 
 __all__ = [
     "C0",
-    "recompute_c0",
     "beta",
     "theta",
     "theta_tilde",
@@ -42,23 +41,6 @@ __all__ = [
 
 # crossing point of the two lower-bound exponents
 C0 = 0.12059
-
-
-def recompute_c0(tol: float = 1e-10) -> float:
-    """Root of log(7 e^2 pi / (2c)) = pi/(4c) by bisection.
-
-    Guards against transcription drift in the stored constant C0.
-    """
-    def h(c):
-        return math.log(7 * math.e ** 2 * math.pi / (2 * c)) - math.pi / (4 * c)
-
-    lo, hi = 0.01, 1.0
-    if h(lo) >= 0 or h(hi) <= 0:
-        raise ValueError("bisection bracket invalid")
-    while hi - lo > tol:
-        mid = 0.5 * (lo + hi)
-        lo, hi = (mid, hi) if h(mid) < 0 else (lo, mid)
-    return 0.5 * (lo + hi)
 
 
 def beta(c: float) -> float:

@@ -5,9 +5,10 @@ written as CSV ('.' decimal, ',' separator, 17 significant digits) or JSON
 (raw doubles), so the files round-trip exactly and identical inputs give
 byte-identical outputs at a fixed BLAS thread count. The run manifest is
 the only file with a clock in it; its `environment` holds the numpy
-version, longdouble eps and the BLAS thread-count variables. SVD documents
-are cached on disk under a content hash of the parameters and read back as
-an SvdBasis; SECHPROLATE_CACHE overrides the cache directory.
+version, longdouble eps, the BLAS name and version and the BLAS
+thread-count variables. SVD documents are cached on disk under a content
+hash of the parameters and read back as an SvdBasis; SECHPROLATE_CACHE
+overrides the cache directory.
 
 Exit codes: 0 on success, 2 on usage errors, 3 on numerical failures.
 """
@@ -135,12 +136,25 @@ def cached_svd_document(b: float, c: float, m_max: int, n=None):
 # ---------------------------------------------------------------------------
 # run output and failures
 
+@functools.cache
+def blas_build() -> tuple:
+    """(name, version) of the BLAS numpy was built against, each None where
+    the build does not record it; read once per process."""
+    try:
+        blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+    except (KeyError, TypeError):
+        return None, None
+    return blas.get("name"), blas.get("version")
+
+
 def run_environment() -> dict:
     """What the data files' last bits depend on besides the inputs: the
-    numpy version, longdouble precision and the BLAS thread-count variables
-    (None when unset)."""
+    numpy version, longdouble precision, the BLAS build and the BLAS
+    thread-count variables (None when unset)."""
+    name, version = blas_build()
     return {"numpy": np.__version__,
             "longdouble_eps": float(np.finfo(np.longdouble).eps),
+            "blas_name": name, "blas_version": version,
             **{var: os.environ.get(var) for var in (
                 "OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")}}
 

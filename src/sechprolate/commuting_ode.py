@@ -11,8 +11,8 @@ Legendre-Galerkin discretization spectrally accurate even for high indices
 where the integral operator's eigenvalues are far below machine precision.
 The change of variables g(x) = sqrt(pi/U) G(Y(x)) / F(Y(x)) is unitary from
 L2(dy) to L2(dx), so each g_m has the unit norm of its
-coefficient column, and g_m(1) > 0 follows from the column's sign, as in
-pswf: the coefficients alone describe g_m.
+coefficient column, and g_m(1) > 0 follows from the column's sign: the
+coefficients alone describe g_m.
 
 The map is array code. Y is built from s(x) = int_x^1 p^{-1/2}; in
 u = sqrt(1-|x|) the endpoint singularity of p^{-1/2} is gone and the
@@ -27,24 +27,16 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .special_functions import (
-    agm,
-    gauss_legendre,
-    legendre_derivative_table,
-    legendre_table,
-)
-from .sech_operator import SampledFunction, check_c
+from .special_functions import agm, gauss_legendre, legendre_table
+from .sech_operator import check_c
 
 __all__ = [
     "LiouvilleTransform",
     "OdeSpectrum",
-    "case1_coefficients",
     "build_transform",
     "q_c_potential",
     "galerkin_eigensystem",
     "galerkin_basis_size",
-    "weak_form_chi",
-    "commutation_residual",
     "family_parameter",
     "liouville_normalizer",
 ]
@@ -53,19 +45,6 @@ __all__ = [
 def family_parameter(c: float) -> float:
     """Exponential scale of the kernel sech(pi*c*(x-y)/2): t = pi*c/2."""
     return math.pi * c / 2.0
-
-
-def case1_coefficients(c: float, x):
-    """Sturm-Liouville coefficients p, q of the commuting operator.
-
-    p(x) = cosh(4t) - cosh(4tx) evaluated as 2*sinh(2t(1+x))*sinh(2t(1-x))
-    so the endpoint zeros do not cancel, q(x) = 3t^2 cosh(4tx), t = pi*c/2.
-    """
-    t = family_parameter(c)
-    x = np.asarray(x, dtype=float)
-    p = 2.0 * np.sinh(2 * t * (1 + x)) * np.sinh(2 * t * (1 - x))
-    q = 3.0 * t * t * np.cosh(4 * t * x)
-    return p, q
 
 
 def liouville_normalizer(t: float) -> float:
@@ -297,49 +276,3 @@ def galerkin_eigensystem(c: float, n_b: int = None, m_max: int = 20) -> OdeSpect
     # sign convention Gamma_m(1) = sum_k W_km sqrt(k + 1/2) > 0
     W *= np.where(np.sqrt(ks + 0.5) @ W < 0, -1.0, 1.0)
     return OdeSpectrum(c=c, n_b=n_b, transform=tr, chi=chi, coefficients=W)
-
-
-def weak_form_chi(c: float, n_b: int = None, m_max: int = 20) -> np.ndarray:
-    """Independent eigenvalue route: Galerkin on the UNtransformed operator.
-
-    Assembles <p P'_j, P'_k> + <q P_j, P_k> directly in x. Used as a
-    cross-check oracle for galerkin_eigensystem; the potential-form route is
-    the production one because its matrix is better conditioned.
-    """
-    n_b = galerkin_basis_size(m_max, n_b)
-    qgrid = gauss_legendre(n_b + 100)
-    p, q = case1_coefficients(c, qgrid.nodes)
-    P = legendre_table(n_b - 1, qgrid.nodes)
-    Pp = legendre_derivative_table(n_b - 1, qgrid.nodes)
-    M = (Pp * (p * qgrid.weights)) @ Pp.T + (P * (q * qgrid.weights)) @ P.T
-    chi = np.linalg.eigvalsh(M)
-    return chi[: m_max + 1]
-
-
-def commutation_residual(c: float, g: SampledFunction, chi: float) -> float:
-    """Interior L2 residual of -(p g')' + q g = chi g, relative to ||g||.
-
-    g is projected onto normalized Legendre polynomials, differentiated
-    through the basis, and the residual is measured on (-0.9, 0.9) where
-    the differentiation is well conditioned.
-    """
-    n = g.grid.nodes.size
-    K = min(180, max(30, n - 40))
-    P = legendre_table(K - 1, g.grid.nodes)
-    coef = P @ (g.grid.weights * np.real(g.values))
-    inner = gauss_legendre(400, (-0.9, 0.9))
-    x = inner.nodes
-    Pi = legendre_table(K - 1, x)
-    Pdi = legendre_derivative_table(K - 1, x)
-    ks = np.arange(K, dtype=float)
-    # Legendre ODE: (1-x^2) P'' = 2x P' - k(k+1) P
-    Pddi = (2 * x[None, :] * Pdi - (ks * (ks + 1))[:, None] * Pi) / (1 - x ** 2)[None, :]
-    gv, gd, gdd = coef @ Pi, coef @ Pdi, coef @ Pddi
-    t = family_parameter(c)
-    p, q = case1_coefficients(c, x)
-    dp = -4 * t * np.sinh(4 * t * x)
-    resid = -(dp * gd + p * gdd) + (q - chi) * gv
-    num = math.sqrt(float(np.sum(inner.weights * resid ** 2)))
-    den = math.sqrt(float(np.sum(inner.weights * gv ** 2)))
-    return num / den if den > 0 else float("inf")
-

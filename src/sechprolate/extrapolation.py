@@ -48,6 +48,8 @@ class ObservationWindow:
             raise ValueError("delta must be nonnegative")
         if not np.all(np.isfinite(self.samples.values)):
             raise ValueError("window samples must be finite")
+        if not np.all(np.isfinite(self.samples.grid.weights)):
+            raise ValueError("window quadrature weights must be finite")
 
     @classmethod
     def sampled(cls, x0: float, c: float, delta: float, f):
@@ -93,8 +95,6 @@ def coefficients(obs: ObservationWindow, svd: SvdBasis) -> np.ndarray:
 
     All g_m are expanded at once, so the window is projected once per call.
     """
-    if np.any(np.isnan(obs.samples.grid.weights)):
-        raise ValueError("observation grid carries no quadrature weights")
     if abs(obs.c - svd.c) > 1e-12:
         raise ValueError("observation window and svd have different c")
     G = evaluate_g(svd, obs.samples.grid.nodes)

@@ -13,8 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .special_functions import (QuadratureGrid, gauss_legendre, panel_grid,
-                                real_line_grid)
+from .special_functions import QuadratureGrid, gauss_legendre, panel_grid
 
 __all__ = [
     "OperatorParams",
@@ -24,9 +23,7 @@ __all__ = [
     "kernel",
     "nystrom_eigensystem",
     "rho_rayleigh",
-    "apply_forward",
     "apply_adjoint",
-    "verify_factorization",
     "refine_eigh_block",
     "symmetric_nystrom_eigenpairs",
     "nystrom_grid_size",
@@ -264,57 +261,18 @@ def rho_rayleigh(c: float, g: SampledFunction):
     return float(total) if np.ndim(total) == 0 else total
 
 
-def apply_forward(params: OperatorParams, f: SampledFunction, y_grid) -> SampledFunction:
-    """Windowed Fourier transform: (F f)(y) = int e^{i c y t} f(t) dt for y in [-1,1].
+def apply_adjoint(params: OperatorParams, h: SampledFunction, x) -> np.ndarray:
+    """Adjoint of the windowed transform: sech(b x) * int_{-1}^1 e^{-i c x t} h(t) dt
+    at the points x.
 
-    f lives on a real-line quadrature grid covering the decay of the
-    cosh-weighted space.
+    h.values may hold one function, giving values of shape (len(x),), or M
+    stacked rows of shape (M, n), giving (M, len(x)).
     """
-    y = np.atleast_1d(np.asarray(y_grid, dtype=float))
-    t = f.grid.nodes
-    T = float(np.max(np.abs(t)))
-    if params.c * T / math.pi > t.size / 4:
-        raise ValueError("grid too coarse for the oscillation of the transform")
-    ph = np.exp(1j * params.c * y[:, None] * t[None, :])
-    vals = ph @ (f.grid.weights * f.values)
-    ygrid = QuadratureGrid(y, np.full(y.size, np.nan), (float(y[0]), float(y[-1])))
-    return SampledFunction(ygrid, vals)
-
-
-def apply_adjoint(params: OperatorParams, h: SampledFunction, x_grid) -> SampledFunction:
-    """Adjoint of the windowed transform: sech(b x) * int_{-1}^1 e^{-i c x t} h(t) dt.
-
-    x_grid may be a QuadratureGrid (kept, so the result can be integrated) or
-    a plain array of points. h.values may hold one function, giving values
-    of shape (len(x),), or M stacked rows of shape (M, n), giving (M, len(x)).
-    """
-    if isinstance(x_grid, QuadratureGrid):
-        xg = x_grid
-    else:
-        x = np.atleast_1d(np.asarray(x_grid, dtype=float))
-        xg = QuadratureGrid(x, np.full(x.size, np.nan), (float(x[0]), float(x[-1])))
+    x = np.atleast_1d(np.asarray(x, dtype=float))
     t = h.grid.nodes
     wh = h.grid.weights * h.values
-    ph = np.exp(-1j * params.c * xg.nodes[:, None] * t[None, :])
+    ph = np.exp(-1j * params.c * x[:, None] * t[None, :])
     # the rows times ph^T, written so that a single function keeps its
     # matrix-vector product
     vals = (ph @ wh.T).T
-    vals = vals / np.cosh(params.b * xg.nodes)
-    return SampledFunction(xg, vals)
-
-
-def verify_factorization(params: OperatorParams, h: SampledFunction) -> float:
-    """Relative residual of the factorization c * F F* h = Q_{c/b} h."""
-    xg = real_line_grid(params.b)
-    # the sech factor of the adjoint is already in adj.values, and the
-    # forward map is a plain (unweighted) integral of it
-    adj = apply_adjoint(params, h, xg)
-    fwd = apply_forward(params, adj, h.grid.nodes)
-    lhs = params.c * fwd.values
-    cp = params.kernel_parameter
-    K = kernel(cp, h.grid.nodes[:, None], h.grid.nodes[None, :])
-    rhs = K @ (h.grid.weights * h.values)
-    num = math.sqrt(float(np.sum(h.grid.weights * np.abs(lhs - rhs) ** 2)))
-    den = h.norm()
-    return num / den if den > 0 else 0.0
-
+    return vals / np.cosh(params.b * x)

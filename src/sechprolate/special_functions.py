@@ -2,8 +2,8 @@
 
 Everything here is dependency-light on purpose: Gauss-Legendre rules by
 Newton iteration, the composite panel rules on the real line, normalized
-Legendre polynomials by recurrence, complete elliptic integral by the AGM,
-and spherical Bessel functions by stable downward recurrence.
+Legendre polynomials by recurrence, and the complete elliptic integral by
+the AGM.
 """
 import functools
 import math
@@ -13,7 +13,7 @@ import numpy as np
 
 # Gauss nodes on each panel of the phi grid
 PHI_NODES_PER_PANEL = 16
-# b T of every real-line grid [-T, T]: sech(b T) < 1e-9 beyond it
+# b T of the phi grid [-T, T]: sech(b T) < 1e-9 beyond it
 REAL_LINE_HALF_WIDTH = 22.0
 
 __all__ = [
@@ -21,14 +21,11 @@ __all__ = [
     "gauss_legendre",
     "panel_grid",
     "phi_grid",
-    "real_line_grid",
     "PHI_NODES_PER_PANEL",
     "REAL_LINE_HALF_WIDTH",
     "legendre_table",
-    "legendre_derivative_table",
     "agm",
     "elliptic_K",
-    "spherical_bessel_ratio",
 ]
 
 
@@ -36,7 +33,6 @@ __all__ = [
 class QuadratureGrid:
     nodes: np.ndarray
     weights: np.ndarray
-    interval: tuple
 
     def __len__(self):
         return self.nodes.size
@@ -81,8 +77,7 @@ def panel_grid(edges, nodes_per_panel: int) -> QuadratureGrid:
         half = 0.5 * (b - a)
         xs.append(half * base.nodes + 0.5 * (a + b))
         ws.append(half * base.weights)
-    return QuadratureGrid(np.concatenate(xs), np.concatenate(ws),
-                          (float(edges[0]), float(edges[-1])))
+    return QuadratureGrid(np.concatenate(xs), np.concatenate(ws))
 
 
 def phi_grid(b: float) -> QuadratureGrid:
@@ -98,19 +93,6 @@ def phi_grid(b: float) -> QuadratureGrid:
     edges = np.array(edges) / b
     return panel_grid(np.concatenate([-edges[::-1], edges[1:]]),
                       PHI_NODES_PER_PANEL)
-
-
-def real_line_grid(b: float) -> QuadratureGrid:
-    """Symmetric unit panels of 24 Gauss nodes out to T = 22/b
-    (REAL_LINE_HALF_WIDTH): the real-line grid of the factorisation self-check.
-
-    phi_grid covers the same interval with fewer nodes; on it the largest
-    self-check residual at (b, c) = (0.5, 2) rises from 2.9e-11 to 2.4e-9,
-    so this finer grid stays.
-    """
-    T = REAL_LINE_HALF_WIDTH / b
-    edges = np.linspace(-T, T, 2 * int(math.ceil(T)) + 1)
-    return panel_grid(edges, 24)
 
 
 @functools.lru_cache(maxsize=64)
@@ -145,7 +127,7 @@ def _gauss_legendre_rule(n: int, lo: float, hi: float) -> QuadratureGrid:
     nodes, weights = half * x + mid, half * w
     nodes.flags.writeable = False
     weights.flags.writeable = False
-    return QuadratureGrid(nodes, weights, (lo, hi))
+    return QuadratureGrid(nodes, weights)
 
 
 def legendre_table(m_max: int, x) -> np.ndarray:
@@ -163,29 +145,6 @@ def legendre_table(m_max: int, x) -> np.ndarray:
     for k in range(m_max + 1):
         out[k] *= math.sqrt(k + 0.5)
     return out
-
-
-def legendre_derivative_table(m_max: int, x) -> np.ndarray:
-    """Derivatives of the orthonormal Legendre polynomials (same layout as legendre_table).
-
-    Uses P'_k = P'_{k-2} + (2k-1) P_{k-1} on the unnormalized polynomials.
-    """
-    x = np.atleast_1d(np.asarray(x, dtype=float))
-    vals = np.empty((m_max + 1, x.size))
-    ders = np.empty((m_max + 1, x.size))
-    p0 = np.ones_like(x)
-    p1 = x.copy()
-    vals[0] = p0
-    ders[0] = 0.0
-    if m_max >= 1:
-        vals[1] = p1
-        ders[1] = 1.0
-    for k in range(2, m_max + 1):
-        vals[k] = ((2 * k - 1) * x * vals[k - 1] - (k - 1) * vals[k - 2]) / k
-        ders[k] = ders[k - 2] + (2 * k - 1) * vals[k - 1]
-    for k in range(m_max + 1):
-        ders[k] *= math.sqrt(k + 0.5)
-    return ders
 
 
 def agm(a: float, b: float) -> float:
@@ -209,46 +168,3 @@ def elliptic_K(k: float) -> float:
     if not 0.0 <= k < 1.0:
         raise ValueError("modulus must lie in [0, 1)")
     return math.pi / (2.0 * agm(1.0, math.sqrt(1.0 - k * k)))
-
-
-def spherical_bessel_ratio(k: int, z: float) -> float:
-    """Spherical Bessel function j_k(z) for k >= 0, z >= 0.
-
-    Downward recurrence from order k + ceil(20 + z), normalized against
-    j_0(z) = sin(z)/z, which keeps the result stable for k well above z.
-    """
-    if k < 0:
-        raise ValueError("order must be nonnegative")
-    if z < 0:
-        raise ValueError("argument must be nonnegative")
-    if k == 0:
-        return 1.0 if z == 0.0 else math.sin(z) / z
-    if z < 1e-6:
-        # series head: z^k / (2k+1)!!, relative error below z^2 ~ 1e-12;
-        # also covers denormal z where the recurrences overflow
-        val = 1.0
-        for n in range(1, k + 1):
-            val *= z / (2 * n + 1)
-        return val
-    if z > 2.0 * k:
-        # upward recurrence is stable here and cheaper
-        jm, j = math.sin(z) / z, (math.sin(z) / z - math.cos(z)) / z
-        for n in range(1, k):
-            jm, j = j, (2 * n + 1) / z * j - jm
-        return j
-    n_start = k + int(math.ceil(20.0 + z))
-    jp = 0.0
-    j = 1e-300
-    target = 0.0
-    for n in range(n_start, 0, -1):
-        jm = (2 * n + 1) / z * j - jp
-        jp, j = j, jm
-        if n - 1 == k:
-            target = j
-        if abs(j) > 1e280:
-            j *= 1e-280
-            jp *= 1e-280
-            target *= 1e-280
-    # j now holds the downward value at order 0
-    return target * ((math.sin(z) / z) / j)
-

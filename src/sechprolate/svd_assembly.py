@@ -15,8 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .special_functions import (QuadratureGrid, gauss_legendre,
-                                legendre_table, phi_grid)
+from .special_functions import gauss_legendre, legendre_table, phi_grid
 from .sech_operator import (
     RAYLEIGH_TAIL_MULTIPLE,
     OperatorParams,
@@ -31,7 +30,6 @@ __all__ = [
     "SvdBasis",
     "commuting_eigenpairs",
     "compute_svd",
-    "rescale_phi",
     "evaluate_g",
     "evaluate_phi",
     "svd_to_json_dict",
@@ -103,29 +101,10 @@ def compute_svd(params: OperatorParams, m_max: int, n: int = None) -> SvdBasis:
     _, g, rho = commuting_eigenpairs(cp, m_max, n)
     sigma = np.sqrt(rho / params.c)
     xgrid = phi_grid(params.b)
-    phi = apply_adjoint(params, g, xgrid).values / sigma[:, None]
+    phi = apply_adjoint(params, g, xgrid.nodes) / sigma[:, None]
     floor = 8 * max(cp, 1.0) * math.exp(-RAYLEIGH_TAIL_MULTIPLE)
     return SvdBasis(params.b, params.c, sigma, rho, rho > 100.0 * floor, g,
                     SampledFunction(xgrid, phi), np.arange(m_max + 1))
-
-
-def rescale_phi(b: float, c: float, svd: SvdBasis) -> SvdBasis:
-    """Basis at (b, c) from one computed at (1, c/b).
-
-    phi_m at (b,c) is sqrt(b) * phi_m at (1, c/b) evaluated at b*x, which on
-    the sampled grid is a node relabeling, no interpolation; sigma picks up
-    1/sqrt(b) and g is shared. Every row of the source must be trusted.
-    """
-    if not np.all(svd.trusted):
-        raise ValueError("source basis has untrusted rows")
-    if abs(svd.b - 1.0) > 1e-12 or abs(svd.c - c / b) > 1e-12:
-        raise ValueError("source basis must be at parameters (1, c/b)")
-    src = svd.phi
-    grid = QuadratureGrid(src.grid.nodes / b, src.grid.weights / b,
-                          (src.grid.interval[0] / b, src.grid.interval[1] / b))
-    phi = SampledFunction(grid, src.values * math.sqrt(b))
-    return SvdBasis(b, c, svd.sigma / math.sqrt(b), svd.rho, svd.trusted,
-                    svd.g, phi, svd.m)
 
 
 def evaluate_g(svd: SvdBasis, s) -> np.ndarray:
@@ -153,8 +132,7 @@ def evaluate_phi(svd: SvdBasis, x) -> np.ndarray:
     """Every phi_m of the basis at arbitrary real points, from its defining
     adjoint integral."""
     params = OperatorParams(b=svd.b, c=svd.c)
-    return apply_adjoint(params, svd.g, x).values \
-        / np.asarray(svd.sigma)[..., None]
+    return apply_adjoint(params, svd.g, x) / np.asarray(svd.sigma)[..., None]
 
 
 def svd_to_json_dict(svd: SvdBasis) -> dict:

@@ -41,7 +41,7 @@ def svd_b1_c1():
 
 @pytest.fixture(scope="session")
 def basis_c2():
-    from sechprolate.pswf import pswf_basis
+    from oracles.pswf import pswf_basis
     return pswf_basis(2.0, m_max=10)
 
 

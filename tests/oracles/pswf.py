@@ -13,24 +13,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .special_functions import (
-    QuadratureGrid,
-    gauss_legendre,
-    legendre_table,
-    spherical_bessel_ratio,
-)
-from .sech_operator import (SampledFunction, check_c,
-                            symmetric_nystrom_eigenpairs)
-from .extrapolation import ObservationWindow
+from sechprolate.extrapolation import ObservationWindow
+from sechprolate.sech_operator import check_c, symmetric_nystrom_eigenpairs
+from sechprolate.special_functions import gauss_legendre, legendre_table
 
-__all__ = [
-    "PswfBasis",
-    "pswf_basis",
-    "pswf_values",
-    "pswf_adjoint_image",
-    "pswf_cutoff_estimate",
-    "sinc_nystrom",
-]
+from .special_functions import spherical_bessel_ratio
 
 
 @dataclass
@@ -111,19 +98,15 @@ def _adjoint_image_values(c: float, coeffs: np.ndarray, x: np.ndarray) -> np.nda
     return coeffs[:, ks] @ terms
 
 
-def pswf_adjoint_image(c: float, m: int, x_grid, basis: PswfBasis = None) -> SampledFunction:
-    """Closed Bessel form of the adjoint image int_{-1}^1 e^{-icxt} psi_m(t) dt."""
+def pswf_adjoint_image(c: float, m: int, x, basis: PswfBasis = None) -> np.ndarray:
+    """Closed Bessel form of the adjoint image int_{-1}^1 e^{-icxt} psi_m(t) dt
+    at the points x."""
     if basis is None:
         basis = pswf_basis(c, m_max=m + 4)
     if m > basis.m_max:
         raise ValueError("index exceeds the basis")
-    if isinstance(x_grid, QuadratureGrid):
-        xg = x_grid
-    else:
-        x = np.atleast_1d(np.asarray(x_grid, dtype=float))
-        xg = QuadratureGrid(x, np.full(x.size, np.nan), (float(x[0]), float(x[-1])))
-    vals = _adjoint_image_values(c, basis.coefficients[[m]], xg.nodes)[0]
-    return SampledFunction(xg, vals)
+    x = np.atleast_1d(np.asarray(x, dtype=float))
+    return _adjoint_image_values(c, basis.coefficients[[m]], x)[0]
 
 
 def sinc_nystrom(c: float, n: int = 400, m_max: int = 12):

@@ -35,12 +35,14 @@ from sechprolate.commuting_ode import (build_transform, family_parameter,
 from sechprolate.extrapolation import (adaptive_N, builtin_case,
                                        cutoff_estimate, l2_error, n_max,
                                        rate_sweep)
-from sechprolate.pswf import pswf_basis, pswf_cutoff_estimate
 from sechprolate.sech_operator import (OperatorParams, SampledFunction,
-                                       nystrom_eigensystem, rho_rayleigh,
-                                       verify_factorization)
+                                       nystrom_eigensystem, rho_rayleigh)
 from sechprolate.special_functions import gauss_legendre
-from sechprolate.svd_assembly import compute_svd, rescale_phi
+from sechprolate.svd_assembly import compute_svd
+
+from oracles.pswf import pswf_basis, pswf_cutoff_estimate
+from oracles.sech_operator import verify_factorization
+from oracles.svd_assembly import rescale_phi
 
 
 def report(n: int, failures: list):

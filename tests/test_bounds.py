@@ -6,11 +6,12 @@ import pytest
 
 from sechprolate import bounds
 from sechprolate.commuting_ode import build_transform, galerkin_eigensystem
-from sechprolate.pswf import pswf_basis
 from sechprolate.sech_operator import (SampledFunction, kernel,
                                        nystrom_eigensystem, rho_rayleigh)
 from sechprolate.special_functions import gauss_legendre
 from sechprolate.svd_assembly import commuting_eigenpairs
+
+from oracles.pswf import pswf_basis
 
 
 @pytest.mark.parametrize("bad", [math.nan, math.inf])
@@ -47,8 +48,25 @@ def test_theta_at_one():
                                               rel=1e-15)
 
 
+def recompute_c0(tol: float = 1e-10) -> float:
+    """Root of log(7 e^2 pi / (2c)) = pi/(4c) by bisection.
+
+    Guards against transcription drift in the stored constant C0.
+    """
+    def h(c):
+        return math.log(7 * math.e ** 2 * math.pi / (2 * c)) - math.pi / (4 * c)
+
+    lo, hi = 0.01, 1.0
+    if h(lo) >= 0 or h(hi) <= 0:
+        raise ValueError("bisection bracket invalid")
+    while hi - lo > tol:
+        mid = 0.5 * (lo + hi)
+        lo, hi = (mid, hi) if h(mid) < 0 else (lo, mid)
+    return 0.5 * (lo + hi)
+
+
 def test_c0_recompute():
-    c0 = bounds.recompute_c0()
+    c0 = recompute_c0()
     assert abs(c0 - bounds.C0) < 5e-5
 
 

@@ -16,7 +16,9 @@ from click.testing import CliRunner
 import sechprolate.bounds as bounds_lib
 import sechprolate.cli as cli
 from sechprolate.cli import main
-from sechprolate.svd_assembly import rescale_phi, triplets_from_json_dict
+from sechprolate.svd_assembly import triplets_from_json_dict
+
+from oracles.svd_assembly import rescale_phi
 
 
 @pytest.fixture(scope="module")
@@ -63,11 +65,21 @@ def test_svd_outputs(tmp_path, cache):
     assert man["command"] == "svd"
     assert man["outputs"] == ["svd.json", "svd_summary.csv"]
     assert man["parameters"] == {"b": 1.0, "c": 1.0, "m_max": 12, "n": None}
+    blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
     assert man["environment"] == {
         "numpy": np.__version__,
         "longdouble_eps": float(np.finfo(np.longdouble).eps),
+        "blas_name": blas["name"], "blas_version": blas["version"],
         **{var: os.environ.get(var) for var in (
             "OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")}}
+
+
+@pytest.mark.parametrize("config", [{}, {"Build Dependencies": {}},
+                                    {"Build Dependencies": {"blas": {}}}])
+def test_blas_build_is_null_where_numpy_does_not_record_it(monkeypatch,
+                                                           config):
+    monkeypatch.setattr(np, "show_config", lambda mode: config)
+    assert cli.blas_build.__wrapped__() == (None, None)
 
 
 def test_svd_rerun_is_byte_identical(tmp_path, cache):

@@ -6,13 +6,14 @@ from scipy.integrate import quad
 
 from sechprolate import commuting_ode
 from sechprolate.bounds import R_of_c, U_bounds
-from sechprolate.commuting_ode import (build_transform, case1_coefficients,
-                                       commutation_residual, family_parameter,
+from sechprolate.commuting_ode import (build_transform, family_parameter,
                                        galerkin_basis_size,
-                                       galerkin_eigensystem, q_c_potential,
-                                       weak_form_chi)
+                                       galerkin_eigensystem, q_c_potential)
 from sechprolate.sech_operator import SampledFunction, nystrom_eigensystem
 from sechprolate.special_functions import gauss_legendre, legendre_table
+
+from oracles.commuting_ode import (case1_coefficients, commutation_residual,
+                                   weak_form_chi)
 
 
 def test_family_parameter_scaling():

@@ -11,9 +11,10 @@ from sechprolate.extrapolation import (ObservationWindow,
                                        cutoff_estimate, l2_error, n_max,
                                        rate_sweep, sigma_penalty)
 from sechprolate.sech_operator import SampledFunction
-from sechprolate.special_functions import (QuadratureGrid, gauss_legendre,
-                                           real_line_grid)
+from sechprolate.special_functions import QuadratureGrid, gauss_legendre
 from sechprolate.svd_assembly import compute_svd, evaluate_g, evaluate_phi
+
+from oracles.special_functions import real_line_grid
 
 
 def scaled_window(obs, lam):
@@ -61,6 +62,18 @@ def test_window_rejects_bad_input():
                           samples=SampledFunction(g, np.full(16, np.nan)))
 
 
+def test_window_rejects_an_infinite_weight():
+    """One infinite quadrature weight fails when the window is built; the
+    projection would otherwise turn it into alternating infinite d_m."""
+    g = gauss_legendre(16)
+    w = g.weights.copy()
+    w[3] = np.inf
+    with pytest.raises(ValueError, match="weights must be finite"):
+        ObservationWindow(x0=0.0, c=0.5, delta=0.05,
+                          samples=SampledFunction(QuadratureGrid(g.nodes, w),
+                                                  np.ones(16)))
+
+
 def test_coefficients_zero(case_a):
     _, _, _, svd = case_a
     g = gauss_legendre(128)
@@ -93,11 +106,10 @@ def test_coefficients_bessel(case_a):
 def test_coefficients_grid_mismatch(case_a):
     _, _, _, svd = case_a
     g = gauss_legendre(64)
-    bad_grid = QuadratureGrid(g.nodes, np.full(64, np.nan), (-1.0, 1.0))
-    obs = ObservationWindow(x0=0.0, c=0.5, delta=0.05,
-                            samples=SampledFunction(bad_grid, np.zeros(64)))
-    with pytest.raises(ValueError):
-        coefficients(obs, svd)
+    bad_grid = QuadratureGrid(g.nodes, np.full(64, np.nan))
+    with pytest.raises(ValueError, match="weights must be finite"):
+        ObservationWindow(x0=0.0, c=0.5, delta=0.05,
+                          samples=SampledFunction(bad_grid, np.zeros(64)))
     obs2 = ObservationWindow(x0=0.0, c=0.7, delta=0.05,
                              samples=SampledFunction(g, np.zeros(64)))
     with pytest.raises(ValueError):

@@ -6,15 +6,18 @@ import pytest
 
 from sechprolate.bounds import build_report
 from sechprolate.commuting_ode import galerkin_eigensystem
+from sechprolate.extrapolation import WINDOW_NODES
 from sechprolate.sech_operator import (OperatorParams, SampledFunction,
-                                       apply_adjoint, apply_forward,
-                                       nystrom_eigensystem, nystrom_grid_size,
-                                       rho_rayleigh)
+                                       apply_adjoint, nystrom_eigensystem,
+                                       nystrom_grid_size, rho_rayleigh)
 from sechprolate.special_functions import gauss_legendre, panel_grid, phi_grid
 from sechprolate.svd_assembly import (commuting_eigenpairs, compute_svd,
-                                      evaluate_g, evaluate_phi, rescale_phi,
+                                      evaluate_g, evaluate_phi,
                                       svd_to_json_dict,
                                       triplets_from_json_dict)
+
+from oracles.sech_operator import apply_forward
+from oracles.svd_assembly import rescale_phi
 
 
 def phi_weight(t, b):
@@ -125,14 +128,14 @@ def test_expansion_closes_coefficient_loop():
     x = t0.phi.grid.nodes
     f = SampledFunction(t0.phi.grid, 1.0 / np.cosh(2.0 * x))
     ygrid = t0.g.grid
-    h = apply_forward(params, f, ygrid.nodes).values
+    h = apply_forward(params, f, ygrid.nodes)
     d = np.array([np.sum(ygrid.weights * h * np.conj(t.g.values))
                   for t in svd])
     partial = np.zeros_like(x, dtype=complex)
     for t, dm in zip(svd, d):
         partial += (dm / t.sigma) * t.phi.values
     h_back = apply_forward(params, SampledFunction(t0.phi.grid, partial),
-                           ygrid.nodes).values
+                           ygrid.nodes)
     d_back = np.array([np.sum(ygrid.weights * h_back * np.conj(t.g.values))
                        for t in svd])
     assert np.max(np.abs(d_back - d)) < 1e-4
@@ -239,6 +242,18 @@ def test_evaluate_g_consistency(svd_b1_c1):
     for t in svd_b1_c1[:5]:
         vals = evaluate_g(t, t.g.grid.nodes)
         assert np.allclose(vals, t.g.values, rtol=1e-10, atol=1e-12)
+
+
+@pytest.mark.parametrize("cp", [0.25, 4.0])
+def test_evaluate_g_off_its_grid(cp):
+    """The Legendre re-projection of the basis at the window nodes, where
+    coefficients reads it, against the Galerkin eigenfunctions of the same
+    c: within 1e-10 for every m <= 30 (measured 1.0e-11 and 4.8e-12)."""
+    svd = compute_svd(OperatorParams(b=1.0, c=cp), m_max=30)
+    ode = galerkin_eigensystem(cp, m_max=30)
+    s = gauss_legendre(WINDOW_NODES).nodes
+    ref = ode.evaluate_g(np.arange(31), s)
+    assert np.max(np.abs(evaluate_g(svd, s) - ref)) <= 1e-10
 
 
 def test_evaluate_phi_consistency(svd_b1_c1):
@@ -368,7 +383,7 @@ def test_one_route_matches_its_parts():
         rho = rho_rayleigh(0.5, g)
         assert abs(t.rho - rho) <= rho * max(1e-12, eps / np.sqrt(rho))
         assert t.sigma == np.sqrt(t.rho / params.c)
-        adj = apply_adjoint(params, t.g, xg).values
+        adj = apply_adjoint(params, t.g, xg.nodes)
         g_l1 = np.sum(t.g.grid.weights * np.abs(t.g.values))
         assert np.max(np.abs(t.phi.values * t.sigma - adj)) <= 100 * eps * g_l1
 
