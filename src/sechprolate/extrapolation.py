@@ -156,6 +156,8 @@ def cutoff_estimate(obs: ObservationWindow, svd: SvdBasis, N: int,
     # nfft is unused: read only by benchmarks/worker.py (ROADMAP item 1 drops it)
     if N < 0:
         raise ValueError(f"truncation level must be nonnegative, got {N}")
+    if report_points < 2:
+        raise ValueError(f"need at least 2 report points, got {report_points}")
     last_trusted = _last_trusted(svd)
     if N > last_trusted:
         raise ValueError(f"truncation level {N} exceeds trusted index {last_trusted}")

@@ -579,18 +579,21 @@ def other_document(tmp_path, *svd_args):
     return (tmp_path / "o" / "svd.json").read_bytes()
 
 
-def nan_rho_document(document):
+def tampered_document(document, key, value):
+    """The document with one field of entry m = 3 set to value."""
     doc = json.loads(document)
-    doc["entries"][3]["rho"] = float("nan")
+    doc["entries"][3][key] = value
     return json.dumps(doc).encode("ascii")
 
 
 @pytest.mark.parametrize("corrupt", ["truncated", "empty_dict", "other_c",
-                                     "other_n", "nan_rho"])
+                                     "other_n", "nan_rho",
+                                     "string_trusted"])
 def test_corrupt_cached_document_is_recomputed(tmp_path, corrupt):
     """A cached document that does not parse, or parses as one for other
-    parameters or with a non-finite value, is a miss: the run recomputes
-    it, overwrites the file and gives the bytes of a fresh-cache run."""
+    parameters, with a non-finite value or with a field of the wrong JSON
+    type, is a miss: the run recomputes it, overwrites the file and gives
+    the bytes of a fresh-cache run."""
     fresh, cache_dir = tmp_path / "fresh", tmp_path / "cache"
     res = run_cli(str(fresh), "extrapolate", "--case", "a", "--N", "2",
                   "--out", str(tmp_path / "ref"))
@@ -606,7 +609,9 @@ def test_corrupt_cached_document_is_recomputed(tmp_path, corrupt):
                                           "--m-max", "8"),
         "other_n": lambda: other_document(tmp_path, "--b", "1", "--c", "0.5",
                                           "--m-max", "8", "--n", "400"),
-        "nan_rho": lambda: nan_rho_document(document),
+        "nan_rho": lambda: tampered_document(document, "rho", float("nan")),
+        "string_trusted": lambda: tampered_document(document, "trusted",
+                                                    "false"),
     }[corrupt]())
     res = run_cli(str(cache_dir), "extrapolate", "--case", "a", "--N", "2",
                   "--out", str(tmp_path / "run"))

@@ -194,6 +194,15 @@ def test_cutoff_rejects_negative_level(case_a):
         cutoff_estimate(obs, svd, -1)
 
 
+@pytest.mark.parametrize("report_points", [0, 1])
+def test_cutoff_rejects_fewer_than_two_report_points(case_a, report_points):
+    """Fewer than two report points leave l2_error's trapezoid rule no
+    interval, so the error of any estimate would read 0."""
+    obs, _, _, svd = case_a
+    with pytest.raises(ValueError, match="at least 2 report points"):
+        cutoff_estimate(obs, svd, 2, report_points=report_points)
+
+
 def test_sigma_penalty_formula(case_a):
     _, _, params, _ = case_a
     be = beta(params.kernel_parameter)

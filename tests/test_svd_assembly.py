@@ -239,20 +239,31 @@ def test_basis_rescale_and_evaluate_match_rows():
 
 
 def test_evaluate_g_consistency(svd_b1_c1):
+    """At the basis' own nodes the interpolant returns the stored samples
+    exactly, and a point outside [-1, 1] or NaN is rejected."""
     for t in svd_b1_c1[:5]:
-        vals = evaluate_g(t, t.g.grid.nodes)
-        assert np.allclose(vals, t.g.values, rtol=1e-10, atol=1e-12)
+        assert np.array_equal(evaluate_g(t, t.g.grid.nodes), t.g.values)
+    # the nodes twice and one place on: hits in two blocks, off their edges
+    x = svd_b1_c1.g.grid.nodes
+    G = evaluate_g(svd_b1_c1, np.r_[0.3, x, x])
+    assert np.array_equal(G[:, 1:], np.tile(svd_b1_c1.g.values, 2))
+    for bad in (1.5, -1.0 - 1e-12, float("inf"), float("nan")):
+        with pytest.raises(ValueError, match=r"\[-1, 1\]"):
+            evaluate_g(svd_b1_c1, [0.0, bad])
 
 
-@pytest.mark.parametrize("cp", [0.25, 4.0])
+@pytest.mark.parametrize("cp", [0.25, 4.0, 16.0, 32.0, 64.0, 100.0])
 def test_evaluate_g_off_its_grid(cp):
-    """The Legendre re-projection of the basis at the window nodes, where
-    coefficients reads it, against the Galerkin eigenfunctions of the same
-    c: within 1e-10 for every m <= 30 (measured 1.0e-11 and 4.8e-12)."""
-    svd = compute_svd(OperatorParams(b=1.0, c=cp), m_max=30)
-    ode = galerkin_eigensystem(cp, m_max=30)
-    s = gauss_legendre(WINDOW_NODES).nodes
-    ref = ode.evaluate_g(np.arange(31), s)
+    """The interpolant of the basis' samples at the window nodes, where
+    coefficients reads it, and at s = +-1, against the Galerkin
+    eigenfunctions of the same c: within 1e-10 for every m <= m_max, with
+    m_max 30 up to c/b = 4 and 12 above (measured at most 2.8e-12, at
+    c/b = 100)."""
+    m_max = 30 if cp <= 4.0 else 12
+    svd = compute_svd(OperatorParams(b=1.0, c=cp), m_max=m_max)
+    ode = galerkin_eigensystem(cp, m_max=m_max)
+    s = np.r_[-1.0, gauss_legendre(WINDOW_NODES).nodes, 1.0]
+    ref = ode.evaluate_g(np.arange(m_max + 1), s)
     assert np.max(np.abs(evaluate_g(svd, s) - ref)) <= 1e-10
 
 
@@ -283,6 +294,18 @@ def test_json_rejects_tampered_grid(svd_b1_c1):
     nodes = doc["entries"][0]["g"]["nodes"]
     nodes[3] = 0.5 * (nodes[3] + nodes[4])
     with pytest.raises(ValueError):
+        triplets_from_json_dict(doc)
+
+
+@pytest.mark.parametrize("key, value", [("trusted", "false"), ("trusted", 1),
+                                        ("sigma", "0.5"), ("rho", True),
+                                        ("rho", None)])
+def test_json_rejects_fields_of_the_wrong_type(svd_b1_c1, key, value):
+    """trusted must be a JSON boolean and sigma, rho numbers: bool("false")
+    is True, so a string would be read as a trusted row."""
+    doc = json.loads(json.dumps(svd_to_json_dict(svd_b1_c1)))
+    doc["entries"][2][key] = value
+    with pytest.raises(ValueError, match="trusted a boolean"):
         triplets_from_json_dict(doc)
 
 
