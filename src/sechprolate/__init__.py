@@ -9,39 +9,4 @@ analytic continuation of noisily observed functions.
 
 __version__ = "0.3.1"
 
-from .sech_operator import (
-    OperatorParams,
-    SampledFunction,
-    kernel,
-    nystrom_eigensystem,
-    rho_rayleigh,
-    apply_adjoint,
-)
-from .svd_assembly import compute_svd
-from .extrapolation import (
-    builtin_case,
-    coefficients,
-    cutoff_estimate,
-    sigma_penalty,
-    n_max,
-    adaptive_N,
-    rate_sweep,
-)
-
-__all__ = [
-    "OperatorParams",
-    "SampledFunction",
-    "kernel",
-    "nystrom_eigensystem",
-    "rho_rayleigh",
-    "apply_adjoint",
-    "compute_svd",
-    "builtin_case",
-    "coefficients",
-    "cutoff_estimate",
-    "sigma_penalty",
-    "n_max",
-    "adaptive_N",
-    "rate_sweep",
-    "__version__",
-]
+__all__ = ["__version__"]

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .special_functions import agm, elliptic_K
+from .special_functions import agm
 from .commuting_ode import family_parameter, liouville_normalizer
 from .sech_operator import check_c
 from .svd_assembly import commuting_eigenpairs
@@ -29,6 +29,7 @@ __all__ = [
     "lower_combined",
     "upper_bound",
     "widom_slope",
+    "decay_exponents",
     "fit_log_slope",
     "R_of_c",
     "H_of_c",
@@ -96,22 +97,24 @@ def widom_slope(c: float) -> float:
     """Asymptotic decay rate: -log(rho_m) ~ slope * m with
     slope = pi K(sech(pi c)) / K(tanh(pi c)).
 
-    sech(pi c) is the complementary modulus of tanh(pi c) exactly, so the
-    denominator is pi / (2 AGM(1, sech(pi c))). Evaluating through the AGM
-    keeps the slope finite for large c, where tanh(pi c) rounds to 1.
+    sech(pi c) and tanh(pi c) are each other's complementary modulus, so
+    with K(k) = pi / (2 AGM(1, k')) the slope is pi AGM(1, sech(pi c)) /
+    AGM(1, tanh(pi c)), and no complement is formed as sqrt(1 - k^2).
     """
     check_c(c)
-    k = 1 / math.cosh(math.pi * c)
-    return 2.0 * agm(1.0, k) * elliptic_K(k)
+    return math.pi * agm(1.0, 1 / math.cosh(math.pi * c)) \
+        / agm(1.0, math.tanh(math.pi * c))
+
+
+def decay_exponents(c: float):
+    """(2 beta(c), 2 log(1/c)): the lower and upper eigenvalue bounds'
+    exponents; the upper is None for c >= 1, where its bound fails."""
+    return 2 * beta(c), 2 * math.log(1 / c) if c < 1 else None
 
 
 def fit_log_slope(ms, rhos) -> float:
     """Least-squares slope of -log(rho_m) against m."""
-    ms = np.asarray(ms, dtype=float)
-    ys = -np.log(np.asarray(rhos, dtype=float))
-    A = np.vstack([ms, np.ones_like(ms)]).T
-    sol, *_ = np.linalg.lstsq(A, ys, rcond=None)
-    return float(sol[0])
+    return float(np.polyfit(ms, -np.log(rhos), 1)[0])
 
 
 def R_of_c(c: float) -> float:

@@ -112,18 +112,16 @@ def cached_svd_document(b: float, c: float, m_max: int, n=None):
     """(SvdBasis, JSON bytes) of the SVD document, computed once per
     parameter set. A hit parses the cached file; a miss returns the basis
     it computed with the bytes it wrote to the cache. A cached file that
-    does not parse as a document, or parses as one for other parameters or
-    with non-finite values, counts as a miss and is overwritten."""
+    the reader rejects, or that holds the document of other parameters,
+    counts as a miss and is overwritten."""
     path = os.path.join(cache_dir(), svd_cache_key(b, c, m_max, n) + ".json")
     if os.path.exists(path):
         with open(path, "rb") as f:
             data = f.read()
         try:
             svd = triplets_from_json_dict(json.loads(data))
-            if ((svd.b, svd.c, len(svd), len(svd.g.grid))
-                    == (b, c, m_max + 1, nystrom_grid_size(m_max, n))
-                    and all(np.isfinite(v).all() for v in (
-                        svd.sigma, svd.rho, svd.g.values, svd.phi.values))):
+            if (svd.b, svd.c, len(svd), len(svd.g.grid)) == (
+                    b, c, m_max + 1, nystrom_grid_size(m_max, n)):
                 return svd, data
         except (ValueError, KeyError, TypeError):
             pass
@@ -258,11 +256,9 @@ def bounds(c_values, m_max, out):
     rows = []
     for c in c_values:
         rep = bounds_lib.build_report(c, m_max=m_max)
-        lower_exp = 2 * bounds_lib.beta(c)
-        upper_exp = 2 * math.log(1 / c) if c < 1 else None
         for r in rep.rows:
             rows.append([c] + [r[k] for k in bounds_lib.ROW_FIELDS]
-                        + [lower_exp, upper_exp, rep.widom_slope,
+                        + [*bounds_lib.decay_exponents(c), rep.widom_slope,
                            rep.slope_fit])
     write_run(out, "bounds", {"c": list(c_values), "m_max": m_max},
               {"bounds.csv": csv_bytes(header, rows)}, t0)
@@ -288,8 +284,7 @@ def widom(c_values, fit, m_max, out):
     if not c_values:
         c_values = (0.25, 0.5, 0.75, 1.0, 1.25, 1.5, 2.0, 2.5, 3.0)
     t0 = time.perf_counter()
-    rows = [[c, bounds_lib.widom_slope(c), 2 * bounds_lib.beta(c),
-             2 * math.log(1 / c) if c < 1 else None,
+    rows = [[c, bounds_lib.widom_slope(c), *bounds_lib.decay_exponents(c),
              bounds_lib.build_report(c, m_max=m_max).slope_fit if fit else None]
             for c in c_values]
     header = ["c", "widom_slope", "lower_exponent", "upper_exponent",

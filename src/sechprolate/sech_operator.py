@@ -23,6 +23,7 @@ __all__ = [
     "kernel",
     "nystrom_eigensystem",
     "rho_rayleigh",
+    "rayleigh_trust_floor",
     "apply_adjoint",
     "refine_eigh_block",
     "symmetric_nystrom_eigenpairs",
@@ -44,8 +45,7 @@ TRUST_FLOOR_FACTOR = 1e3
 REFINE_WINDOW = (1e-15, 1e-4)
 REFINE_SWEEPS = 2
 # the Rayleigh integral is truncated at RAYLEIGH_TAIL_MULTIPLE * c, where the
-# sech tail is ~e^-60; eigenvalues within two decades of that truncation
-# level are flagged untrusted
+# sech tail is ~e^-60; see rayleigh_trust_floor
 RAYLEIGH_TAIL_MULTIPLE = 60.0
 # Rayleigh panels: 15 of length 4c, cut to at most 64, with 48 nodes each;
 # see rho_rayleigh
@@ -259,6 +259,12 @@ def rho_rayleigh(c: float, g: SampledFunction):
         total = total + (wi / np.cosh(xi / c)) @ (re * re + im * im)
     total = 2.0 * total
     return float(total) if np.ndim(total) == 0 else total
+
+
+def rayleigh_trust_floor(c: float) -> float:
+    """Level at or below which rho_rayleigh(c, .) is not trusted: two
+    decades above its truncated tail, 8 max(c, 1) e^-RAYLEIGH_TAIL_MULTIPLE."""
+    return 100.0 * (8 * max(c, 1.0) * math.exp(-RAYLEIGH_TAIL_MULTIPLE))
 
 
 def apply_adjoint(params: OperatorParams, h: SampledFunction, x) -> np.ndarray:

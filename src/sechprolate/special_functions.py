@@ -2,8 +2,9 @@
 
 Everything here is dependency-light on purpose: Gauss-Legendre rules by
 Newton iteration, the composite panel rules on the real line, normalized
-Legendre polynomials by recurrence, and the complete elliptic integral by
-the AGM.
+Legendre polynomials by recurrence, and the arithmetic-geometric mean,
+from which every complete elliptic integral is formed with its exact
+complementary modulus.
 """
 import functools
 import math
@@ -25,7 +26,6 @@ __all__ = [
     "REAL_LINE_HALF_WIDTH",
     "legendre_table",
     "agm",
-    "elliptic_K",
 ]
 
 
@@ -149,22 +149,11 @@ def legendre_table(m_max: int, x) -> np.ndarray:
 
 def agm(a: float, b: float) -> float:
     """Arithmetic-geometric mean of a, b >= 0; K(k) = pi / (2 agm(1, k'))
-    with k' = sqrt(1 - k^2) the complementary modulus."""
+    with k' the complementary modulus, passed in closed form by every
+    caller: sqrt(1 - k^2) cancels near k = 1."""
     for _ in range(60):
         if abs(a - b) <= 1e-15 * a:
             break
         a, b = 0.5 * (a + b), math.sqrt(a * b)
     return a
 
-
-def elliptic_K(k: float) -> float:
-    """Complete elliptic integral of the first kind, modulus convention.
-
-    K(k) = int_0^{pi/2} (1-k^2 sin^2 t)^{-1/2} dt, by the arithmetic-geometric
-    mean. Note the argument is the modulus k, not the parameter m = k^2.
-    Near k = 1, 1 - k^2 cancels; callers that know k' exactly should use
-    pi / (2 agm(1, k')) instead.
-    """
-    if not 0.0 <= k < 1.0:
-        raise ValueError("modulus must lie in [0, 1)")
-    return math.pi / (2.0 * agm(1.0, math.sqrt(1.0 - k * k)))

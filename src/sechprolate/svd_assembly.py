@@ -10,18 +10,17 @@ integral every rho_m, and one adjoint every phi_m; the dense Nystrom
 solve is only an oracle. The result is one SvdBasis, whose arrays hold
 every index at once.
 """
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .special_functions import gauss_legendre, phi_grid
 from .sech_operator import (
-    RAYLEIGH_TAIL_MULTIPLE,
     OperatorParams,
     SampledFunction,
     apply_adjoint,
     nystrom_grid_size,
+    rayleigh_trust_floor,
     rho_rayleigh,
 )
 from .commuting_ode import galerkin_eigensystem
@@ -94,8 +93,8 @@ def compute_svd(params: OperatorParams, m_max: int, n: int = None) -> SvdBasis:
     eigensolve, one evaluate_g, one rho_rayleigh) and one apply_adjoint
     onto phi_grid(b) for every phi.
 
-    Indices whose rho sits within two decades of the Rayleigh-integral
-    truncation floor are flagged untrusted but still returned.
+    Indices whose rho is at or below rayleigh_trust_floor are flagged
+    untrusted but still returned.
     """
     if m_max < 0:
         raise ValueError("m_max must be nonnegative")
@@ -104,8 +103,8 @@ def compute_svd(params: OperatorParams, m_max: int, n: int = None) -> SvdBasis:
     sigma = np.sqrt(rho / params.c)
     xgrid = phi_grid(params.b)
     phi = apply_adjoint(params, g, xgrid.nodes) / sigma[:, None]
-    floor = 8 * max(cp, 1.0) * math.exp(-RAYLEIGH_TAIL_MULTIPLE)
-    return SvdBasis(params.b, params.c, sigma, rho, rho > 100.0 * floor, g,
+    return SvdBasis(params.b, params.c, sigma, rho,
+                    rho > rayleigh_trust_floor(cp), g,
                     SampledFunction(xgrid, phi), np.arange(m_max + 1))
 
 
@@ -169,8 +168,8 @@ def triplets_from_json_dict(doc: dict) -> SvdBasis:
     """Rebuild the basis; quadrature weights are regenerated from the grid
     shapes (they are not serialized). The entries must be m = 0..M-1 in
     order, every entry must sit on the Gauss grid of the first one's size
-    and on phi_grid(b), and its trusted must be a JSON boolean and its
-    sigma and rho numbers."""
+    and on phi_grid(b), its trusted must be a JSON boolean and its sigma
+    and rho numbers, and sigma, rho, g and phi must be finite."""
     b, c = float(doc["b"]), float(doc["c"])
     entries = doc["entries"]
     if not entries:
@@ -196,7 +195,9 @@ def triplets_from_json_dict(doc: dict) -> SvdBasis:
     g = SampledFunction(ggrid, np.array([e["g"]["values"] for e in entries]))
     phi = SampledFunction(pgrid, np.array([e["phi"]["re"] for e in entries])
                           + 1j * np.array([e["phi"]["im"] for e in entries]))
-    return SvdBasis(b, c, np.array([float(e["sigma"]) for e in entries]),
-                    np.array([float(e["rho"]) for e in entries]),
-                    np.array([e["trusted"] for e in entries]), g, phi,
-                    np.arange(len(entries)))
+    sigma = np.array([float(e["sigma"]) for e in entries])
+    rho = np.array([float(e["rho"]) for e in entries])
+    if not all(np.isfinite(v).all() for v in (sigma, rho, g.values, phi.values)):
+        raise ValueError("svd document holds non-finite values")
+    return SvdBasis(b, c, sigma, rho, np.array([e["trusted"] for e in entries]),
+                    g, phi, np.arange(len(entries)))

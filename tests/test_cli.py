@@ -5,7 +5,6 @@ import hashlib
 import json
 import math
 import os
-import re
 import subprocess
 import sys
 
@@ -146,13 +145,14 @@ def test_svd_cache_key_changes_with_version(monkeypatch):
     assert cli.svd_cache_key(1.0, 1.0, 12, None) != key
 
 
+@pytest.mark.filterwarnings("ignore::UserWarning")
 def test_version_matches_pyproject():
-    """The cache key reads only __version__, so a change that moves numbers
-    must bump it and pyproject.toml together."""
+    """The cache key reads only __version__, and pyproject.toml takes the
+    package version from it, so the two read one literal."""
+    from setuptools.config.pyprojecttoml import read_configuration
     root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
-    with open(os.path.join(root, "pyproject.toml"), encoding="utf-8") as f:
-        found = re.search(r'^version\s*=\s*"([^"]+)"', f.read(), re.MULTILINE)
-    assert found and found.group(1) == cli.__version__
+    config = read_configuration(os.path.join(root, "pyproject.toml"))
+    assert config["project"]["version"] == cli.__version__
 
 
 def fresh_interpreter_env(**extra):

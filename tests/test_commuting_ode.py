@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 from scipy.integrate import quad
+from scipy.special import ellipkm1
 
 from sechprolate import commuting_ode
 from sechprolate.bounds import R_of_c, U_bounds
@@ -24,6 +25,17 @@ def test_family_parameter_scaling():
     p0, q0 = case1_coefficients(1.0, 0.0)
     assert p0 == pytest.approx(math.cosh(4 * t) - 1, rel=1e-13)
     assert q0 == pytest.approx(3 * t * t, rel=1e-15)
+
+
+@pytest.mark.parametrize("c", np.geomspace(0.01, 111.0, 9))
+def test_liouville_normalizer_matches_scipy(c):
+    """U = K(tanh 2t) / (t sqrt(1 + cosh 4t)) against scipy's ellipkm1 of
+    the complementary parameter sech(2t)^2, up to 4t near the 700 limit."""
+    t = family_parameter(c)
+    ref = ellipkm1(1 / math.cosh(2 * t) ** 2) / (
+        t * math.sqrt(1 + math.cosh(4 * t)))
+    assert commuting_ode.liouville_normalizer(t) == pytest.approx(
+        ref, rel=1e-14, abs=0)
 
 
 def test_p_vanishes_at_endpoints():

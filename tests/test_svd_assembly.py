@@ -309,6 +309,23 @@ def test_json_rejects_fields_of_the_wrong_type(svd_b1_c1, key, value):
         triplets_from_json_dict(doc)
 
 
+@pytest.mark.parametrize("field", ["sigma", "rho", "g", "phi"])
+def test_json_rejects_non_finite_values(svd_b1_c1, field):
+    """The reader is the one place that checks a document's values: a nan
+    or inf in any of them is rejected, so the CLI treats the file as a
+    miss."""
+    doc = json.loads(json.dumps(svd_to_json_dict(svd_b1_c1)))
+    entry = doc["entries"][2]
+    if field == "g":
+        entry["g"]["values"][5] = math.nan
+    elif field == "phi":
+        entry["phi"]["re"][5] = math.inf
+    else:
+        entry[field] = math.nan
+    with pytest.raises(ValueError, match="non-finite"):
+        triplets_from_json_dict(doc)
+
+
 def test_json_rejects_phi_grid_of_another_panel_size(svd_b1_c1):
     """A document on the phi panels with 15 Gauss nodes each, instead of
     phi_grid's 16, is rejected even though every entry is consistent."""
