@@ -209,6 +209,16 @@ class FiniteFloat(click.FloatRange):
 POSITIVE = FiniteFloat(0, min_open=True)
 
 
+def reject_unread(reads, where: str):
+    """Usage error for a given option that is not in reads, the names
+    ("--out", ...) of the options the command reads in this mode."""
+    ctx = click.get_current_context()
+    for param in ctx.command.params:
+        if param.opts[0] not in reads and ctx.get_parameter_source(
+                param.name) is not click.core.ParameterSource.DEFAULT:
+            raise click.UsageError(f"{param.opts[0]} is not read {where}")
+
+
 @click.group()
 def main():
     """SVD of the truncated Fourier transform on sech-weighted spaces,
@@ -279,6 +289,8 @@ def bounds(c_values, m_max, out):
 def widom(c_values, fit, m_max, out):
     """Predicted decay exponent of the eigenvalues per c, with the
     closed-form exponent bounds it should sit between."""
+    reject_unread({"--c", "--fit", "--out"} | ({"--m-max"} if fit else set()),
+                  "without --fit")
     if fit and m_max < 2:
         raise click.UsageError("--fit needs --m-max of at least 2")
     if not c_values:
@@ -289,7 +301,8 @@ def widom(c_values, fit, m_max, out):
             for c in c_values]
     header = ["c", "widom_slope", "lower_exponent", "upper_exponent",
               "slope_fit"]
-    write_run(out, "widom", {"c": list(c_values), "fit": fit, "m_max": m_max},
+    write_run(out, "widom", {"c": list(c_values), "fit": fit,
+                             **({"m_max": m_max} if fit else {})},
               {"widom.csv": csv_bytes(header, rows)}, t0)
     click.echo(f"widom: {len(rows)} rows written to {out}")
 
@@ -387,15 +400,13 @@ def extrapolate(case_id, input_path, b, c, x0, deltas, adaptive, n_level,
     mode = "--sweep" if sweep else "--case" if case_id else "--input"
     reads = EXTRAPOLATE_READS[mode] | {"--out"} | {opt for opt, read in (
         ("--variant", adaptive), ("--kappa", rule == "exponential")) if read}
-    ctx = click.get_current_context()
-    for param in ctx.command.params:
-        if param.opts[0] not in reads and ctx.get_parameter_source(
-                param.name) is not click.core.ParameterSource.DEFAULT:
-            raise click.UsageError(f"{param.opts[0]} is not read with {mode}")
+    reject_unread(reads, f"with {mode}")
     t0 = time.perf_counter()
 
     if sweep:
         delta_list = list(deltas) if deltas else [1e-1, 1e-2, 1e-3]
+        if not all(0 < dl <= 0.5 for dl in delta_list):
+            raise click.UsageError("--delta must lie in (0, 0.5] with --sweep")
         table = rate_sweep(case_id, delta_list, oracle_rule=rule,
                            kappa=kappa, variant=variant)
         header = ["delta", "N_bar", "err_bar", "N_hat", "err_hat"]

@@ -27,7 +27,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .special_functions import agm, gauss_legendre, legendre_table
+from .special_functions import agm, gauss_legendre, legendre_table, panel_grid
 from .sech_operator import check_c
 
 __all__ = [
@@ -59,7 +59,7 @@ def liouville_normalizer(t: float) -> float:
 
 
 # fixed Gauss-Legendre rule on [0, 1] for s in the variable u = sqrt(1-|x|)
-_S_RULE = gauss_legendre(48, (0.0, 1.0))
+_S_RULE = panel_grid([0.0, 1.0], 48)
 # Newton's method for Y^{-1}: iteration cap, and the step size (relative to
 # u) at which it has converged
 _NEWTON_MAX_ITER = 40
@@ -72,14 +72,15 @@ class LiouvilleTransform:
 
     s(x) = int_x^1 p^{-1/2}, X(x) = pi*(1/2 - s(x)/U), Y = sin(X), and
     F(y) = (p(Y^{-1}(y))/(1-y^2))^{1/4} is the Jacobian factor relating
-    solutions g and G on the two sides. Every method takes arrays, and a scalar
-    gives a float.
+    solutions g and G on the two sides. forward gives Y and F at points x;
+    the inverse direction, _u_inverse, serves q_c_potential. Both take
+    arrays, and s of a scalar gives a float.
 
     With x = 1 - u^2, s(x) = S(u) = int_0^u f for 0 <= x <= 1, where
     f(u) = 2 u p(1-u^2)^{-1/2} is analytic and increasing on [0, 1] (p/(1-x)
     is a secant slope of the convex cosh 4tx); one fixed 48-node
     Gauss-Legendre rule scaled to [0, u] gives S to roundoff, and
-    s(-x) = 2 s(0) - s(x) covers x < 0. Y_inverse solves
+    s(-x) = 2 s(0) - s(x) covers x < 0. _u_inverse solves
     S(u) = U arccos|y| / pi by Newton's method with S' = f > 0: S is convex,
     so the iteration converges monotonically after its first step (at most
     7 steps for 0.01 <= c <= 100). It raises ArithmeticError if it has not
@@ -116,12 +117,6 @@ class LiouvilleTransform:
             v = np.where(x < 0, 2.0 * self._S(1.0) - v, v)
         return float(v) if v.ndim == 0 else v
 
-    def X(self, x):
-        return math.pi * (0.5 - self.s(x) / self.U)
-
-    def Y(self, x):
-        return np.sin(self.X(x))
-
     def _u_inverse(self, y):
         # u = sqrt(1 - |x|) at x = Y^{-1}(y): the root of S(u) = U arccos|y|/pi
         # each point stops at its own convergence, so an array call gives
@@ -143,27 +138,23 @@ class LiouvilleTransform:
                 return u.reshape(y.shape)
         raise ArithmeticError("Newton's method for Y^{-1} did not converge")
 
-    def Y_inverse(self, y):
-        """x in [-1, 1] with Y(x) = y."""
-        u = self._u_inverse(y)
-        x = np.copysign(1.0 - u * u, y)
-        return float(x) if x.ndim == 0 else x
-
-    def _jacobian(self, u, s_abs):
-        # F at |x| = 1 - u^2 from u and s(|x|). 1 - Y^2 = sin(pi s(|x|)/U)^2
-        # needs no cancellation at the endpoints; below u = 1e-8 the 0/0
-        # limit (2 U t sinh(4t)/pi)^(1/2) is exact to roundoff. Two square
-        # roots, not ** 0.25, which rounds differently on numpy scalars.
+    def forward(self, x):
+        """(Y(x), F(Y(x))) at the points x in [-1, 1], as 1-D arrays."""
+        x = np.atleast_1d(np.asarray(x, dtype=float))
+        if not np.all(np.abs(x) <= 1.0):     # written so that nan fails too
+            raise ValueError("the Liouville map is defined on [-1, 1]")
+        ax = np.abs(x)
+        u = np.sqrt(1.0 - ax)
+        # X is odd in x, so Y = sign(x) cos(pi s(|x|)/U), which is exactly
+        # +-1 at x = +-1, and 1 - Y^2 = sin(pi s(|x|)/U)^2 needs no
+        # cancellation at the endpoints; below u = 1e-8 the 0/0 limit of F,
+        # (2 U t sinh(4t)/pi)^(1/2), is exact to roundoff. Two square roots,
+        # not ** 0.25, which rounds differently.
+        arg = math.pi * self.s(ax) / self.U
         limit = math.sqrt(2.0 * self.U * self.t * math.sinh(4 * self.t) / math.pi)
-        cos_X = np.abs(np.sin(math.pi * s_abs / self.U))
         with np.errstate(divide="ignore", invalid="ignore"):
-            F = np.sqrt(np.sqrt(self._p(u * u)) / cos_X)
-        return np.where(u > 1e-8, F, limit)
-
-    def F(self, y):
-        u = self._u_inverse(y)
-        v = self._jacobian(u, self._S(u))
-        return float(v) if v.ndim == 0 else v
+            F = np.sqrt(np.sqrt(self._p(u * u)) / np.abs(np.sin(arg)))
+        return np.sign(x) * np.cos(arg), np.where(u > 1e-8, F, limit)
 
 
 def build_transform(c: float) -> LiouvilleTransform:
@@ -223,16 +214,9 @@ class OdeSpectrum:
         gives one row per index, shape (len(m), len(x)), from one map of x
         and one matrix product.
         """
-        x = np.atleast_1d(np.asarray(x, dtype=float))
-        tr = self.transform
-        ax = np.abs(x)
-        s_abs = tr.s(ax)
-        # X is odd in x, so Y = sign(x) cos(pi s(|x|)/U), which is exactly
-        # +-1 at x = +-1
-        Yv = np.sign(x) * np.cos(math.pi * s_abs / tr.U)
-        Fv = tr._jacobian(np.sqrt(1.0 - ax), s_abs)
-        PY = legendre_table(self.n_b - 1, Yv)
-        return (self.coefficients[:, m].T @ PY) * math.sqrt(math.pi / tr.U) / Fv
+        Yv, Fv = self.transform.forward(x)
+        G = self.coefficients[:, m].T @ legendre_table(self.n_b - 1, Yv)
+        return G * math.sqrt(math.pi / self.transform.U) / Fv
 
 
 def galerkin_basis_size(m_max: int, n_b: int = None) -> int:

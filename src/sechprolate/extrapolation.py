@@ -34,6 +34,7 @@ __all__ = [
 
 WINDOW_NODES = 2048       # Gauss nodes of an observation window
 REPORT_BLOCK = 256        # report points per block of the estimator's kernel
+REPORT_HALFWIDTH = 6.0    # half-width of the report grid around x0
 
 
 @dataclass
@@ -136,10 +137,9 @@ def basis_m_max(delta: float, level: int = 0) -> int:
 
 def cutoff_estimate(obs: ObservationWindow, svd: SvdBasis, N: int,
                     nfft: int = 4096, report_points: int = 1201,
-                    report_halfwidth: float = 6.0,
                     d: np.ndarray = None) -> CutoffEstimate:
     """Spectral cut-off estimate at level N on the report grid
-    np.linspace(x0 - report_halfwidth, x0 + report_halfwidth, report_points).
+    np.linspace(x0 - REPORT_HALFWIDTH, x0 + REPORT_HALFWIDTH, report_points).
 
     d is coefficients(obs, svd) if the caller already has it (adaptive_N
     returns it in its diagnostics); otherwise the window is projected here.
@@ -170,7 +170,7 @@ def cutoff_estimate(obs: ObservationWindow, svd: SvdBasis, N: int,
     k = math.pi / (2 * svd.b)
     wh = (math.pi / svd.b) * svd.g.grid.weights * h
     kt = (k * svd.c) * svd.g.grid.nodes
-    s_grid = np.linspace(obs.x0 - report_halfwidth, obs.x0 + report_halfwidth,
+    s_grid = np.linspace(obs.x0 - REPORT_HALFWIDTH, obs.x0 + REPORT_HALFWIDTH,
                          report_points)
     vals = np.empty(report_points)
     with np.errstate(over="ignore"):

@@ -205,8 +205,7 @@ def nystrom_eigensystem(c: float, n: int = None, m_max: int = 12) -> NystromSpec
     n = nystrom_grid_size(m_max, n)
     grid = gauss_legendre(n)
     xl = grid.nodes.astype(np.longdouble)
-    cl = np.longdouble(c)
-    Kl = np.pi * cl / np.cosh(np.pi * cl * (xl[:, None] - xl[None, :]) / 2)
+    Kl = kernel(np.longdouble(c), xl[:, None], xl[None, :])
     try:
         lam, g = symmetric_nystrom_eigenpairs(Kl, grid, m_max + 1)
     except np.linalg.LinAlgError as e:

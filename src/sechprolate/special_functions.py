@@ -50,22 +50,20 @@ def _legendre_and_derivative(n, x):
     return p1, dp
 
 
-def gauss_legendre(n: int, interval=(-1.0, 1.0)) -> QuadratureGrid:
-    """n-point Gauss-Legendre rule on (lo, hi).
+def gauss_legendre(n: int) -> QuadratureGrid:
+    """n-point Gauss-Legendre rule on (-1, 1); panel_grid maps rules onto
+    other intervals.
 
     Nodes found by Newton iteration on P_n starting from the Chebyshev-type
     guesses cos(pi*(i+3/4)/(n+1/2)); one half computed, then mirrored so the
     rule is exactly symmetric.
 
-    Rules are memoised on (n, lo, hi), so repeated calls return the same
-    grid, whose nodes and weights are read-only: copy before writing.
+    Rules are memoised on n, so repeated calls return the same grid, whose
+    nodes and weights are read-only: copy before writing.
     """
-    lo, hi = float(interval[0]), float(interval[1])
     if n < 1:
         raise ValueError("need at least one quadrature node")
-    if not lo < hi:
-        raise ValueError("interval endpoints must satisfy lo < hi")
-    return _gauss_legendre_rule(int(n), lo, hi)
+    return _gauss_legendre_rule(int(n))
 
 
 def panel_grid(edges, nodes_per_panel: int) -> QuadratureGrid:
@@ -96,7 +94,7 @@ def phi_grid(b: float) -> QuadratureGrid:
 
 
 @functools.lru_cache(maxsize=64)
-def _gauss_legendre_rule(n: int, lo: float, hi: float) -> QuadratureGrid:
+def _gauss_legendre_rule(n: int) -> QuadratureGrid:
     if n == 1:
         x = np.array([0.0])
         w = np.array([2.0])
@@ -122,12 +120,9 @@ def _gauss_legendre_rule(n: int, lo: float, hi: float) -> QuadratureGrid:
         order = np.argsort(x)
         x = x[order]
         w = w[order]
-    half = 0.5 * (hi - lo)
-    mid = 0.5 * (hi + lo)
-    nodes, weights = half * x + mid, half * w
-    nodes.flags.writeable = False
-    weights.flags.writeable = False
-    return QuadratureGrid(nodes, weights)
+    x.flags.writeable = False
+    w.flags.writeable = False
+    return QuadratureGrid(x, w)
 
 
 def legendre_table(m_max: int, x) -> np.ndarray:

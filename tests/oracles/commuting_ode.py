@@ -6,7 +6,8 @@ import numpy as np
 
 from sechprolate.commuting_ode import family_parameter, galerkin_basis_size
 from sechprolate.sech_operator import SampledFunction
-from sechprolate.special_functions import gauss_legendre, legendre_table
+from sechprolate.special_functions import (gauss_legendre, legendre_table,
+                                           panel_grid)
 
 from .special_functions import legendre_derivative_table
 
@@ -52,7 +53,7 @@ def commutation_residual(c: float, g: SampledFunction, chi: float) -> float:
     K = min(180, max(30, n - 40))
     P = legendre_table(K - 1, g.grid.nodes)
     coef = P @ (g.grid.weights * np.real(g.values))
-    inner = gauss_legendre(400, (-0.9, 0.9))
+    inner = panel_grid([-0.9, 0.9], 400)
     x = inner.nodes
     Pi = legendre_table(K - 1, x)
     Pdi = legendre_derivative_table(K - 1, x)

@@ -268,9 +268,13 @@ def test_widom_default_grid(tmp_path, cache):
         else:
             assert r[3] == ""
         assert r[4] == ""  # no --fit, so no fitted slope
+    man = json.loads((out / "widom_manifest.json").read_text())
+    assert "m_max" not in man["parameters"]   # read only with --fit
 
     for bad in ("0", "-1", "nan", "inf"):
         run_usage_error(tmp_path, "widom", "--c", bad)
+    res = run_usage_error(tmp_path, "widom", "--c", "1", "--m-max", "5")
+    assert "--m-max is not read without --fit" in res.stderr
 
 
 def test_widom_fit_column(tmp_path, cache):
@@ -281,6 +285,8 @@ def test_widom_fit_column(tmp_path, cache):
     assert len(rows) == 1
     assert float(rows[0][4]) == bounds_lib.build_report(1.0,
                                                         m_max=12).slope_fit
+    man = json.loads((out / "widom_manifest.json").read_text())
+    assert man["parameters"]["m_max"] == 12
 
 
 def test_extrapolate_case_a_adaptive(tmp_path, cache):
@@ -335,6 +341,9 @@ def test_extrapolate_usage_errors(tmp_path):
         ["extrapolate", "--case", "a", "--N", "3", "--delta", "-0.1"],
         ["extrapolate", "--case", "a", "--N", "3", "--delta", "nan"],
         ["extrapolate", "--case", "a", "--sweep", "--delta", "inf"],
+        # sweep deltas outside (0, 0.5] exited 3 as numerical failures
+        ["extrapolate", "--case", "a", "--sweep", "--delta", "0"],
+        ["extrapolate", "--case", "a", "--sweep", "--delta", "0.7"],
     ] + [
         # each exited 3 or ran with N_bar = 0 while --kappa was a bare float
         ["extrapolate", "--case", "a", "--sweep", "--rule", "exponential",

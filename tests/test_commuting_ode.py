@@ -54,11 +54,9 @@ def test_p_cancellation_free():
 
 
 def test_transform_endpoints(transform_c1):
-    tr = transform_c1
-    assert tr.X(1.0) == pytest.approx(math.pi / 2, rel=1e-12)
-    assert tr.Y(1.0) == pytest.approx(1.0, abs=1e-12)
-    assert tr.Y(0.0) == pytest.approx(0.0, abs=1e-14)
-    assert tr.Y(-1.0) == pytest.approx(-1.0, abs=1e-12)
+    Y, F = transform_c1.forward([-1.0, 0.0, 1.0])
+    assert Y.tolist() == [-1.0, 0.0, 1.0]
+    assert np.all(np.isfinite(F)) and np.all(F > 0)
 
 
 def test_U_within_closed_form_bracket(transform_c1):
@@ -73,23 +71,27 @@ def test_U_against_direct_quadrature():
         assert tr.s(-1.0) == pytest.approx(tr.U, rel=1e-10)
 
 
+def inverse_map(tr, y):
+    """x = Y^{-1}(y), from u = sqrt(1 - |x|)."""
+    u = tr._u_inverse(y)
+    return np.copysign(1.0 - u * u, y)
+
+
 def test_Y_monotone_roundtrip(transform_c1):
     tr = transform_c1
-    xs = np.linspace(-1, 1, 200)
-    ys = np.array([tr.Y(x) for x in xs])
-    assert np.all(np.diff(ys) > 0)
-    for y in np.linspace(-0.999, 0.999, 200):
-        assert tr.Y(tr.Y_inverse(y)) == pytest.approx(y, abs=1e-12)
+    Y, _ = tr.forward(np.linspace(-1, 1, 200))
+    assert np.all(np.diff(Y) > 0)
+    y = np.linspace(-0.999, 0.999, 200)
+    assert np.max(np.abs(tr.forward(inverse_map(tr, y))[0] - y)) <= 1e-12
 
 
 def test_F_positive_and_bounded(transform_c1):
     tr = transform_c1
     t = family_parameter(1.0)
     cap = 2 * math.pi ** 2 * math.exp(4 * t) * t * t   # quartic-power cap
-    for y in np.linspace(-1, 1, 501):
-        F = tr.F(y)
-        assert F > 0
-        assert F ** 4 <= cap
+    _, F = tr.forward(inverse_map(tr, np.linspace(-1, 1, 501)))
+    assert np.all(F > 0)
+    assert np.all(F ** 4 <= cap)
 
 
 def test_q_at_zero(transform_c1):
@@ -173,12 +175,15 @@ def test_vectorised_map_matches_scalar_calls(c):
     x = np.concatenate([np.linspace(-1.0, 1.0, 41), [-1 + 1e-13, 1 - 1e-13]])
     y = np.concatenate([np.linspace(-1.0, 1.0, 41),
                         1 - np.logspace(-15, -1, 8), [-1 + 1e-9]])
-    for fn, pts in ((tr.s, x), (tr.Y_inverse, y), (tr.F, y),
+    for fn, pts in ((tr.s, x), (tr._u_inverse, y),
                     (lambda v: q_c_potential(tr, v), y)):
         got = fn(pts)
         assert got.shape == pts.shape
         assert np.array_equal(got, [fn(float(v)) for v in pts])
-    assert np.max(np.abs(tr.Y(tr.Y_inverse(y)) - y)) <= 1e-12
+    Y, F = tr.forward(x)
+    scalar = np.array([tr.forward(float(v)) for v in x])[..., 0]
+    assert np.array_equal(Y, scalar[:, 0]) and np.array_equal(F, scalar[:, 1])
+    assert np.max(np.abs(tr.forward(inverse_map(tr, y))[0] - y)) <= 1e-12
 
 
 @pytest.mark.parametrize("c", [0.25, 1.0, 4.0])
@@ -203,10 +208,17 @@ def test_s_against_scipy_quad(c):
 def test_y_inverse_raises_rather_than_return_unconverged(monkeypatch):
     tr = build_transform(1.0)
     with pytest.raises(ArithmeticError):
-        tr.Y_inverse(np.array([0.5, np.nan]))
+        tr._u_inverse(np.array([0.5, np.nan]))
     monkeypatch.setattr(commuting_ode, "_NEWTON_MAX_ITER", 1)
     with pytest.raises(ArithmeticError):
-        tr.Y_inverse(0.5)
+        tr._u_inverse(0.5)
+
+
+def test_evaluate_g_rejects_points_outside_the_map(ode_c1):
+    """A point outside [-1, 1] or NaN raises rather than give NaN values."""
+    for bad in (1.5, -1.0000001, float("inf"), float("nan")):
+        with pytest.raises(ValueError, match=r"\[-1, 1\]"):
+            ode_c1.evaluate_g(0, [0.3, bad])
 
 
 def test_evaluate_g_distinguishes_grids_with_equal_ends(ode_c1):

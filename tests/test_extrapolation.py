@@ -288,10 +288,13 @@ def test_cutoff_clean_data_accuracy():
     nrm = None
     errs = {}
     for N in (10, 12, 20):
-        est = cutoff_estimate(obs, svd, N, report_halfwidth=3.0)
+        # 2401 points on [-6, 6] keep the step 0.005 of 1201 on [-3, 3]
+        est = cutoff_estimate(obs, svd, N, report_points=2401)
+        inner = np.abs(est.grid) <= 3.0 + 1e-9
+        s, vals = est.grid[inner], est.values[inner]
         if nrm is None:
-            nrm = math.sqrt(np.trapezoid(truth(est.grid) ** 2, est.grid))
-        errs[N] = l2_error(est.grid, est.values, truth) / nrm
+            nrm = math.sqrt(np.trapezoid(truth(s) ** 2, s))
+        errs[N] = l2_error(s, vals, truth) / nrm
     assert errs[12] < 2e-2
     assert errs[20] < errs[12] < errs[10]
 

@@ -108,7 +108,7 @@ def test_eigenvalue_endpoint_identity_integrated():
     log rho_m(1) - log rho_m(0.5) = int 2 g_m(1)^2 d(log c), by an 8-node
     Gauss rule in log c with one Galerkin solve per node, against the
     Rayleigh rho of commuting_eigenpairs for m <= 8 (rho >= 1.1e-7 here)."""
-    rule = gauss_legendre(8, (math.log(0.5), 0.0))
+    rule = panel_grid([math.log(0.5), 0.0], 8)
     m = np.arange(9)
     g1 = np.array([galerkin_eigensystem(math.exp(u), m_max=8)
                    .evaluate_g(m, [1.0])[:, 0] for u in rule.nodes])
