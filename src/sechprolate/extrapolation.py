@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .special_functions import gauss_legendre
-from .sech_operator import OperatorParams, SampledFunction
+from .sech_operator import OperatorParams, SampledFunction, check_c
 from .svd_assembly import SvdBasis, compute_svd, evaluate_g
 from .bounds import beta
 
@@ -45,8 +45,11 @@ class ObservationWindow:
     samples: SampledFunction      # f_delta(c x + x0) on a Gauss grid, x in (-1,1)
 
     def __post_init__(self):
-        if self.delta < 0:
-            raise ValueError("delta must be nonnegative")
+        check_c(self.c)
+        if not math.isfinite(self.x0):
+            raise ValueError("window center x0 must be finite")
+        if not 0 <= self.delta < math.inf:      # written so that nan fails too
+            raise ValueError("delta must be finite and nonnegative")
         if not np.all(np.isfinite(self.samples.values)):
             raise ValueError("window samples must be finite")
         if not np.all(np.isfinite(self.samples.grid.weights)):
@@ -182,9 +185,8 @@ def cutoff_estimate(obs: ObservationWindow, svd: SvdBasis, N: int,
 
 
 def l2_error(s_grid: np.ndarray, fhat: np.ndarray, ftrue) -> float:
-    """L2 distance on the report grid by the trapezoid rule."""
-    ft = ftrue(s_grid) if callable(ftrue) else np.asarray(ftrue)
-    return float(np.sqrt(np.trapezoid(np.abs(fhat - ft) ** 2, s_grid)))
+    """L2 distance to the truth function on the report grid, by trapezoids."""
+    return float(np.sqrt(np.trapezoid(np.abs(fhat - ftrue(s_grid)) ** 2, s_grid)))
 
 
 def adaptive_N(obs: ObservationWindow, svd: SvdBasis, variant: str = "plus"):

@@ -2,13 +2,13 @@
 
 Assembles triplets (sigma_m, phi_m, g_m): g_m are the unit eigenfunctions
 of the sech-kernel operator at parameter c/b, sigma_m = sqrt(rho_m / c),
-and phi_m = (adjoint of the transform applied to g_m) / sigma_m lives on a
-symmetric real-line grid. Every index takes one route, the commuting
-differential operator (Osipov, Rokhlin & Xiao 2013): its Galerkin
-eigenvectors give the g_m as stacked rows on one Gauss grid, one Rayleigh
-integral every rho_m, and one adjoint every phi_m; the dense Nystrom
-solve is only an oracle. The result is one SvdBasis, whose arrays hold
-every index at once.
+and phi_m = (adjoint of the transform applied to g_m) / sigma_m, evaluated
+where it is asked for; the SVD document holds it on a symmetric real-line
+grid. Every index takes one route, the commuting differential operator
+(Osipov, Rokhlin & Xiao 2013): its Galerkin eigenvectors give the g_m as
+stacked rows on one Gauss grid and one Rayleigh integral every rho_m; the
+dense Nystrom solve is only an oracle. The result is one SvdBasis, whose
+arrays hold every index at once.
 """
 from dataclasses import dataclass
 
@@ -42,31 +42,36 @@ G_BLOCK = 256             # points per block of evaluate_g's interpolation matri
 class SvdBasis:
     """Singular triplets (sigma_m, phi_m, g_m) at (b, c) as arrays.
 
-    Entry k of sigma, rho, trusted and m, and row k of g.values and
-    phi.values, belong to index m[k]; a basis from compute_svd or the
-    reader holds m = 0..M-1 in order, so there a row's position is its m.
-    An int key gives one triplet (scalar fields, 1-D values); a slice,
-    index array or boolean mask gives a sub-basis that keeps its labels.
-    Iteration yields the triplets in row order.
+    It holds the eigenpairs (rho_m, g_m) of the kernel at c/b; sigma and
+    trusted (rho above rayleigh_trust_floor(c/b)) derive from rho, and
+    evaluate_phi gives phi. Entry k of rho and m, and row k of g.values,
+    belong to index m[k]; a basis from compute_svd or the reader holds
+    m = 0..M-1 in order, so there a row's position is its m. An int key
+    gives one triplet (scalar fields, 1-D values); a slice, index array or
+    boolean mask gives a sub-basis that keeps its labels. Iteration yields
+    the triplets in row order.
     """
     b: float
     c: float
-    sigma: np.ndarray
     rho: np.ndarray
-    trusted: np.ndarray
     g: SampledFunction            # rows on one Gauss grid of (-1,1), unit L2 norm
-    phi: SampledFunction          # complex rows on phi_grid(b)
     m: np.ndarray                 # index labels
 
     def __len__(self):
-        return len(self.sigma)
+        return len(self.rho)
 
     def __getitem__(self, key):
-        return SvdBasis(self.b, self.c, self.sigma[key], self.rho[key],
-                        self.trusted[key],
+        return SvdBasis(self.b, self.c, self.rho[key],
                         SampledFunction(self.g.grid, self.g.values[key]),
-                        SampledFunction(self.phi.grid, self.phi.values[key]),
                         self.m[key])
+
+    @property
+    def sigma(self):
+        return np.sqrt(self.rho / self.c)
+
+    @property
+    def trusted(self):
+        return self.rho > rayleigh_trust_floor(self.c / self.b)
 
     @property
     def last_trusted(self) -> int:
@@ -87,25 +92,17 @@ def commuting_eigenpairs(c: float, m_max: int, n: int = None):
 
 
 def compute_svd(params: OperatorParams, m_max: int, n: int = None) -> SvdBasis:
-    """Singular triplets for m = 0..m_max.
-
-    One pass by the commuting operator (commuting_eigenpairs: one Galerkin
-    eigensolve, one evaluate_g, one rho_rayleigh) and one apply_adjoint
-    onto phi_grid(b) for every phi.
+    """Singular triplets for m = 0..m_max, by one pass of the commuting
+    operator (commuting_eigenpairs: one Galerkin eigensolve, one
+    evaluate_g, one rho_rayleigh).
 
     Indices whose rho is at or below rayleigh_trust_floor are flagged
     untrusted but still returned.
     """
     if m_max < 0:
         raise ValueError("m_max must be nonnegative")
-    cp = params.kernel_parameter
-    _, g, rho = commuting_eigenpairs(cp, m_max, n)
-    sigma = np.sqrt(rho / params.c)
-    xgrid = phi_grid(params.b)
-    phi = apply_adjoint(params, g, xgrid.nodes) / sigma[:, None]
-    return SvdBasis(params.b, params.c, sigma, rho,
-                    rho > rayleigh_trust_floor(cp), g,
-                    SampledFunction(xgrid, phi), np.arange(m_max + 1))
+    _, g, rho = commuting_eigenpairs(params.kernel_parameter, m_max, n)
+    return SvdBasis(params.b, params.c, rho, g, np.arange(m_max + 1))
 
 
 def evaluate_g(svd: SvdBasis, s) -> np.ndarray:
@@ -145,18 +142,19 @@ def evaluate_g(svd: SvdBasis, s) -> np.ndarray:
 
 def evaluate_phi(svd: SvdBasis, x) -> np.ndarray:
     """Every phi_m of the basis at arbitrary real points, from its defining
-    adjoint integral."""
+    adjoint integral phi_m = F* g_m / sigma_m; the document's phi rows are
+    this on phi_grid(b)."""
     params = OperatorParams(b=svd.b, c=svd.c)
     return apply_adjoint(params, svd.g, x) / np.asarray(svd.sigma)[..., None]
 
 
 def svd_to_json_dict(svd: SvdBasis) -> dict:
-    gnodes = svd.g.grid.nodes.tolist()
-    pnodes = svd.phi.grid.nodes.tolist()
+    xgrid = phi_grid(svd.b)
+    phi = evaluate_phi(svd, xgrid.nodes)
+    gnodes, pnodes = svd.g.grid.nodes.tolist(), xgrid.nodes.tolist()
     rows = zip(svd.m.tolist(), svd.sigma.tolist(), svd.rho.tolist(),
-               svd.trusted.tolist(), np.real(svd.g.values).tolist(),
-               np.real(svd.phi.values).tolist(),
-               np.imag(svd.phi.values).tolist())
+               svd.trusted.tolist(), svd.g.values.tolist(),
+               phi.real.tolist(), phi.imag.tolist())
     entries = [{"m": m, "sigma": sigma, "rho": rho, "trusted": trusted,
                 "g": {"nodes": gnodes, "values": g},
                 "phi": {"nodes": pnodes, "re": re, "im": im}}
@@ -165,39 +163,41 @@ def svd_to_json_dict(svd: SvdBasis) -> dict:
 
 
 def triplets_from_json_dict(doc: dict) -> SvdBasis:
-    """Rebuild the basis; quadrature weights are regenerated from the grid
-    shapes (they are not serialized). The entries must be m = 0..M-1 in
-    order, every entry must sit on the Gauss grid of the first one's size
-    and on phi_grid(b), its trusted must be a JSON boolean and its sigma
-    and rho numbers, and sigma, rho, g and phi must be finite."""
-    b, c = float(doc["b"]), float(doc["c"])
+    """Rebuild the basis, checking the document against what the writer
+    would write: valid (b, c), entries m = 0..M-1 in order, each exactly on
+    the Gauss grid of the first one's size and on phi_grid(b), trusted a
+    JSON boolean, sigma and rho numbers, every value finite, and sigma and
+    trusted equal to those derived from rho. phi is checked, then dropped."""
+    params = OperatorParams(b=float(doc["b"]), c=float(doc["c"]))
     entries = doc["entries"]
     if not entries:
         raise ValueError("svd document has no entries")
     if [e["m"] for e in entries] != list(range(len(entries))):
         raise ValueError("svd document entries are not m = 0..M-1 in order")
     ggrid = gauss_legendre(len(entries[0]["g"]["nodes"]))
-    pgrid = phi_grid(b)
+    gnodes = ggrid.nodes.tolist()
+    pnodes = phi_grid(params.b).nodes.tolist()
     for e in entries:
         # bool("false") is True, and a bool is an int: check the JSON types
         if not isinstance(e["trusted"], bool) or any(
                 isinstance(e[k], bool) or not isinstance(e[k], (int, float))
                 for k in ("sigma", "rho")):
             raise ValueError("sigma and rho must be numbers, trusted a boolean")
-        gnodes = np.array(e["g"]["nodes"])
-        if gnodes.shape != ggrid.nodes.shape \
-                or not np.allclose(ggrid.nodes, gnodes, atol=1e-12):
+        if e["g"]["nodes"] != gnodes:
             raise ValueError("g grid is not the standard Gauss grid")
-        pnodes = np.array(e["phi"]["nodes"])
-        if pnodes.shape != pgrid.nodes.shape \
-                or not np.allclose(pgrid.nodes, pnodes, atol=1e-9 / b):
+        if e["phi"]["nodes"] != pnodes:
             raise ValueError("phi grid does not match the standard panel grid")
     g = SampledFunction(ggrid, np.array([e["g"]["values"] for e in entries]))
-    phi = SampledFunction(pgrid, np.array([e["phi"]["re"] for e in entries])
-                          + 1j * np.array([e["phi"]["im"] for e in entries]))
+    phi = np.array([(e["phi"]["re"], e["phi"]["im"]) for e in entries])
+    if phi.shape != (len(entries), 2, len(pnodes)):
+        raise ValueError("phi values do not match the phi grid")
     sigma = np.array([float(e["sigma"]) for e in entries])
     rho = np.array([float(e["rho"]) for e in entries])
-    if not all(np.isfinite(v).all() for v in (sigma, rho, g.values, phi.values)):
+    if not all(np.isfinite(v).all() for v in (sigma, rho, g.values, phi)):
         raise ValueError("svd document holds non-finite values")
-    return SvdBasis(b, c, sigma, rho, np.array([e["trusted"] for e in entries]),
-                    g, phi, np.arange(len(entries)))
+    svd = SvdBasis(params.b, params.c, rho, g, np.arange(len(entries)))
+    if not np.array_equal(sigma, svd.sigma):
+        raise ValueError("stored sigma is not sqrt(rho / c)")
+    if [e["trusted"] for e in entries] != svd.trusted.tolist():
+        raise ValueError("stored trusted flags do not follow from rho")
+    return svd

@@ -42,7 +42,7 @@ from sechprolate.svd_assembly import compute_svd
 
 from oracles.pswf import pswf_basis, pswf_cutoff_estimate
 from oracles.sech_operator import verify_factorization
-from oracles.svd_assembly import rescale_phi
+from oracles.svd_assembly import phi_rows, rescale_phi
 
 
 def report(n: int, failures: list):
@@ -208,17 +208,17 @@ def test_criterion_08_svd_contracts():
                 failures.append(f"sigma != sqrt(rho/c) at (b={t.b}, c={t.c}) "
                                 f"m={t.m}")
 
-    grid = main_set[0].phi.grid
-    w = grid.weights * np.cosh(grid.nodes)
-    P = np.stack([t.phi.values for t in main_set])
+    phi = phi_rows(main_set)
+    w = phi.grid.weights * np.cosh(phi.grid.nodes)
+    P = phi.values
     gram = (P * w) @ P.conj().T
     dev = float(np.max(np.abs(gram - np.eye(9))))
     if not dev < 1e-4:
         failures.append(f"phi Gram deviates from identity by {dev:.3e}")
 
     for m in range(7):
-        scaled = rescale_phi(2.0, 1.0, src[m])
-        a, d = scaled.phi.values, direct[m].phi.values
+        _, scaled = rescale_phi(2.0, 1.0, src[m])
+        a, d = scaled.values, phi_rows(direct[m]).values
         ip = np.vdot(d, a)
         diff = float(np.max(np.abs(a - (ip / abs(ip)) * d)))
         if not diff < 1e-5:

@@ -193,8 +193,8 @@ def test_svd_byte_identical_across_processes_at_one_blas_thread(tmp_path):
 
 
 def test_svd_scaling_law_across_runs(tmp_path, cache):
-    """Triplets written at (b=2, c=1) match the scaling law applied to the
-    (1, 0.5) document, through the JSON round-trip."""
+    """The phi rows and sigma written at (b=2, c=1) match the scaling law
+    applied to the basis read back from the (1, 0.5) document."""
     out_src, out_tgt = tmp_path / "src", tmp_path / "tgt"
     for out, b, c in ((out_src, "1", "0.5"), (out_tgt, "2", "1")):
         res = run_cli(cache, "svd", "--b", b, "--c", c, "--m-max", "6",
@@ -202,18 +202,17 @@ def test_svd_scaling_law_across_runs(tmp_path, cache):
         assert res.exit_code == 0
     src = triplets_from_json_dict(
         json.loads((out_src / "svd.json").read_text()))
-    tgt = triplets_from_json_dict(
-        json.loads((out_tgt / "svd.json").read_text()))
+    tgt = json.loads((out_tgt / "svd.json").read_text())["entries"]
     for m in range(7):
-        scaled = rescale_phi(2.0, 1.0, src[m])
-        a = scaled.phi.values
-        d = tgt[m].phi.values
-        assert np.allclose(scaled.phi.grid.nodes, tgt[m].phi.grid.nodes,
+        sigma, scaled = rescale_phi(2.0, 1.0, src[m])
+        a = scaled.values
+        d = np.array(tgt[m]["phi"]["re"]) + 1j * np.array(tgt[m]["phi"]["im"])
+        assert np.allclose(scaled.grid.nodes, tgt[m]["phi"]["nodes"],
                            atol=1e-15)
         ip = np.vdot(d, a)
         s = ip / abs(ip)
         assert np.max(np.abs(a - s * d)) < 1e-5, f"m={m}"
-        assert scaled.sigma == pytest.approx(tgt[m].sigma, rel=1e-10)
+        assert sigma == pytest.approx(tgt[m]["sigma"], rel=1e-10)
 
 
 def test_bounds_table(tmp_path, cache):
@@ -597,12 +596,13 @@ def tampered_document(document, key, value):
 
 @pytest.mark.parametrize("corrupt", ["truncated", "empty_dict", "other_c",
                                      "other_n", "nan_rho",
-                                     "string_trusted"])
+                                     "string_trusted", "sigma_ulp"])
 def test_corrupt_cached_document_is_recomputed(tmp_path, corrupt):
     """A cached document that does not parse, or parses as one for other
     parameters, with a non-finite value or with a field of the wrong JSON
-    type, is a miss: the run recomputes it, overwrites the file and gives
-    the bytes of a fresh-cache run."""
+    type, or with a sigma one ulp off the one rho gives, is a miss: the run
+    recomputes it, overwrites the file and gives the bytes of a fresh-cache
+    run."""
     fresh, cache_dir = tmp_path / "fresh", tmp_path / "cache"
     res = run_cli(str(fresh), "extrapolate", "--case", "a", "--N", "2",
                   "--out", str(tmp_path / "ref"))
@@ -621,6 +621,8 @@ def test_corrupt_cached_document_is_recomputed(tmp_path, corrupt):
         "nan_rho": lambda: tampered_document(document, "rho", float("nan")),
         "string_trusted": lambda: tampered_document(document, "trusted",
                                                     "false"),
+        "sigma_ulp": lambda: tampered_document(document, "sigma", float(
+            np.nextafter(json.loads(document)["entries"][3]["sigma"], 1.0))),
     }[corrupt]())
     res = run_cli(str(cache_dir), "extrapolate", "--case", "a", "--N", "2",
                   "--out", str(tmp_path / "run"))
@@ -628,3 +630,25 @@ def test_corrupt_cached_document_is_recomputed(tmp_path, corrupt):
     assert (cache_dir / name).read_bytes() == document
     assert ((tmp_path / "run" / "reconstruction.csv").read_bytes()
             == (tmp_path / "ref" / "reconstruction.csv").read_bytes())
+
+
+def test_cached_document_with_a_flipped_trusted_is_recomputed(tmp_path):
+    """At c/b = 0.1 the rows m = 11, 12 are untrusted. A cached document
+    that calls m = 12 trusted is a miss: the run overwrites it and writes
+    the svd.json of a fresh-cache run."""
+    args = ("svd", "--b", "1", "--c", "0.1", "--m-max", "12")
+    fresh, cache_dir = tmp_path / "fresh", tmp_path / "cache"
+    res = run_cli(str(fresh), *args, "--out", str(tmp_path / "ref"))
+    assert res.exit_code == 0
+    name = cli.svd_cache_key(1.0, 0.1, 12, None) + ".json"
+    document = (fresh / name).read_bytes()
+    doc = json.loads(document)
+    assert [e["trusted"] for e in doc["entries"][10:]] == [True, False, False]
+    doc["entries"][12]["trusted"] = True
+    cache_dir.mkdir()
+    (cache_dir / name).write_bytes(cli.json_bytes(doc))
+    res = run_cli(str(cache_dir), *args, "--out", str(tmp_path / "run"))
+    assert res.exit_code == 0, res.output
+    assert (cache_dir / name).read_bytes() == document
+    assert ((tmp_path / "run" / "svd.json").read_bytes()
+            == (tmp_path / "ref" / "svd.json").read_bytes())

@@ -62,6 +62,20 @@ def test_window_rejects_bad_input():
                           samples=SampledFunction(g, np.full(16, np.nan)))
 
 
+@pytest.mark.parametrize("key, value", [
+    ("c", math.nan), ("c", math.inf), ("c", 0.0), ("c", -0.5),
+    ("x0", math.nan), ("x0", -math.inf), ("delta", math.nan),
+    ("delta", math.inf)])
+def test_window_rejects_bad_parameters(key, value):
+    """c, x0 and delta are checked where the window is built, written so
+    that nan fails too: a nan c would pass coefficients' check on c, and a
+    nan x0 would give an all-nan reconstruction."""
+    params = {"x0": 0.0, "c": 0.5, "delta": 0.05, key: value}
+    g = gauss_legendre(16)
+    with pytest.raises(ValueError, match=key):
+        ObservationWindow(samples=SampledFunction(g, np.zeros(16)), **params)
+
+
 def test_window_rejects_an_infinite_weight():
     """One infinite quadrature weight fails when the window is built; the
     projection would otherwise turn it into alternating infinite d_m."""

@@ -17,11 +17,18 @@ from sechprolate.svd_assembly import (commuting_eigenpairs, compute_svd,
                                       triplets_from_json_dict)
 
 from oracles.sech_operator import apply_forward
-from oracles.svd_assembly import rescale_phi
+from oracles.svd_assembly import phi_rows, rescale_phi
 
 
-def phi_weight(t, b):
-    return t.phi.grid.weights * np.cosh(b * t.phi.grid.nodes)
+def phi_weight(b):
+    grid = phi_grid(b)
+    return grid.weights * np.cosh(b * grid.nodes)
+
+
+@pytest.fixture(scope="module")
+def svd_c01():
+    """A basis whose last two rows, m = 11 and 12, are untrusted."""
+    return compute_svd(OperatorParams(b=1.0, c=0.1), m_max=12)
 
 
 def test_sigma_rho_relation(svd_b1_c1):
@@ -41,33 +48,26 @@ def test_g_unit_norm(svd_b1_c1):
 
 
 def test_phi_cosh_norm(svd_b1_c1):
-    for t in svd_b1_c1:
-        n2 = np.sum(phi_weight(t, 1.0) * np.abs(t.phi.values) ** 2)
-        assert n2 == pytest.approx(1.0, abs=1e-4)
+    n2 = np.abs(phi_rows(svd_b1_c1).values) ** 2 @ phi_weight(1.0)
+    assert n2 == pytest.approx(np.ones(9), abs=1e-4)
 
 
 def test_phi_parity_structure(svd_b1_c1):
     """Even-index singular functions are real and even, odd ones imaginary
     and odd, up to quadrature noise."""
-    for t in svd_b1_c1:
-        scale = np.max(np.abs(t.phi.values))
-        if t.m % 2 == 0:
-            off = np.max(np.abs(t.phi.values.imag))
+    for m, phi in zip(svd_b1_c1.m, phi_rows(svd_b1_c1).values):
+        scale = np.max(np.abs(phi))
+        if m % 2 == 0:
+            off = np.max(np.abs(phi.imag))
         else:
-            off = np.max(np.abs(t.phi.values.real))
-        assert off < 1e-6 * scale, f"m={t.m}"
+            off = np.max(np.abs(phi.real))
+        assert off < 1e-6 * scale, f"m={m}"
 
 
 def test_phi_gram(svd_b1_c1):
-    n = 9
-    w = phi_weight(svd_b1_c1[0], 1.0)
-    gram = np.empty((n, n))
-    for i in range(n):
-        for j in range(n):
-            val = np.sum(w * svd_b1_c1[i].phi.values
-                         * np.conj(svd_b1_c1[j].phi.values))
-            gram[i, j] = abs(val)
-    assert np.max(np.abs(gram - np.eye(n))) < 1e-4
+    P = phi_rows(svd_b1_c1).values
+    gram = np.abs((P * phi_weight(1.0)) @ P.conj().T)
+    assert np.max(np.abs(gram - np.eye(9))) < 1e-4
 
 
 def test_rho_monotone_in_c():
@@ -124,17 +124,17 @@ def test_expansion_closes_coefficient_loop():
     forward transform: the coefficients must come back."""
     params = OperatorParams(b=1.0, c=1.0)
     svd = compute_svd(params, m_max=12)
-    t0 = svd[0]
-    x = t0.phi.grid.nodes
-    f = SampledFunction(t0.phi.grid, 1.0 / np.cosh(2.0 * x))
-    ygrid = t0.g.grid
+    phi = phi_rows(svd)
+    x = phi.grid.nodes
+    f = SampledFunction(phi.grid, 1.0 / np.cosh(2.0 * x))
+    ygrid = svd.g.grid
     h = apply_forward(params, f, ygrid.nodes)
     d = np.array([np.sum(ygrid.weights * h * np.conj(t.g.values))
                   for t in svd])
     partial = np.zeros_like(x, dtype=complex)
-    for t, dm in zip(svd, d):
-        partial += (dm / t.sigma) * t.phi.values
-    h_back = apply_forward(params, SampledFunction(t0.phi.grid, partial),
+    for t, dm, row in zip(svd, d, phi.values):
+        partial += (dm / t.sigma) * row
+    h_back = apply_forward(params, SampledFunction(phi.grid, partial),
                            ygrid.nodes)
     d_back = np.array([np.sum(ygrid.weights * h_back * np.conj(t.g.values))
                        for t in svd])
@@ -143,18 +143,18 @@ def test_expansion_closes_coefficient_loop():
 
 def test_rescale_identity(svd_b1_c1):
     for t in svd_b1_c1[:4]:
-        out = rescale_phi(1.0, 1.0, t)
-        assert out.sigma == pytest.approx(t.sigma, rel=1e-14)
-        assert np.allclose(out.phi.values, t.phi.values, atol=1e-13)
-        assert np.array_equal(out.phi.grid.nodes, t.phi.grid.nodes)
+        sigma, phi = rescale_phi(1.0, 1.0, t)
+        assert sigma == pytest.approx(t.sigma, rel=1e-14)
+        assert np.allclose(phi.values, phi_rows(t).values, atol=1e-13)
+        assert np.array_equal(phi.grid.nodes, phi_grid(1.0).nodes)
 
 
 def test_rescale_norm():
     src = compute_svd(OperatorParams(b=1.0, c=0.5), m_max=6)
     for t in src:
-        out = rescale_phi(2.0, 1.0, t)
-        w = out.phi.grid.weights * np.cosh(2.0 * out.phi.grid.nodes)
-        n2 = np.sum(w * np.abs(out.phi.values) ** 2)
+        _, phi = rescale_phi(2.0, 1.0, t)
+        w = phi.grid.weights * np.cosh(2.0 * phi.grid.nodes)
+        n2 = np.sum(w * np.abs(phi.values) ** 2)
         assert n2 == pytest.approx(1.0, abs=1e-4)
 
 
@@ -164,15 +164,14 @@ def test_rescale_matches_direct():
     src = compute_svd(OperatorParams(b=1.0, c=0.5), m_max=6)
     direct = compute_svd(OperatorParams(b=2.0, c=1.0), m_max=6)
     for m in range(7):
-        scaled = rescale_phi(2.0, 1.0, src[m])
-        a = scaled.phi.values
-        d = direct[m].phi.values
-        assert np.allclose(scaled.phi.grid.nodes,
-                           direct[m].phi.grid.nodes, atol=1e-15)
+        sigma, scaled = rescale_phi(2.0, 1.0, src[m])
+        a = scaled.values
+        d = phi_rows(direct[m]).values
+        assert np.allclose(scaled.grid.nodes, phi_grid(2.0).nodes, atol=1e-15)
         ip = np.vdot(d, a)            # fix the sign ambiguity
         s = ip / abs(ip)
         assert np.max(np.abs(a - s * d)) < 1e-5, f"m={m}"
-        assert scaled.sigma == pytest.approx(direct[m].sigma, rel=1e-10)
+        assert sigma == pytest.approx(direct[m].sigma, rel=1e-10)
 
 
 def test_rescale_rejects_wrong_source(svd_b1_c1):
@@ -181,8 +180,8 @@ def test_rescale_rejects_wrong_source(svd_b1_c1):
         rescale_phi(2.0, 1.0, svd_b1_c1[0])
 
 
-def test_rescale_rejects_untrusted():
-    svd = compute_svd(OperatorParams(b=1.0, c=0.1), m_max=12)
+def test_rescale_rejects_untrusted(svd_c01):
+    svd = svd_c01
     bad = next(t for t in svd if not t.trusted)
     with pytest.raises(ValueError):
         rescale_phi(1.0, 0.1, bad)
@@ -193,27 +192,26 @@ def test_rescale_rejects_untrusted():
 
 def test_basis_indexing(svd_b1_c1):
     """An int key gives one triplet with scalar fields and 1-D values; a
-    slice or mask gives a sub-basis on the same grids that keeps its m."""
+    slice or mask gives a sub-basis on the same grid that keeps its m."""
     svd = svd_b1_c1
     assert len(svd) == 9 and list(svd.m) == list(range(9))
     t = svd[4]
     assert (t.m, t.sigma, t.rho, t.trusted) == (4, svd.sigma[4], svd.rho[4],
                                                 svd.trusted[4])
     assert t.g.values.shape == svd.g.values.shape[1:]
-    assert t.phi.values.shape == svd.phi.values.shape[1:]
-    assert np.array_equal(t.phi.values, svd.phi.values[4])
+    assert evaluate_phi(t, [0.0, 0.5]).shape == (2,)
     assert svd[-1].m == 8
     sub = svd[2:5]
     assert list(sub.m) == [2, 3, 4] and sub.g.grid is svd.g.grid
     assert np.array_equal(sub.g.values, svd.g.values[2:5])
     odd = svd[svd.m % 2 == 1]
-    assert list(odd.m) == [1, 3, 5, 7] and odd.phi.grid is svd.phi.grid
+    assert list(odd.m) == [1, 3, 5, 7] and odd.g.grid is svd.g.grid
     assert [u.m for u in svd] == list(range(9))
     assert [u.sigma for u in sub] == list(svd.sigma[2:5])
 
 
-def test_last_trusted():
-    svd = compute_svd(OperatorParams(b=1.0, c=0.1), m_max=12)
+def test_last_trusted(svd_c01):
+    svd = svd_c01
     first_bad = int(np.argmin(svd.trusted))
     assert 0 < first_bad
     assert svd.last_trusted == first_bad - 1
@@ -225,15 +223,15 @@ def test_basis_rescale_and_evaluate_match_rows():
     """rescale_phi, evaluate_g and evaluate_phi on the whole basis agree
     with the same calls on its rows one by one."""
     src = compute_svd(OperatorParams(b=1.0, c=0.5), m_max=6)
-    scaled = rescale_phi(2.0, 1.0, src)
+    sigma, phi = rescale_phi(2.0, 1.0, src)
     x = np.linspace(-0.9, 0.9, 7)
     G = evaluate_g(src, x)
     P = evaluate_phi(src, x)
     assert G.shape == P.shape == (7, 7)
     for m, t in enumerate(src):
-        row = rescale_phi(2.0, 1.0, t)
-        assert row.sigma == scaled.sigma[m]
-        assert np.array_equal(row.phi.values, scaled.phi.values[m])
+        row_sigma, row_phi = rescale_phi(2.0, 1.0, t)
+        assert row_sigma == sigma[m]
+        assert np.allclose(row_phi.values, phi.values[m], rtol=0, atol=1e-13)
         assert np.allclose(evaluate_g(t, x), G[m], rtol=0, atol=1e-13)
         assert np.allclose(evaluate_phi(t, x), P[m], rtol=0, atol=1e-13)
 
@@ -268,25 +266,29 @@ def test_evaluate_g_off_its_grid(cp):
 
 
 def test_evaluate_phi_consistency(svd_b1_c1):
-    for t in svd_b1_c1[:5]:
-        vals = evaluate_phi(t, t.phi.grid.nodes)
-        assert np.allclose(vals, t.phi.values, rtol=0, atol=1e-12)
+    """The document's phi rows are evaluate_phi on its phi nodes, bit for
+    bit: the writer forms phi by that one formula."""
+    entries = svd_to_json_dict(svd_b1_c1)["entries"]
+    nodes = entries[0]["phi"]["nodes"]
+    assert nodes == phi_grid(1.0).nodes.tolist()
+    rows = np.array([e["phi"]["re"] for e in entries]) \
+        + 1j * np.array([e["phi"]["im"] for e in entries])
+    assert np.array_equal(rows, evaluate_phi(svd_b1_c1, nodes))
 
 
 def test_json_round_trip(svd_b1_c1):
     doc = json.loads(json.dumps(svd_to_json_dict(svd_b1_c1)))
     back = triplets_from_json_dict(doc)
     assert len(back) == len(svd_b1_c1)
-    # one g grid and one phi grid per document
+    # one g grid per document
     assert all(t.g.grid is back[0].g.grid for t in back)
-    assert all(t.phi.grid is back[0].phi.grid for t in back)
     for t_in, t_out in zip(svd_b1_c1, back):
         assert t_out.sigma == t_in.sigma
         assert t_out.rho == t_in.rho
         assert t_out.trusted == t_in.trusted
         assert np.array_equal(t_out.g.values, t_in.g.values)
-        assert np.array_equal(t_out.phi.values, t_in.phi.values)
-        assert np.array_equal(t_out.phi.grid.nodes, t_in.phi.grid.nodes)
+    # the basis read back writes the document it was read from
+    assert svd_to_json_dict(back) == doc
 
 
 def test_json_rejects_tampered_grid(svd_b1_c1):
@@ -326,6 +328,31 @@ def test_json_rejects_non_finite_values(svd_b1_c1, field):
         triplets_from_json_dict(doc)
 
 
+@pytest.mark.parametrize("key", ["b", "c"])
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf, 0.0, -1.0])
+def test_json_rejects_invalid_parameters(svd_b1_c1, key, value):
+    """The document's (b, c) pass the one check OperatorParams makes."""
+    doc = svd_to_json_dict(svd_b1_c1)
+    doc[key] = value
+    with pytest.raises(ValueError, match="positive and finite"):
+        triplets_from_json_dict(doc)
+
+
+@pytest.mark.parametrize("m, key", [(3, "sigma"), (12, "trusted"),
+                                    (0, "trusted")])
+def test_json_rejects_sigma_or_trusted_not_derived_from_rho(svd_c01, m, key):
+    """A stored sigma one ulp off sqrt(rho/c), or a trusted flag flipped on
+    an untrusted row (m = 12) or a trusted one (m = 0), is rejected: both
+    follow from rho."""
+    assert svd_c01.trusted.tolist() == [True] * 11 + [False] * 2
+    doc = json.loads(json.dumps(svd_to_json_dict(svd_c01)))
+    entry = doc["entries"][m]
+    entry[key] = (not entry[key] if key == "trusted"
+                  else float(np.nextafter(entry[key], math.inf)))
+    with pytest.raises(ValueError, match=key):
+        triplets_from_json_dict(doc)
+
+
 def test_json_rejects_phi_grid_of_another_panel_size(svd_b1_c1):
     """A document on the phi panels with 15 Gauss nodes each, instead of
     phi_grid's 16, is rejected even though every entry is consistent."""
@@ -356,8 +383,8 @@ def test_json_rejects_entries_not_in_m_order(svd_b1_c1, reorder):
         triplets_from_json_dict(doc)
 
 
-def test_untrusted_kept_not_dropped():
-    svd = compute_svd(OperatorParams(b=1.0, c=0.1), m_max=12)
+def test_untrusted_kept_not_dropped(svd_c01):
+    svd = svd_c01
     assert len(svd) == 13
     flags = [t.trusted for t in svd]
     assert not all(flags)
@@ -381,8 +408,13 @@ def test_invalid_params():
 
 
 def test_one_adjoint_and_one_rayleigh_call_per_svd(operator_calls):
+    """compute_svd makes the one Rayleigh call and no adjoint call; the
+    document writer makes the one adjoint call, for every phi at once."""
     svd = compute_svd(OperatorParams(b=1.0, c=0.5), m_max=20)
     assert svd[-1].rho < 1e-16      # far below the dense solver's reach
+    assert operator_calls == {"apply_adjoint": 0, "rho_rayleigh": 1,
+                              "nystrom_eigensystem": 0}
+    svd_to_json_dict(svd)
     assert operator_calls == {"apply_adjoint": 1, "rho_rayleigh": 1,
                               "nystrom_eigensystem": 0}
 
@@ -394,7 +426,7 @@ def test_no_dense_solve_at_any_c(operator_calls):
         for name in operator_calls:
             operator_calls[name] = 0
         compute_svd(OperatorParams(b=1.0, c=c), m_max=m_max)
-        assert operator_calls == {"apply_adjoint": 1, "rho_rayleigh": 1,
+        assert operator_calls == {"apply_adjoint": 0, "rho_rayleigh": 1,
                                   "nystrom_eigensystem": 0}, (c, m_max)
 
 
@@ -415,6 +447,7 @@ def test_one_route_matches_its_parts():
     grid = svd.g.grid
     assert grid.nodes.size == nystrom_grid_size(20)
     xg = phi_grid(1.0)
+    P = evaluate_phi(svd, xg.nodes)
     eps = np.finfo(float).eps
     for t in svd:
         g = ode.evaluate_g(t.m, grid.nodes)
@@ -425,7 +458,7 @@ def test_one_route_matches_its_parts():
         assert t.sigma == np.sqrt(t.rho / params.c)
         adj = apply_adjoint(params, t.g, xg.nodes)
         g_l1 = np.sum(t.g.grid.weights * np.abs(t.g.values))
-        assert np.max(np.abs(t.phi.values * t.sigma - adj)) <= 100 * eps * g_l1
+        assert np.max(np.abs(P[t.m] * t.sigma - adj)) <= 100 * eps * g_l1
 
 
 @pytest.mark.parametrize("m_max", [12, 30])
