@@ -18,22 +18,21 @@ The map is array code. Y is built from s(x) = int_x^1 p^{-1/2}; in
 u = sqrt(1-|x|) the endpoint singularity of p^{-1/2} is gone and the
 integrand is analytic and increasing, so one fixed 48-node Gauss-Legendre
 rule scaled to [0, u] integrates it to roundoff (relative error <= 3e-15
-against a 50-digit reference for c <= 16). The inverse map solves for u by
-Newton's method with ds/du > 0, and raises ArithmeticError rather than
-return an unconverged point.
+against a 50-digit reference for c <= 16). The map is used in the forward
+direction only: the Galerkin potential is integrated in u as well, where
+x = +-(1 - u^2) is explicit and dy = pi/(U F^2) dx.
 """
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
-from .special_functions import agm, gauss_legendre, legendre_table, panel_grid
+from .special_functions import agm, legendre_table, panel_grid
 from .sech_operator import check_c
 
 __all__ = [
     "LiouvilleTransform",
     "OdeSpectrum",
-    "build_transform",
     "q_c_potential",
     "galerkin_eigensystem",
     "galerkin_basis_size",
@@ -60,10 +59,13 @@ def liouville_normalizer(t: float) -> float:
 
 # fixed Gauss-Legendre rule on [0, 1] for s in the variable u = sqrt(1-|x|)
 _S_RULE = panel_grid([0.0, 1.0], 48)
-# Newton's method for Y^{-1}: iteration cap, and the step size (relative to
-# u) at which it has converged
-_NEWTON_MAX_ITER = 40
-_NEWTON_RTOL = 1e-14
+
+
+def _map_points(x) -> np.ndarray:
+    x = np.asarray(x, dtype=float)
+    if not np.all(np.abs(x) <= 1.0):     # written so that nan fails too
+        raise ValueError("the Liouville map is defined on [-1, 1]")
+    return x
 
 
 @dataclass
@@ -72,23 +74,23 @@ class LiouvilleTransform:
 
     s(x) = int_x^1 p^{-1/2}, X(x) = pi*(1/2 - s(x)/U), Y = sin(X), and
     F(y) = (p(Y^{-1}(y))/(1-y^2))^{1/4} is the Jacobian factor relating
-    solutions g and G on the two sides. forward gives Y and F at points x;
-    the inverse direction, _u_inverse, serves q_c_potential. Both take
-    arrays, and s of a scalar gives a float.
+    solutions g and G on the two sides. forward gives Y and F at points x,
+    and s of a scalar gives a float. t and U follow from c.
 
     With x = 1 - u^2, s(x) = S(u) = int_0^u f for 0 <= x <= 1, where
     f(u) = 2 u p(1-u^2)^{-1/2} is analytic and increasing on [0, 1] (p/(1-x)
     is a secant slope of the convex cosh 4tx); one fixed 48-node
     Gauss-Legendre rule scaled to [0, u] gives S to roundoff, and
-    s(-x) = 2 s(0) - s(x) covers x < 0. _u_inverse solves
-    S(u) = U arccos|y| / pi by Newton's method with S' = f > 0: S is convex,
-    so the iteration converges monotonically after its first step (at most
-    7 steps for 0.01 <= c <= 100). It raises ArithmeticError if it has not
-    converged within its cap.
+    s(-x) = 2 s(0) - s(x) covers x < 0.
     """
     c: float
-    t: float
-    U: float
+    t: float = field(init=False)
+    U: float = field(init=False)
+
+    def __post_init__(self):
+        check_c(self.c)
+        self.t = family_parameter(self.c)
+        self.U = liouville_normalizer(self.t)
 
     def _p(self, h):
         # p at x = 1 - h, formed from h itself so that p ~ 4t sinh(4t) h
@@ -117,32 +119,9 @@ class LiouvilleTransform:
             v = np.where(x < 0, 2.0 * self._S(1.0) - v, v)
         return float(v) if v.ndim == 0 else v
 
-    def _u_inverse(self, y):
-        # u = sqrt(1 - |x|) at x = Y^{-1}(y): the root of S(u) = U arccos|y|/pi
-        # each point stops at its own convergence, so an array call gives
-        # the scalar calls' values; a NaN step never counts as converged
-        y = np.asarray(y, dtype=float)
-        a = np.arccos(np.minimum(np.abs(y), 1.0)).ravel()
-        target = self.U / math.pi * a
-        u = 2.0 / math.pi * a          # left of the root, as S(u) <= u S(1)
-        todo = np.ones(u.shape, dtype=bool)
-        for _ in range(_NEWTON_MAX_ITER):
-            old = u[todo]
-            step = (self._S(old) - target[todo]) / self._f(old)
-            new = np.clip(old - step, 0.0, 1.0)
-            u[todo] = new
-            # the move after clipping: u = 1 (x = 0) is the root when the
-            # target exceeds S(1) by the rule's roundoff
-            todo[todo] = ~(np.abs(new - old) <= _NEWTON_RTOL * new)
-            if not todo.any():
-                return u.reshape(y.shape)
-        raise ArithmeticError("Newton's method for Y^{-1} did not converge")
-
     def forward(self, x):
         """(Y(x), F(Y(x))) at the points x in [-1, 1], as 1-D arrays."""
-        x = np.atleast_1d(np.asarray(x, dtype=float))
-        if not np.all(np.abs(x) <= 1.0):     # written so that nan fails too
-            raise ValueError("the Liouville map is defined on [-1, 1]")
+        x = np.atleast_1d(_map_points(x))
         ax = np.abs(x)
         u = np.sqrt(1.0 - ax)
         # X is odd in x, so Y = sign(x) cos(pi s(|x|)/U), which is exactly
@@ -157,42 +136,41 @@ class LiouvilleTransform:
         return np.sign(x) * np.cos(arg), np.where(u > 1e-8, F, limit)
 
 
-def build_transform(c: float) -> LiouvilleTransform:
-    check_c(c)
-    t = family_parameter(c)
-    return LiouvilleTransform(c=c, t=t, U=liouville_normalizer(t))
-
-
-def q_c_potential(transform: LiouvilleTransform, y):
-    """Bounded potential of the flattened operator at y in [-1,1] (an
-    array, or a scalar giving a float).
+def q_c_potential(transform: LiouvilleTransform, x):
+    """Bounded potential of the flattened operator at y = Y(x), for points x
+    in [-1,1] (an array, or a scalar giving a float); it is even in x.
 
     The naive formula 1/2 + tan(X)^2/4 - (Ut/pi)^2(cosh 4tx + sinh^2 4tx / p)
     has two poles at the endpoints that cancel; it is formed from one
     u = sqrt(1-|x|) so that they cancel consistently. Within h = 1-|x| < 1e-7
-    the combined expansion in h is used, and at |y| = 1, where Newton's
-    method returns u = 0, its h = 0 value is the exact limit.
+    the combined expansion in h, with arccos|y| = pi s(|x|)/U, is used instead,
+    and only there: for h near 1 it overflows at large c. Its h = 0 value is
+    the exact limit at x = +-1.
     """
     t, U = transform.t, transform.U
-    ay = np.minimum(np.abs(np.asarray(y, dtype=float)), 1.0)
-    u = transform._u_inverse(ay)
+    scalar = np.ndim(x) == 0
+    u = np.sqrt(1.0 - np.abs(np.atleast_1d(_map_points(x))))
     h = u * u
     x = 1.0 - h
-    a4 = 4.0 * t
-    coth = math.cosh(a4) / math.sinh(a4)
-    E = t * math.sinh(a4) * ((4 * a4 / 3) * coth
-                             - ((4 / 15) * a4 ** 2 * coth ** 2
-                                + (4 / 5) * a4 ** 2) * h)
-    near = 1 / 3 + np.arccos(ay) ** 2 / 60 + 0.25 * (U / math.pi) ** 2 * E \
-        - (U * t / math.pi) ** 2 * np.cosh(4 * t * x)
-    X = math.pi * (0.5 - transform._S(u) / U)
-    sh = np.sinh(4 * t * x)     # sinh^2 alone would overflow for c > 56
+    S = transform._S(u)
+    w2 = (U * t / math.pi) ** 2
+    # sinh^2 4tx would overflow for c > 56, and sinh 4tx sinh 4tx / p near
+    # c = 111; scaled by Ut/pi, each factor is far from either limit
+    wsh = U * t / math.pi * np.sinh(4 * t * x)
     with np.errstate(divide="ignore", invalid="ignore"):
-        naive = 0.5 + np.tan(X) ** 2 / 4 \
-            - (U * t / math.pi) ** 2 * (np.cosh(4 * t * x)
-                                        + sh * (sh / transform._p(h)))
-    q = np.where(h < 1e-7, near, naive)
-    return float(q) if q.ndim == 0 else q
+        q = 0.5 + np.tan(math.pi * (0.5 - S / U)) ** 2 / 4 \
+            - w2 * np.cosh(4 * t * x) - wsh * (wsh / transform._p(h))
+    near = h < 1e-7
+    if np.any(near):
+        a4 = 4.0 * t
+        coth = math.cosh(a4) / math.sinh(a4)
+        # w2 sinh(4t) is of order one where sinh(4t) alone is near overflow
+        E = w2 * math.sinh(a4) / (4 * t) * (
+            (4 * a4 / 3) * coth
+            - ((4 / 15) * a4 ** 2 * coth ** 2 + (4 / 5) * a4 ** 2) * h[near])
+        q[near] = 1 / 3 + (math.pi * S[near] / U) ** 2 / 60 + E \
+            - w2 * np.cosh(4 * t * x[near])
+    return float(q[0]) if scalar else q
 
 
 @dataclass
@@ -234,20 +212,25 @@ def galerkin_eigensystem(c: float, n_b: int = None, m_max: int = 20) -> OdeSpect
     """Legendre-Galerkin eigensolve of the flattened operator.
 
     In the normalized Legendre basis the leading part is the diagonal
-    k(k+1); only the bounded potential needs quadrature. Eigenvalues chi of
+    k(k+1); only the bounded potential needs quadrature, which runs in
+    u = sqrt(1-|x|), where the map to y is explicit. Eigenvalues chi of
     the original operator are (pi/U)^2 times the matrix eigenvalues, and
     eigenvectors map back through the Liouville transform, unit and with
     g_m(1) > 0. m_max sizes the default basis and must stay clear of the
     truncation-polluted top of the spectrum.
     """
-    check_c(c)
+    tr = LiouvilleTransform(c)
     n_b = galerkin_basis_size(m_max, n_b)
-    tr = build_transform(c)
-    qgrid = gauss_legendre(n_b + 32)
-    qvals = q_c_potential(tr, qgrid.nodes)
-    P = legendre_table(n_b - 1, qgrid.nodes)
+    # the potential integral in u = sqrt(1 - |x|) on x >= 0, mirrored onto
+    # x < 0: y = Y(1 - u^2), dy = 2u pi/(U F^2) du, and q is even
+    rule = panel_grid([0.0, 1.0], int(0.7 * n_b) + 16)
+    x = 1.0 - rule.nodes ** 2
+    Y, F = tr.forward(x)
+    w = rule.weights * 2 * rule.nodes * math.pi / (tr.U * F * F)
+    qw = np.tile(q_c_potential(tr, x) * w, 2)
+    P = legendre_table(n_b - 1, np.concatenate([-Y, Y]))
     ks = np.arange(n_b, dtype=float)
-    M = np.diag(ks * (ks + 1)) + (P * (qvals * qgrid.weights)) @ P.T
+    M = np.diag(ks * (ks + 1)) + (P * qw) @ P.T
     try:
         mu, W = np.linalg.eigh(M)
     except np.linalg.LinAlgError as e:

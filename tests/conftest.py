@@ -1,6 +1,6 @@
 import pytest
 
-from sechprolate.commuting_ode import build_transform, galerkin_eigensystem
+from sechprolate.commuting_ode import LiouvilleTransform, galerkin_eigensystem
 from sechprolate.extrapolation import builtin_case
 from sechprolate.sech_operator import (OperatorParams, SampledFunction,
                                        nystrom_eigensystem)
@@ -31,7 +31,7 @@ def sample_g():
 
 @pytest.fixture(scope="session")
 def transform_c1():
-    return build_transform(1.0)
+    return LiouvilleTransform(1.0)
 
 
 @pytest.fixture(scope="session")

@@ -30,7 +30,7 @@ from sechprolate.bounds import (R_of_c, chi_sandwich, fit_log_slope,
                                 lower_combined, supnorm_bound, upper_bound,
                                 widom_slope)
 from sechprolate.cli import main as cli_main
-from sechprolate.commuting_ode import (build_transform, family_parameter,
+from sechprolate.commuting_ode import (LiouvilleTransform, family_parameter,
                                        galerkin_eigensystem, q_c_potential)
 from sechprolate.extrapolation import (adaptive_N, builtin_case,
                                        cutoff_estimate, l2_error, n_max,
@@ -166,12 +166,11 @@ def test_criterion_06_commuting_operator_consistency():
             failures.append(f"cross-method eigenfunctions at c={c}: "
                             f"max L2 difference {worst:.3e}")
 
-        tr = build_transform(c)
+        tr = LiouvilleTransform(c)
         t = family_parameter(c)
         top = 0.5 - (tr.U * t / math.pi) ** 2
         width = R_of_c(c)
-        ys = np.linspace(-1.0, 1.0, 401)
-        qv = np.array([q_c_potential(tr, y) for y in ys])
+        qv = q_c_potential(tr, np.linspace(-1.0, 1.0, 401))
         n_above = int(np.sum(qv > top + 1e-10))
         n_below = int(np.sum(qv < top - width - 1e-10))
         if n_above or n_below:

@@ -6,7 +6,7 @@ import pytest
 from scipy.special import ellipkm1
 
 from sechprolate import bounds
-from sechprolate.commuting_ode import build_transform, galerkin_eigensystem
+from sechprolate.commuting_ode import LiouvilleTransform, galerkin_eigensystem
 from sechprolate.sech_operator import (SampledFunction, kernel,
                                        nystrom_eigensystem, rho_rayleigh)
 from sechprolate.special_functions import gauss_legendre
@@ -21,7 +21,7 @@ from oracles.pswf import pswf_basis
     lambda c: nystrom_eigensystem(c, m_max=2),
     lambda c: rho_rayleigh(c, SampledFunction(gauss_legendre(8),
                                               np.full(8, 0.5))),
-    build_transform,
+    LiouvilleTransform,
     lambda c: galerkin_eigensystem(c, m_max=2),
     bounds.beta,
     bounds.theta,
@@ -30,7 +30,7 @@ from oracles.pswf import pswf_basis
     bounds.widom_slope,
     lambda c: pswf_basis(c, m_max=2),
     lambda c: bounds.build_report(c, m_max=2),
-], ids=["kernel", "nystrom_eigensystem", "rho_rayleigh", "build_transform",
+], ids=["kernel", "nystrom_eigensystem", "rho_rayleigh", "LiouvilleTransform",
         "galerkin_eigensystem", "beta", "theta", "theta_tilde",
         "lower_bound_all_c", "widom_slope", "pswf_basis", "build_report"])
 def test_bare_c_entry_points_reject_nonfinite_c(entry, bad):
@@ -242,7 +242,7 @@ def test_fit_log_slope_exact_on_synthetic():
 
 def test_chi_sandwich_width():
     for c in [0.5, 1.0, 2.0]:
-        tr = build_transform(c)
+        tr = LiouvilleTransform(c)
         lo0, hi0 = bounds.chi_sandwich(c, 0)
         lo5, hi5 = bounds.chi_sandwich(c, 5)
         width = (math.pi / tr.U) ** 2 * bounds.R_of_c(c)
@@ -253,7 +253,7 @@ def test_chi_sandwich_width():
 
 def test_U_bracket():
     for c in [0.1, 1.0, 5.0]:
-        tr = build_transform(c)
+        tr = LiouvilleTransform(c)
         lo, hi = bounds.U_bounds(c)
         assert lo <= tr.U <= hi
 

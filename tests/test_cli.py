@@ -7,6 +7,7 @@ import math
 import os
 import subprocess
 import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -104,6 +105,16 @@ def test_svd_summary_roundtrips_to_json(tmp_path, cache):
         assert int(row[0]) == entry["m"]
         assert float(row[1]) == entry["sigma"]
         assert float(row[2]) == entry["rho"]
+
+
+def test_svd_at_the_top_of_the_range_warns_nothing(tmp_path, cache):
+    with warnings.catch_warnings(record=True) as seen:
+        warnings.simplefilter("always")
+        res = run_cli(cache, "svd", "--b", "1", "--c", "111", "--m-max", "12",
+                      "--out", str(tmp_path))
+    assert res.exit_code == 0, res.output
+    assert [str(w.message) for w in seen
+            if issubclass(w.category, RuntimeWarning)] == []
 
 
 def test_svd_usage_errors(tmp_path):

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -7,11 +8,12 @@ from scipy.special import ellipkm1
 
 from sechprolate import commuting_ode
 from sechprolate.bounds import R_of_c, U_bounds
-from sechprolate.commuting_ode import (build_transform, family_parameter,
+from sechprolate.commuting_ode import (LiouvilleTransform, family_parameter,
                                        galerkin_basis_size,
                                        galerkin_eigensystem, q_c_potential)
 from sechprolate.sech_operator import SampledFunction, nystrom_eigensystem
-from sechprolate.special_functions import gauss_legendre, legendre_table
+from sechprolate.special_functions import (gauss_legendre, legendre_table,
+                                           panel_grid)
 
 from oracles.commuting_ode import (case1_coefficients, commutation_residual,
                                    weak_form_chi)
@@ -67,29 +69,20 @@ def test_U_within_closed_form_bracket(transform_c1):
 def test_U_against_direct_quadrature():
     """Closed elliptic form vs the singularity-removed s-integral."""
     for c in [0.1, 0.5, 1.0, 2.0]:
-        tr = build_transform(c)
+        tr = LiouvilleTransform(c)
         assert tr.s(-1.0) == pytest.approx(tr.U, rel=1e-10)
 
 
-def inverse_map(tr, y):
-    """x = Y^{-1}(y), from u = sqrt(1 - |x|)."""
-    u = tr._u_inverse(y)
-    return np.copysign(1.0 - u * u, y)
-
-
 def test_Y_monotone_roundtrip(transform_c1):
-    tr = transform_c1
-    Y, _ = tr.forward(np.linspace(-1, 1, 200))
+    Y, _ = transform_c1.forward(np.linspace(-1, 1, 200))
     assert np.all(np.diff(Y) > 0)
-    y = np.linspace(-0.999, 0.999, 200)
-    assert np.max(np.abs(tr.forward(inverse_map(tr, y))[0] - y)) <= 1e-12
 
 
 def test_F_positive_and_bounded(transform_c1):
     tr = transform_c1
     t = family_parameter(1.0)
     cap = 2 * math.pi ** 2 * math.exp(4 * t) * t * t   # quartic-power cap
-    _, F = tr.forward(inverse_map(tr, np.linspace(-1, 1, 501)))
+    _, F = tr.forward(np.linspace(-1, 1, 501))
     assert np.all(F > 0)
     assert np.all(F ** 4 <= cap)
 
@@ -165,25 +158,22 @@ def test_u_normalizer_matches_quadrature(c):
     # U = int_{-1}^{1} p^{-1/2} = 2 s(0); the closed form must not lose the
     # complementary modulus sech(2t) to cancellation at large c, and the
     # s-rule must keep its accuracy there (abs=0: U is 3.5e-11 at c = 8)
-    tr = build_transform(c)
+    tr = LiouvilleTransform(c)
     assert 2 * tr.s(0.0) == pytest.approx(tr.U, rel=1e-13, abs=0.0)
 
 
 @pytest.mark.parametrize("c", [0.25, 4.0, 8.0])
 def test_vectorised_map_matches_scalar_calls(c):
-    tr = build_transform(c)
-    x = np.concatenate([np.linspace(-1.0, 1.0, 41), [-1 + 1e-13, 1 - 1e-13]])
-    y = np.concatenate([np.linspace(-1.0, 1.0, 41),
+    tr = LiouvilleTransform(c)
+    x = np.concatenate([np.linspace(-1.0, 1.0, 41), [-1 + 1e-13, 1 - 1e-13],
                         1 - np.logspace(-15, -1, 8), [-1 + 1e-9]])
-    for fn, pts in ((tr.s, x), (tr._u_inverse, y),
-                    (lambda v: q_c_potential(tr, v), y)):
-        got = fn(pts)
-        assert got.shape == pts.shape
-        assert np.array_equal(got, [fn(float(v)) for v in pts])
+    for fn in (tr.s, lambda v: q_c_potential(tr, v)):
+        got = fn(x)
+        assert got.shape == x.shape
+        assert np.array_equal(got, [fn(float(v)) for v in x])
     Y, F = tr.forward(x)
     scalar = np.array([tr.forward(float(v)) for v in x])[..., 0]
     assert np.array_equal(Y, scalar[:, 0]) and np.array_equal(F, scalar[:, 1])
-    assert np.max(np.abs(tr.forward(inverse_map(tr, y))[0] - y)) <= 1e-12
 
 
 @pytest.mark.parametrize("c", [0.25, 1.0, 4.0])
@@ -202,16 +192,37 @@ def test_s_against_scipy_quad(c):
     xs = np.array([-0.99, -0.5, 0.0, 0.3, 0.9, 0.99])
     ref = [quad(smooth, x, 1.0, weight="alg", wvar=(0.0, -0.5),
                 epsabs=0.0, epsrel=1e-13)[0] for x in xs]
-    assert build_transform(c).s(xs) == pytest.approx(ref, rel=1e-13, abs=0.0)
+    assert LiouvilleTransform(c).s(xs) == pytest.approx(ref, rel=1e-13, abs=0.0)
 
 
-def test_y_inverse_raises_rather_than_return_unconverged(monkeypatch):
-    tr = build_transform(1.0)
-    with pytest.raises(ArithmeticError):
-        tr._u_inverse(np.array([0.5, np.nan]))
-    monkeypatch.setattr(commuting_ode, "_NEWTON_MAX_ITER", 1)
-    with pytest.raises(ArithmeticError):
-        tr._u_inverse(0.5)
+@pytest.mark.parametrize("c", [0.25, 4.0, 64.0, 111.0])
+def test_potential_quadrature_converged(c):
+    """The Galerkin matrix's potential integral is resolved: the eigenvalues
+    agree with a matrix assembled from forward, q_c_potential and
+    legendre_table on three times as many u = sqrt(1 - |x|) nodes, up to
+    the top of the supported range."""
+    n_b = 140
+    tr = LiouvilleTransform(c)
+    rule = panel_grid([0.0, 1.0], 3 * (int(0.7 * n_b) + 16))
+    x = 1.0 - rule.nodes ** 2
+    Y, F = tr.forward(x)
+    w = rule.weights * 2 * rule.nodes * math.pi / (tr.U * F ** 2)
+    P = legendre_table(n_b - 1, np.concatenate([Y, -Y]))
+    k = np.arange(n_b)
+    M = np.diag(k * (k + 1.0)) + (P * np.tile(q_c_potential(tr, x) * w, 2)) @ P.T
+    ref = (math.pi / tr.U) ** 2 * np.linalg.eigvalsh(M)[:31]
+    chi = galerkin_eigensystem(c, n_b=n_b, m_max=12).chi[:31]
+    assert np.max(np.abs(chi / ref - 1)) <= 2e-10
+
+
+def test_potential_warns_nothing_at_the_top_of_the_range():
+    """The endpoint expansion of q^c, formed only where it is used, does not
+    overflow at c = 111, and neither does the closed form beside it."""
+    with warnings.catch_warnings(record=True) as seen:
+        warnings.simplefilter("always")
+        galerkin_eigensystem(111.0, m_max=12)
+        q_c_potential(LiouvilleTransform(111.0), 1 - np.logspace(-12, 0, 25))
+    assert [str(w.message) for w in seen] == []
 
 
 def test_evaluate_g_rejects_points_outside_the_map(ode_c1):
