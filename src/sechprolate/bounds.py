@@ -14,8 +14,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .special_functions import agm
-from .commuting_ode import family_parameter, liouville_normalizer
+from .special_functions import carlson_rf
+from .commuting_ode import LiouvilleTransform, family_parameter
 from .sech_operator import check_c
 from .svd_assembly import commuting_eigenpairs
 
@@ -97,13 +97,16 @@ def widom_slope(c: float) -> float:
     """Asymptotic decay rate: -log(rho_m) ~ slope * m with
     slope = pi K(sech(pi c)) / K(tanh(pi c)).
 
-    sech(pi c) and tanh(pi c) are each other's complementary modulus, so
-    with K(k) = pi / (2 AGM(1, k')) the slope is pi AGM(1, sech(pi c)) /
-    AGM(1, tanh(pi c)), and no complement is formed as sqrt(1 - k^2).
+    sech(pi c) and tanh(pi c) are each other's complementary modulus k',
+    and one duplication step turns K(k) = R_F(0, k'^2, 1) into
+    2 R_F(k', k'(1 + k'), 1 + k'). So no complement is formed as
+    sqrt(1 - k^2), and sech(pi c)^2, which leaves the float range above
+    c ~ 113, is never formed.
     """
     check_c(c)
-    return math.pi * agm(1.0, 1 / math.cosh(math.pi * c)) \
-        / agm(1.0, math.tanh(math.pi * c))
+    th, sh = math.tanh(math.pi * c), 1 / math.cosh(math.pi * c)
+    return float(math.pi * carlson_rf(th, th * (1 + th), 1 + th)
+                 / carlson_rf(sh, sh * (1 + sh), 1 + sh))
 
 
 def decay_exponents(c: float):
@@ -119,8 +122,8 @@ def fit_log_slope(ms, rhos) -> float:
 
 def R_of_c(c: float) -> float:
     """Oscillation constant of the flattened potential, at scale t = pi*c/2."""
-    t = family_parameter(c)
-    U = liouville_normalizer(t)
+    tr = LiouvilleTransform(c)
+    t, U = tr.t, tr.U
     return 2 / math.pi ** 2 + (U * t / math.pi) ** 2 * (
         (math.cosh(4 * t) * (1 + (t / 3) / math.tanh(2 * t)) - 1)
         + 2 * t * math.sinh(4 * t))
@@ -138,14 +141,17 @@ def supnorm_bound(c: float, m: int) -> float:
     return H_of_c(c) * math.sqrt(m + 0.5)
 
 
-def chi_sandwich(c: float, m: int):
-    """Two-sided enclosure claimed for the m-th commuting-operator eigenvalue."""
-    t = family_parameter(c)
-    U = liouville_normalizer(t)
+def chi_sandwich(c: float, m):
+    """Two-sided enclosure claimed for the m-th commuting-operator
+    eigenvalue; m is an index or an array of indices."""
+    tr = LiouvilleTransform(c)
     R = R_of_c(c)
     base = m * (m + 1) + 0.5
-    lo = (math.pi / U) ** 2 * (base - R) - t * t
-    hi = (math.pi / U) ** 2 * base - t * t
+    # above c ~ 110.5 the lower edge is below -1.8e308 and reads -inf, as
+    # the scalar formula gives it; the array form would warn of it too
+    with np.errstate(over="ignore"):
+        lo = (math.pi / tr.U) ** 2 * (base - R) - tr.t * tr.t
+    hi = (math.pi / tr.U) ** 2 * base - tr.t * tr.t
     return lo, hi
 
 
@@ -176,9 +182,9 @@ def build_report(c: float, m_max: int = 12) -> BoundsReport:
     ode, _, rhos = commuting_eigenpairs(c, m_max)
     fine = np.linspace(-1.0, 1.0, 2001)
     sup = np.max(np.abs(ode.evaluate_g(np.arange(m_max + 1), fine)), axis=1)
+    chi_lo, chi_hi = chi_sandwich(c, np.arange(m_max + 1))
     rows = []
     for m in range(m_max + 1):
-        lo_chi, hi_chi = chi_sandwich(c, m)
         rows.append({
             "m": m,
             "lower_small_c": lower_bound_small_c(c, m) if c <= math.pi / 4 else None,
@@ -186,8 +192,8 @@ def build_report(c: float, m_max: int = 12) -> BoundsReport:
             "lower_combined": lower_combined(c, m),
             "rho_computed": float(rhos[m]),
             "upper": upper_bound(c, m) if c < 1 else None,
-            "chi_lo": lo_chi,
-            "chi_hi": hi_chi,
+            "chi_lo": float(chi_lo[m]),
+            "chi_hi": float(chi_hi[m]),
             "chi_computed": float(ode.chi[m]),
             "supnorm_bound": supnorm_bound(c, m),
             "supnorm_observed": float(sup[m]),

@@ -14,20 +14,19 @@ L2(dy) to L2(dx), so each g_m has the unit norm of its
 coefficient column, and g_m(1) > 0 follows from the column's sign: the
 coefficients alone describe g_m.
 
-The map is array code. Y is built from s(x) = int_x^1 p^{-1/2}; in
-u = sqrt(1-|x|) the endpoint singularity of p^{-1/2} is gone and the
-integrand is analytic and increasing, so one fixed 48-node Gauss-Legendre
-rule scaled to [0, u] integrates it to roundoff (relative error <= 3e-15
-against a 50-digit reference for c <= 16). The map is used in the forward
-direction only: the Galerkin potential is integrated in u as well, where
-x = +-(1 - u^2) is explicit and dy = pi/(U F^2) dx.
+The map is array code and runs in the forward direction only. s(x) =
+int_x^1 p^{-1/2} is an incomplete elliptic integral of modulus tanh 2t, and
+U = 2 s(0) the complete one; both come in closed form from Carlson's R_F,
+so no quadrature rule evaluates the map. The Galerkin potential is
+integrated in u = sqrt(1 - |x|), where x = +-(1 - u^2) is explicit and
+dy = pi/(U F^2) dx.
 """
 import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .special_functions import agm, legendre_table, panel_grid
+from .special_functions import carlson_rf, legendre_table, panel_grid
 from .sech_operator import check_c
 
 __all__ = [
@@ -37,28 +36,12 @@ __all__ = [
     "galerkin_eigensystem",
     "galerkin_basis_size",
     "family_parameter",
-    "liouville_normalizer",
 ]
 
 
 def family_parameter(c: float) -> float:
     """Exponential scale of the kernel sech(pi*c*(x-y)/2): t = pi*c/2."""
     return math.pi * c / 2.0
-
-
-def liouville_normalizer(t: float) -> float:
-    """Normalizer U = K(tanh 2t) / (t sqrt(1+cosh 4t)) of the Liouville map,
-    K in the modulus convention."""
-    # The complementary modulus is exactly sech 2t; forming it as
-    # sqrt(1 - tanh(2t)^2) would cancel (U off by 2e-8 relative at c = 4).
-    if 4 * t > 700:
-        raise ValueError("parameter too large for the transform normalizer")
-    K = math.pi / (2.0 * agm(1.0, 1.0 / math.cosh(2 * t)))
-    return K / (t * math.sqrt(1.0 + math.cosh(4 * t)))
-
-
-# fixed Gauss-Legendre rule on [0, 1] for s in the variable u = sqrt(1-|x|)
-_S_RULE = panel_grid([0.0, 1.0], 48)
 
 
 def _map_points(x) -> np.ndarray:
@@ -75,13 +58,15 @@ class LiouvilleTransform:
     s(x) = int_x^1 p^{-1/2}, X(x) = pi*(1/2 - s(x)/U), Y = sin(X), and
     F(y) = (p(Y^{-1}(y))/(1-y^2))^{1/4} is the Jacobian factor relating
     solutions g and G on the two sides. forward gives Y and F at points x,
-    and s of a scalar gives a float. t and U follow from c.
+    and s of a scalar gives a float. t and U = 2 s(0) follow from c.
 
-    With x = 1 - u^2, s(x) = S(u) = int_0^u f for 0 <= x <= 1, where
-    f(u) = 2 u p(1-u^2)^{-1/2} is analytic and increasing on [0, 1] (p/(1-x)
-    is a secant slope of the convex cosh 4tx); one fixed 48-node
-    Gauss-Legendre rule scaled to [0, u] gives S to roundoff, and
-    s(-x) = 2 s(0) - s(x) covers x < 0.
+    With w = tanh 2tx and T = tanh 2t, p = 2 cosh^2 2t cosh^2 2tx (T^2 - w^2),
+    and the substitution w turns s into an incomplete elliptic integral of
+    modulus T; in Carlson's form, for 0 <= x <= 1,
+        s(x) = sqrt(p) R_F(w^2, T^2, (sinh 2t / cosh 2tx)^2)
+               / (4t cosh 2t cosh 2tx),
+    and s(-x) = U - s(x) covers x < 0. p comes from h = 1 - x, and T - w is
+    never formed, so s keeps its relative accuracy up to x = 1.
     """
     c: float
     t: float = field(init=False)
@@ -90,50 +75,43 @@ class LiouvilleTransform:
     def __post_init__(self):
         check_c(self.c)
         self.t = family_parameter(self.c)
-        self.U = liouville_normalizer(self.t)
+        if 4 * self.t > 700:
+            raise ValueError("parameter too large for the transform normalizer")
+        self.U = 2.0 * self.s(0.0)
 
     def _p(self, h):
         # p at x = 1 - h, formed from h itself so that p ~ 4t sinh(4t) h
         # keeps its relative accuracy at the endpoint
         return 2.0 * np.sinh(2 * self.t * (2 - h)) * np.sinh(2 * self.t * h)
 
-    def _f(self, u):
-        # ds/du; sinh(z)/z stays bounded at u = 0
-        z = 2 * self.t * u * u
-        shc = np.where(z > 1e-8, np.sinh(z) / np.maximum(z, 1e-8), 1.0)
-        return 2.0 / (np.sqrt(4 * self.t * np.sinh(2 * self.t * (2 - u * u)))
-                      * np.sqrt(shc))
-
-    def _S(self, u):
-        # int_0^u f for each entry of u in [0, 1]; a row sum, not a matrix
-        # product, so a row's rounding does not depend on the shape of u
-        u = np.asarray(u, dtype=float)
-        vals = self._f(u[..., None] * _S_RULE.nodes)
-        return u * np.sum(vals * _S_RULE.weights, axis=-1)
-
     def s(self, x):
         """int_x^1 p(xi)^{-1/2} d xi for x in [-1,1], decreasing from U to 0."""
         x = np.asarray(x, dtype=float)
-        v = self._S(np.sqrt(1.0 - np.abs(x)))
+        ax = np.abs(x)
+        t2 = 2 * self.t
+        w, ch = np.tanh(t2 * ax), np.cosh(t2 * ax)
+        v = np.sqrt(self._p(1.0 - ax)) * carlson_rf(
+            w * w, math.tanh(t2) ** 2, (math.sinh(t2) / ch) ** 2) \
+            / (2 * t2 * math.cosh(t2) * ch)
         if np.any(x < 0):
-            v = np.where(x < 0, 2.0 * self._S(1.0) - v, v)
+            v = np.where(x < 0, self.U - v, v)
         return float(v) if v.ndim == 0 else v
 
     def forward(self, x):
         """(Y(x), F(Y(x))) at the points x in [-1, 1], as 1-D arrays."""
         x = np.atleast_1d(_map_points(x))
         ax = np.abs(x)
-        u = np.sqrt(1.0 - ax)
+        h = 1.0 - ax
         # X is odd in x, so Y = sign(x) cos(pi s(|x|)/U), which is exactly
         # +-1 at x = +-1, and 1 - Y^2 = sin(pi s(|x|)/U)^2 needs no
-        # cancellation at the endpoints; below u = 1e-8 the 0/0 limit of F,
+        # cancellation at the endpoints; below h = 1e-16 the 0/0 limit of F,
         # (2 U t sinh(4t)/pi)^(1/2), is exact to roundoff. Two square roots,
         # not ** 0.25, which rounds differently.
         arg = math.pi * self.s(ax) / self.U
         limit = math.sqrt(2.0 * self.U * self.t * math.sinh(4 * self.t) / math.pi)
         with np.errstate(divide="ignore", invalid="ignore"):
-            F = np.sqrt(np.sqrt(self._p(u * u)) / np.abs(np.sin(arg)))
-        return np.sign(x) * np.cos(arg), np.where(u > 1e-8, F, limit)
+            F = np.sqrt(np.sqrt(self._p(h)) / np.abs(np.sin(arg)))
+        return np.sign(x) * np.cos(arg), np.where(h > 1e-16, F, limit)
 
 
 def q_c_potential(transform: LiouvilleTransform, x):
@@ -142,17 +120,16 @@ def q_c_potential(transform: LiouvilleTransform, x):
 
     The naive formula 1/2 + tan(X)^2/4 - (Ut/pi)^2(cosh 4tx + sinh^2 4tx / p)
     has two poles at the endpoints that cancel; it is formed from one
-    u = sqrt(1-|x|) so that they cancel consistently. Within h = 1-|x| < 1e-7
-    the combined expansion in h, with arccos|y| = pi s(|x|)/U, is used instead,
-    and only there: for h near 1 it overflows at large c. Its h = 0 value is
-    the exact limit at x = +-1.
+    h = 1-|x| and one S = s(|x|) so that they cancel consistently. Within
+    h < 1e-7 the combined expansion in h, with arccos|y| = pi S/U, is used
+    instead, and only there: for h near 1 it overflows at large c. Its
+    h = 0 value is the exact limit at x = +-1.
     """
     t, U = transform.t, transform.U
     scalar = np.ndim(x) == 0
-    u = np.sqrt(1.0 - np.abs(np.atleast_1d(_map_points(x))))
-    h = u * u
-    x = 1.0 - h
-    S = transform._S(u)
+    x = np.abs(np.atleast_1d(_map_points(x)))
+    h = 1.0 - x
+    S = transform.s(x)
     w2 = (U * t / math.pi) ** 2
     # sinh^2 4tx would overflow for c > 56, and sinh 4tx sinh 4tx / p near
     # c = 111; scaled by Ut/pi, each factor is far from either limit
@@ -181,7 +158,7 @@ class OdeSpectrum:
     c: float
     n_b: int
     transform: LiouvilleTransform
-    chi: np.ndarray                  # increasing, all n_b of them
+    chi: np.ndarray                  # increasing, chi_0 .. chi_m_max
     coefficients: np.ndarray         # (n_b, n_b), column m = Gamma_m in P-bar basis
 
     def evaluate_g(self, m, x) -> np.ndarray:
@@ -239,7 +216,9 @@ def galerkin_eigensystem(c: float, n_b: int = None, m_max: int = 20) -> OdeSpect
     if mu[m_max] > 0.99 * mu[n_b - 5]:
         raise ValueError("basis too small: requested eigenvalues reach the "
                          "truncation-polluted top of the spectrum")
-    chi = (math.pi / tr.U) ** 2 * mu
+    # only the requested eigenvalues: the truncation-polluted top of mu
+    # overflows when scaled at the top of the supported range
+    chi = (math.pi / tr.U) ** 2 * mu[: m_max + 1]
     # sign convention Gamma_m(1) = sum_k W_km sqrt(k + 1/2) > 0
     W *= np.where(np.sqrt(ks + 0.5) @ W < 0, -1.0, 1.0)
     return OdeSpectrum(c=c, n_b=n_b, transform=tr, chi=chi, coefficients=W)

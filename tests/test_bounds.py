@@ -1,4 +1,5 @@
 import math
+import warnings
 from fractions import Fraction
 
 import numpy as np
@@ -226,6 +227,15 @@ def test_widom_slope_matches_scipy(c):
     assert bounds.widom_slope(c) == pytest.approx(ref, rel=1e-14, abs=0)
 
 
+@pytest.mark.parametrize("c", [50.0, 150.0, 200.0])
+def test_widom_slope_keeps_its_range(c):
+    """For c >= 6, sech(pi c)^2 < 1e-16 and K(tanh pi c) = pi c + ln 2 to
+    roundoff, so the slope is pi^2 / (2 (pi c + ln 2)); sech(pi c)^2 itself
+    leaves the float range above c ~ 113."""
+    ref = math.pi ** 2 / (2 * (math.pi * c + math.log(2)))
+    assert bounds.widom_slope(c) == pytest.approx(ref, rel=1e-14, abs=0)
+
+
 def test_widom_slope_matches_fit():
     rep = bounds.build_report(1.0, m_max=12)
     target = bounds.widom_slope(1.0)
@@ -249,6 +259,16 @@ def test_chi_sandwich_width():
         assert hi0 - lo0 == pytest.approx(width, rel=1e-12)
         assert hi5 - lo5 == pytest.approx(width, rel=1e-12)
         assert lo5 > lo0
+
+
+def test_report_warns_nothing_at_the_top_of_the_range():
+    """At c = 111.4 the report's Galerkin solve and the chi enclosure, whose
+    lower edge leaves the float range there, warn of nothing."""
+    with warnings.catch_warnings(record=True) as seen:
+        warnings.simplefilter("always")
+        rep = bounds.build_report(111.4, m_max=12)
+    assert [str(w.message) for w in seen] == []
+    assert all(math.isfinite(r["chi_hi"]) for r in rep.rows)
 
 
 def test_U_bracket():

@@ -110,9 +110,10 @@ def test_svd_summary_roundtrips_to_json(tmp_path, cache):
 def test_svd_at_the_top_of_the_range_warns_nothing(tmp_path, cache):
     with warnings.catch_warnings(record=True) as seen:
         warnings.simplefilter("always")
-        res = run_cli(cache, "svd", "--b", "1", "--c", "111", "--m-max", "12",
-                      "--out", str(tmp_path))
-    assert res.exit_code == 0, res.output
+        for c in ("111", "111.4"):
+            res = run_cli(cache, "svd", "--b", "1", "--c", c, "--m-max", "12",
+                          "--out", str(tmp_path / c))
+            assert res.exit_code == 0, res.output
     assert [str(w.message) for w in seen
             if issubclass(w.category, RuntimeWarning)] == []
 

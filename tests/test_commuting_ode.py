@@ -6,7 +6,6 @@ import pytest
 from scipy.integrate import quad
 from scipy.special import ellipkm1
 
-from sechprolate import commuting_ode
 from sechprolate.bounds import R_of_c, U_bounds
 from sechprolate.commuting_ode import (LiouvilleTransform, family_parameter,
                                        galerkin_basis_size,
@@ -36,8 +35,7 @@ def test_liouville_normalizer_matches_scipy(c):
     t = family_parameter(c)
     ref = ellipkm1(1 / math.cosh(2 * t) ** 2) / (
         t * math.sqrt(1 + math.cosh(4 * t)))
-    assert commuting_ode.liouville_normalizer(t) == pytest.approx(
-        ref, rel=1e-14, abs=0)
+    assert LiouvilleTransform(c).U == pytest.approx(ref, rel=1e-14, abs=0)
 
 
 def test_p_vanishes_at_endpoints():
@@ -67,10 +65,18 @@ def test_U_within_closed_form_bracket(transform_c1):
 
 
 def test_U_against_direct_quadrature():
-    """Closed elliptic form vs the singularity-removed s-integral."""
+    """U = int_{-1}^{1} p^{-1/2} against QUADPACK with the algebraic weight
+    at both ends: p / (1 - xi^2) is smooth."""
     for c in [0.1, 0.5, 1.0, 2.0]:
-        tr = LiouvilleTransform(c)
-        assert tr.s(-1.0) == pytest.approx(tr.U, rel=1e-10)
+        t = family_parameter(c)
+
+        def shc(h):
+            return math.sinh(2 * t * h) / h if h > 0 else 2 * t
+
+        ref = quad(lambda xi: (2 * shc(1 + xi) * shc(1 - xi)) ** -0.5,
+                   -1.0, 1.0, weight="alg", wvar=(-0.5, -0.5),
+                   epsabs=0.0, epsrel=1e-13)[0]
+        assert LiouvilleTransform(c).U == pytest.approx(ref, rel=1e-10)
 
 
 def test_Y_monotone_roundtrip(transform_c1):
@@ -155,11 +161,11 @@ def test_cross_route_eigenfunctions_deep(c, m_max):
 
 @pytest.mark.parametrize("c", [0.5, 2.0, 4.0, 5.0, 8.0, 16.0])
 def test_u_normalizer_matches_quadrature(c):
-    # U = int_{-1}^{1} p^{-1/2} = 2 s(0); the closed form must not lose the
-    # complementary modulus sech(2t) to cancellation at large c, and the
-    # s-rule must keep its accuracy there (abs=0: U is 3.5e-11 at c = 8)
+    # U = int_{-1}^{1} p^{-1/2} = 2 s(0) holds exactly, so s(-x) = U - s(x)
+    # meets s(x) at 0 and reaches U at -1
     tr = LiouvilleTransform(c)
-    assert 2 * tr.s(0.0) == pytest.approx(tr.U, rel=1e-13, abs=0.0)
+    assert 2 * tr.s(0.0) == tr.U
+    assert tr.s(-0.0) == tr.s(0.0) and tr.s(-1.0) == tr.U
 
 
 @pytest.mark.parametrize("c", [0.25, 4.0, 8.0])
@@ -176,7 +182,7 @@ def test_vectorised_map_matches_scalar_calls(c):
     assert np.array_equal(Y, scalar[:, 0]) and np.array_equal(F, scalar[:, 1])
 
 
-@pytest.mark.parametrize("c", [0.25, 1.0, 4.0])
+@pytest.mark.parametrize("c", [0.25, 1.0, 4.0, 16.0, 64.0, 111.0])
 def test_s_against_scipy_quad(c):
     # independent form: int_x^1 (p / (1-xi))^(-1/2) (1-xi)^(-1/2) by QUADPACK
     # with the algebraic endpoint weight
@@ -191,7 +197,7 @@ def test_s_against_scipy_quad(c):
     # relative at length 2^-40), so the points stay away from x = 1
     xs = np.array([-0.99, -0.5, 0.0, 0.3, 0.9, 0.99])
     ref = [quad(smooth, x, 1.0, weight="alg", wvar=(0.0, -0.5),
-                epsabs=0.0, epsrel=1e-13)[0] for x in xs]
+                epsabs=0.0, epsrel=1e-13, limit=200)[0] for x in xs]
     assert LiouvilleTransform(c).s(xs) == pytest.approx(ref, rel=1e-13, abs=0.0)
 
 
@@ -211,17 +217,19 @@ def test_potential_quadrature_converged(c):
     k = np.arange(n_b)
     M = np.diag(k * (k + 1.0)) + (P * np.tile(q_c_potential(tr, x) * w, 2)) @ P.T
     ref = (math.pi / tr.U) ** 2 * np.linalg.eigvalsh(M)[:31]
-    chi = galerkin_eigensystem(c, n_b=n_b, m_max=12).chi[:31]
+    chi = galerkin_eigensystem(c, n_b=n_b, m_max=30).chi
     assert np.max(np.abs(chi / ref - 1)) <= 2e-10
 
 
 def test_potential_warns_nothing_at_the_top_of_the_range():
     """The endpoint expansion of q^c, formed only where it is used, does not
-    overflow at c = 111, and neither does the closed form beside it."""
+    overflow up to c = 111.4, nor does the closed form beside it or the
+    scaling of the requested eigenvalues."""
     with warnings.catch_warnings(record=True) as seen:
         warnings.simplefilter("always")
-        galerkin_eigensystem(111.0, m_max=12)
-        q_c_potential(LiouvilleTransform(111.0), 1 - np.logspace(-12, 0, 25))
+        for c in (111.0, 111.4):
+            galerkin_eigensystem(c, m_max=12)
+            q_c_potential(LiouvilleTransform(c), 1 - np.logspace(-12, 0, 25))
     assert [str(w.message) for w in seen] == []
 
 
