@@ -2,13 +2,15 @@
 
 Subcommands: svd | bounds | widom | extrapolate | selftest. Everything is
 written as CSV ('.' decimal, ',' separator, 17 significant digits) or JSON
-(raw doubles), so the files round-trip exactly and identical inputs give
-byte-identical outputs at a fixed BLAS thread count. The run manifest is
-the only file with a clock in it; its `environment` holds the numpy
-version, longdouble eps, the BLAS name and version and the BLAS
-thread-count variables. SVD documents are cached on disk under a content
-hash of the parameters and read back as an SvdBasis; SECHPROLATE_CACHE
-overrides the cache directory.
+(one line with sorted keys, each double in its shortest round-trip form,
+never NaN or Infinity), so the files round-trip exactly and identical
+inputs give byte-identical outputs at a fixed BLAS thread count. The run
+manifest is the only file with a clock in it; its `environment` holds the
+numpy version, longdouble eps, the BLAS name and version and the BLAS
+thread-count variables, and its `cache` the key and hit of each SVD
+document read. SVD documents are cached on disk under a content hash of
+the parameters and read back as an SvdBasis; SECHPROLATE_CACHE overrides
+the cache directory.
 
 Exit codes: 0 on success, 2 on usage errors, 3 on numerical failures.
 """
@@ -73,7 +75,10 @@ def csv_bytes(header, rows) -> bytes:
 
 
 def json_bytes(doc) -> bytes:
-    return (json.dumps(doc, indent=2, sort_keys=True) + "\n").encode("ascii")
+    """One line of JSON with sorted keys, by the C encoder. A non-finite
+    float raises ValueError, which the command line maps to exit 3."""
+    return (json.dumps(doc, sort_keys=True, allow_nan=False)
+            + "\n").encode("ascii")
 
 
 def atomic_write(path: str, data: bytes):
@@ -109,12 +114,13 @@ def svd_cache_key(b: float, c: float, m_max: int, n) -> str:
 
 
 def cached_svd_document(b: float, c: float, m_max: int, n=None):
-    """(SvdBasis, JSON bytes) of the SVD document, computed once per
-    parameter set. A hit parses the cached file; a miss returns the basis
-    it computed with the bytes it wrote to the cache. A cached file that
-    the reader rejects, or that holds the document of other parameters,
-    counts as a miss and is overwritten."""
-    path = os.path.join(cache_dir(), svd_cache_key(b, c, m_max, n) + ".json")
+    """(SvdBasis, JSON bytes, {"key": ..., "hit": ...}) of the SVD
+    document, computed once per parameter set. A hit parses the cached
+    file; a miss returns the basis it computed with the bytes it wrote to
+    the cache. A cached file that the reader rejects, or that holds the
+    document of other parameters, counts as a miss and is overwritten."""
+    key = svd_cache_key(b, c, m_max, n)
+    path = os.path.join(cache_dir(), key + ".json")
     if os.path.exists(path):
         with open(path, "rb") as f:
             data = f.read()
@@ -122,13 +128,13 @@ def cached_svd_document(b: float, c: float, m_max: int, n=None):
             svd = triplets_from_json_dict(json.loads(data))
             if (svd.b, svd.c, len(svd), len(svd.g.grid)) == (
                     b, c, m_max + 1, nystrom_grid_size(m_max, n)):
-                return svd, data
+                return svd, data, {"key": key, "hit": True}
         except (ValueError, KeyError, TypeError):
             pass
     svd = compute_svd(OperatorParams(b=b, c=c), m_max=m_max, n=n)
     data = json_bytes(svd_to_json_dict(svd))
     atomic_write(path, data)
-    return svd, data
+    return svd, data, {"key": key, "hit": False}
 
 
 # ---------------------------------------------------------------------------
@@ -158,10 +164,12 @@ def run_environment() -> dict:
 
 
 def write_run(out: str, command: str, parameters: dict, files: dict,
-              t0: float, input_hashes: dict = None, results: dict = None):
+              t0: float, input_hashes: dict = None, results: dict = None,
+              cache: list = None):
     """Write each of files ({name: bytes}, in order) atomically into out,
-    then <command>_manifest.json listing them, with the wall time since t0
-    and the run environment."""
+    then <command>_manifest.json listing them, with the wall time since t0,
+    the run environment and the cache reads (as cached_svd_document
+    returns them, in read order)."""
     for name, data in files.items():
         atomic_write(os.path.join(out, name), data)
     doc = {"command": command, "parameters": parameters,
@@ -170,6 +178,8 @@ def write_run(out: str, command: str, parameters: dict, files: dict,
            "environment": run_environment()}
     if results is not None:
         doc["results"] = results
+    if cache is not None:
+        doc["cache"] = cache
     atomic_write(os.path.join(out, f"{command}_manifest.json"), json_bytes(doc))
 
 
@@ -240,12 +250,12 @@ def svd(b, c, m_max, n, out):
     if n is not None and n < 2 * (m_max + 1):
         raise click.UsageError("n is too small for the requested m-max")
     t0 = time.perf_counter()
-    basis, data = cached_svd_document(b, c, m_max, n)
+    basis, data, read = cached_svd_document(b, c, m_max, n)
     rows = zip(basis.m, basis.sigma, basis.rho, basis.trusted)
     write_run(out, "svd", {"b": b, "c": c, "m_max": m_max, "n": n},
               {"svd.json": data,
                "svd_summary.csv": csv_bytes(["m", "sigma", "rho", "trusted"],
-                                            rows)}, t0)
+                                            rows)}, t0, cache=[read])
     click.echo(f"svd: {len(basis)} triplets written to {out}")
 
 
@@ -418,9 +428,10 @@ def extrapolate(case_id, input_path, b, c, x0, deltas, adaptive, n_level,
                   {"rates.csv": csv_bytes(header, rows)}, t0,
                   results={"slope_bar": table["slope_bar"],
                            "slope_hat": table["slope_hat"]})
-        click.echo(f"extrapolate sweep: slopes "
-                   f"{table['slope_bar']:.4f} (rule) / "
-                   f"{table['slope_hat']:.4f} (adaptive) -> {out}")
+        bar, hat = ("n/a" if table[k] is None else f"{table[k]:.4f}"
+                    for k in ("slope_bar", "slope_hat"))
+        click.echo(f"extrapolate sweep: slopes {bar} (rule) / "
+                   f"{hat} (adaptive) -> {out}")
         return
 
     if adaptive == (n_level is not None):
@@ -446,8 +457,8 @@ def extrapolate(case_id, input_path, b, c, x0, deltas, adaptive, n_level,
     if adaptive and not obs.delta > 0:
         raise click.UsageError("adaptive selection needs delta > 0")
 
-    svd, _ = cached_svd_document(params.b, params.c,
-                                 basis_m_max(obs.delta, n_level or 0))
+    svd, _, read = cached_svd_document(params.b, params.c,
+                                       basis_m_max(obs.delta, n_level or 0))
     results = {"delta": obs.delta, "N_max": n_max(obs.delta)
                if obs.delta > 0 else None}
     if adaptive:
@@ -476,7 +487,7 @@ def extrapolate(case_id, input_path, b, c, x0, deltas, adaptive, n_level,
                "N": n_level, "report_points": report_points,
                **({"variant": variant} if "--variant" in reads else {})},
               {"reconstruction.csv": csv_bytes(header, zip(*cols))}, t0,
-              input_hashes=input_hashes, results=results)
+              input_hashes=input_hashes, results=results, cache=[read])
     msg = f"N_hat = {level}" if adaptive else f"N = {level}"
     if "error_l2" in results:
         msg += f", error {results['error_l2']:.5g}"
@@ -492,7 +503,7 @@ def selftest(out):
     consistency checks; the data files are byte-reproducible run to run and
     are written only once every check has passed."""
     t0 = time.perf_counter()
-    svd, svd_data = cached_svd_document(1.0, 1.0, 8)
+    svd, svd_data, svd_read = cached_svd_document(1.0, 1.0, 8)
     if not np.all(np.diff(svd.sigma) < 0):
         raise ValueError("singular values are not strictly decreasing")
 
@@ -503,7 +514,8 @@ def selftest(out):
         raise ValueError(f"lower eigenvalue bound violated at m={bad}")
 
     obs, truth, params = builtin_case("a")
-    basis, _ = cached_svd_document(params.b, params.c, basis_m_max(obs.delta, 2))
+    basis, _, basis_read = cached_svd_document(params.b, params.c,
+                                               basis_m_max(obs.delta, 2))
     est = cutoff_estimate(obs, basis, 2)
     err = l2_error(est.grid, est.values, truth)
     if not err < 0.05:
@@ -518,7 +530,8 @@ def selftest(out):
             ["x", "f_hat_re", "f_hat_im", "f_true"],
             zip(est.grid, est.values.real, est.values.imag, truth(est.grid))),
     }
-    write_run(out, "selftest", {}, files, t0, results={"case_a_n2_error": err})
+    write_run(out, "selftest", {}, files, t0, results={"case_a_n2_error": err},
+              cache=[svd_read, basis_read])
     for name, data in files.items():
         click.echo(f"{hashlib.sha256(data).hexdigest()}  {name}")
     click.echo("selftest: ok")

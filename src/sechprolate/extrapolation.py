@@ -228,7 +228,8 @@ def rate_sweep(case_id: str, delta_list, oracle_rule: str = "polynomial",
     For each delta the estimator runs once with the rule-driven level
     N_bar (log(1/delta)/(2 beta) for polynomially growing weights,
     log(1/delta)/(kappa + beta) for exponential ones) and once with the
-    adaptive N_hat; log-log slopes of both error columns are fitted.
+    adaptive N_hat; log-log slopes of both error columns are fitted, and
+    each slope is None when the deltas are all equal.
     """
     if oracle_rule not in ("polynomial", "exponential"):
         raise ValueError("oracle_rule must be 'polynomial' or 'exponential'")
@@ -254,10 +255,10 @@ def rate_sweep(case_id: str, delta_list, oracle_rule: str = "polynomial",
         rows.append({"delta": dl, "N_bar": nbar, "err_bar": err_bar,
                      "N_hat": nhat, "err_hat": err_hat})
     logd = np.log(deltas)
-    # a constant delta list pins every run to one point; no slope exists
+    # equal deltas (or just one) pin every run to one point; no slope exists
     slope_bar, slope_hat = (
         float(np.polyfit(logd, np.log([r[k] for r in rows]), 1)[0])
-        if np.ptp(logd) > 0 else float("nan") for k in ("err_bar", "err_hat"))
+        if np.ptp(logd) > 0 else None for k in ("err_bar", "err_hat"))
     return {"case": case_id, "rule": oracle_rule, "kappa": kappa,
             "rows": rows, "slope_bar": slope_bar, "slope_hat": slope_hat}
 

@@ -1,3 +1,5 @@
+import json
+
 import pytest
 
 from sechprolate.commuting_ode import LiouvilleTransform, galerkin_eigensystem
@@ -6,6 +8,14 @@ from sechprolate.sech_operator import (OperatorParams, SampledFunction,
                                        nystrom_eigensystem)
 from sechprolate.special_functions import gauss_legendre
 from sechprolate.svd_assembly import compute_svd
+
+
+def strict_json_loads(data):
+    """json.loads that rejects NaN, Infinity and -Infinity, which RFC 8259
+    does not allow and the package must never write."""
+    def reject(name):
+        raise ValueError(f"{name} is not JSON")
+    return json.loads(data, parse_constant=reject)
 
 
 @pytest.fixture(scope="session")

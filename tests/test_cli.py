@@ -18,6 +18,7 @@ import sechprolate.cli as cli
 from sechprolate.cli import main
 from sechprolate.svd_assembly import triplets_from_json_dict
 
+from conftest import strict_json_loads
 from oracles.svd_assembly import rescale_phi
 
 
@@ -61,7 +62,7 @@ def test_svd_outputs(tmp_path, cache):
     sig = [float(r[1]) for r in rows]
     assert all(s0 > s1 for s0, s1 in zip(sig, sig[1:]))
     assert all(r[3] == "true" for r in rows)
-    man = json.loads((out / "svd_manifest.json").read_text())
+    man = strict_json_loads((out / "svd_manifest.json").read_text())
     assert man["command"] == "svd"
     assert man["outputs"] == ["svd.json", "svd_summary.csv"]
     assert man["parameters"] == {"b": 1.0, "c": 1.0, "m_max": 12, "n": None}
@@ -82,14 +83,59 @@ def test_blas_build_is_null_where_numpy_does_not_record_it(monkeypatch,
     assert cli.blas_build.__wrapped__() == (None, None)
 
 
-def test_svd_rerun_is_byte_identical(tmp_path, cache):
-    outs = [tmp_path / name for name in ("first", "second")]
+def test_svd_rerun_is_byte_identical(tmp_path):
+    """A miss and then a hit write the same files. svd.json is the cache
+    file's bytes, as json_bytes encodes them: one line and a final
+    newline."""
+    cache_dir = tmp_path / "cache"
+    outs = [tmp_path / name for name in ("miss", "hit")]
     for out in outs:
-        res = run_cli(cache, "svd", "--b", "1", "--c", "1", "--m-max", "12",
-                      "--out", str(out))
+        res = run_cli(str(cache_dir), "svd", "--b", "1", "--c", "1",
+                      "--m-max", "12", "--out", str(out))
         assert res.exit_code == 0
     for name in ("svd.json", "svd_summary.csv"):
         assert (outs[0] / name).read_bytes() == (outs[1] / name).read_bytes()
+    data = (outs[0] / "svd.json").read_bytes()
+    assert data == cli.json_bytes(strict_json_loads(data))
+    assert data.count(b"\n") == 1 and data.endswith(b"\n")
+    key = cli.svd_cache_key(1.0, 1.0, 12, None)
+    assert data == (cache_dir / (key + ".json")).read_bytes()
+
+
+@pytest.mark.parametrize("args, keys", [
+    (("svd", "--b", "1", "--c", "1", "--m-max", "12"),
+     [(1.0, 1.0, 12)]),
+    (("extrapolate", "--case", "a", "--N", "2"), [(1.0, 0.5, 8)]),
+    (("selftest",), [(1.0, 1.0, 8), (1.0, 0.5, 8)]),
+], ids=["svd", "extrapolate", "selftest"])
+def test_manifest_records_each_cache_read(tmp_path, args, keys):
+    """The manifest lists every SVD document read, in read order, with its
+    cache key: a miss on an empty cache, and a hit when the run repeats."""
+    cache_dir = str(tmp_path / "cache")
+    for run, hit in (("first", False), ("second", True)):
+        out = tmp_path / run
+        res = run_cli(cache_dir, *args, "--out", str(out))
+        assert res.exit_code == 0, res.output
+        man = strict_json_loads(
+            (out / f"{args[0]}_manifest.json").read_text())
+        assert man["cache"] == [{"key": cli.svd_cache_key(*k, None),
+                                 "hit": hit} for k in keys]
+
+
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+def test_non_finite_manifest_value_exits_3(tmp_path, cache, monkeypatch,
+                                           value):
+    """json_bytes refuses a value RFC 8259 cannot hold, and the command
+    line reports it as a numerical failure with no manifest written."""
+    with pytest.raises(ValueError):
+        cli.json_bytes({"x": [value]})
+    monkeypatch.setattr(cli, "l2_error", lambda *args: value)
+    out = tmp_path / "run"
+    res = run_cli(cache, "extrapolate", "--case", "a", "--N", "2",
+                  "--out", str(out))
+    assert res.exit_code == 3
+    assert "numerical failure:" in res.stderr
+    assert not (out / "extrapolate_manifest.json").exists()
 
 
 def test_svd_summary_roundtrips_to_json(tmp_path, cache):
@@ -99,7 +145,7 @@ def test_svd_summary_roundtrips_to_json(tmp_path, cache):
     res = run_cli(cache, "svd", "--b", "1", "--c", "1", "--m-max", "12",
                   "--out", str(out))
     assert res.exit_code == 0
-    doc = json.loads((out / "svd.json").read_text())
+    doc = strict_json_loads((out / "svd.json").read_text())
     _, rows = read_csv(out / "svd_summary.csv")
     for row, entry in zip(rows, doc["entries"], strict=True):
         assert int(row[0]) == entry["m"]
@@ -213,8 +259,8 @@ def test_svd_scaling_law_across_runs(tmp_path, cache):
                       "--out", str(out))
         assert res.exit_code == 0
     src = triplets_from_json_dict(
-        json.loads((out_src / "svd.json").read_text()))
-    tgt = json.loads((out_tgt / "svd.json").read_text())["entries"]
+        strict_json_loads((out_src / "svd.json").read_text()))
+    tgt = strict_json_loads((out_tgt / "svd.json").read_text())["entries"]
     for m in range(7):
         sigma, scaled = rescale_phi(2.0, 1.0, src[m])
         a = scaled.values
@@ -279,7 +325,7 @@ def test_widom_default_grid(tmp_path, cache):
         else:
             assert r[3] == ""
         assert r[4] == ""  # no --fit, so no fitted slope
-    man = json.loads((out / "widom_manifest.json").read_text())
+    man = strict_json_loads((out / "widom_manifest.json").read_text())
     assert "m_max" not in man["parameters"]   # read only with --fit
 
     for bad in ("0", "-1", "nan", "inf"):
@@ -296,7 +342,7 @@ def test_widom_fit_column(tmp_path, cache):
     assert len(rows) == 1
     assert float(rows[0][4]) == bounds_lib.build_report(1.0,
                                                         m_max=12).slope_fit
-    man = json.loads((out / "widom_manifest.json").read_text())
+    man = strict_json_loads((out / "widom_manifest.json").read_text())
     assert man["parameters"]["m_max"] == 12
 
 
@@ -306,7 +352,7 @@ def test_extrapolate_case_a_adaptive(tmp_path, cache):
                   "--out", str(out))
     assert res.exit_code == 0
     assert "N_hat = " in res.output
-    man = json.loads((out / "extrapolate_manifest.json").read_text())
+    man = strict_json_loads((out / "extrapolate_manifest.json").read_text())
     results = man["results"]
     assert results["N_max"] == 2
     assert 0 <= results["N_hat"] <= results["N_max"]
@@ -326,7 +372,7 @@ def test_extrapolate_case_b_fixed_level(tmp_path, cache):
                   "--out", str(out))
     assert res.exit_code == 0
     assert "N = 0" in res.output
-    man = json.loads((out / "extrapolate_manifest.json").read_text())
+    man = strict_json_loads((out / "extrapolate_manifest.json").read_text())
     assert man["parameters"]["case"] == "b"
     assert "variant" not in man["parameters"]   # a fixed level reads none
     assert man["results"]["N"] == 0
@@ -446,7 +492,7 @@ def test_extrapolate_input_csv_runs(tmp_path, cache):
                   "--c", "0.5", "--delta", "0.05", "--adaptive",
                   "--out", str(out))
     assert res.exit_code == 0
-    man = json.loads((out / "extrapolate_manifest.json").read_text())
+    man = strict_json_loads((out / "extrapolate_manifest.json").read_text())
     digest = hashlib.sha256(window.read_bytes()).hexdigest()
     assert man["input_hashes"] == {"window.csv": digest}
     assert man["results"]["N_hat"] <= man["results"]["N_max"]
@@ -477,20 +523,30 @@ def test_extrapolate_input_small_b_is_not_aliased(tmp_path, cache):
 
 
 def test_extrapolate_sweep_rates(tmp_path, cache):
-    out = tmp_path / "run"
-    res = run_cli(cache, "extrapolate", "--case", "a", "--sweep",
-                  "--delta", "0.1", "--delta", "0.01", "--out", str(out))
-    assert res.exit_code == 0
-    assert "extrapolate sweep: slopes" in res.output
-    header, rows = read_csv(out / "rates.csv")
-    assert header == ["delta", "N_bar", "err_bar", "N_hat", "err_hat"]
-    assert [float(r[0]) for r in rows] == [0.1, 0.01]
-    assert float(rows[0][4]) > float(rows[1][4])
-    man = json.loads((out / "extrapolate_manifest.json").read_text())
-    assert man["parameters"]["variant"] == "plus"
-    assert "kappa" not in man["parameters"]     # the polynomial rule reads none
-    assert math.isfinite(man["results"]["slope_bar"])
-    assert math.isfinite(man["results"]["slope_hat"])
+    """Two deltas fit finite slopes. One delta has no slope, which the
+    manifest records as null and the summary line as n/a."""
+    for deltas in ([0.1, 0.01], [0.1]):
+        out = tmp_path / str(len(deltas))
+        res = run_cli(cache, "extrapolate", "--case", "a", "--sweep",
+                      *[arg for d in deltas for arg in ("--delta", repr(d))],
+                      "--out", str(out))
+        assert res.exit_code == 0
+        assert "extrapolate sweep: slopes" in res.output
+        header, rows = read_csv(out / "rates.csv")
+        assert header == ["delta", "N_bar", "err_bar", "N_hat", "err_hat"]
+        assert [float(r[0]) for r in rows] == deltas
+        man = strict_json_loads(
+            (out / "extrapolate_manifest.json").read_text())
+        assert man["parameters"]["variant"] == "plus"
+        assert "kappa" not in man["parameters"]  # the polynomial rule reads none
+        assert "cache" not in man                # a sweep reads no document
+        slopes = [man["results"][k] for k in ("slope_bar", "slope_hat")]
+        if len(deltas) > 1:
+            assert float(rows[0][4]) > float(rows[1][4])
+            assert all(math.isfinite(s) for s in slopes)
+        else:
+            assert slopes == [None, None]
+            assert "slopes n/a (rule) / n/a (adaptive)" in res.output
 
 
 def test_selftest_byte_identical_data(tmp_path, cache):
@@ -601,6 +657,7 @@ def other_document(tmp_path, *svd_args):
 
 def tampered_document(document, key, value):
     """The document with one field of entry m = 3 set to value."""
+    # plain json both ways: a tampered document may hold NaN on purpose
     doc = json.loads(document)
     doc["entries"][3][key] = value
     return json.dumps(doc).encode("ascii")
@@ -634,7 +691,8 @@ def test_corrupt_cached_document_is_recomputed(tmp_path, corrupt):
         "string_trusted": lambda: tampered_document(document, "trusted",
                                                     "false"),
         "sigma_ulp": lambda: tampered_document(document, "sigma", float(
-            np.nextafter(json.loads(document)["entries"][3]["sigma"], 1.0))),
+            np.nextafter(strict_json_loads(document)["entries"][3]["sigma"],
+                         1.0))),
     }[corrupt]())
     res = run_cli(str(cache_dir), "extrapolate", "--case", "a", "--N", "2",
                   "--out", str(tmp_path / "run"))
@@ -654,7 +712,7 @@ def test_cached_document_with_a_flipped_trusted_is_recomputed(tmp_path):
     assert res.exit_code == 0
     name = cli.svd_cache_key(1.0, 0.1, 12, None) + ".json"
     document = (fresh / name).read_bytes()
-    doc = json.loads(document)
+    doc = strict_json_loads(document)
     assert [e["trusted"] for e in doc["entries"][10:]] == [True, False, False]
     doc["entries"][12]["trusted"] = True
     cache_dir.mkdir()

@@ -408,6 +408,7 @@ def test_rate_sweep_constant_delta_deterministic():
     assert r1["err_bar"] == r2["err_bar"]
     assert r1["err_hat"] == r2["err_hat"]
     assert r1["N_hat"] == r2["N_hat"]
+    assert t1["slope_bar"] is None and t1["slope_hat"] is None
 
 
 def test_adaptive_estimate_projects_the_window_once(case_a, coefficient_calls):
