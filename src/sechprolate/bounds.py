@@ -168,7 +168,7 @@ class BoundsReport:
     m_max: int
     rows: list                      # one dict per m
     widom_slope: float
-    slope_fit: float
+    slope_fit: float | None         # None when fewer than 2 points are fitted
 
 
 ROW_FIELDS = ["m", "lower_small_c", "lower_all_c", "lower_combined",
@@ -200,7 +200,7 @@ def build_report(c: float, m_max: int = 12) -> BoundsReport:
         })
     m_fit_lo = min(6, max(0, m_max - 4))
     ms = np.arange(m_fit_lo, m_max + 1)
-    fit = fit_log_slope(ms, rhos[ms]) if len(ms) >= 2 else float("nan")
+    fit = fit_log_slope(ms, rhos[ms]) if len(ms) >= 2 else None
     return BoundsReport(c=c, m_max=m_max, rows=rows,
                         widom_slope=widom_slope(c), slope_fit=fit)
 

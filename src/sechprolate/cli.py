@@ -3,8 +3,10 @@
 Subcommands: svd | bounds | widom | extrapolate | selftest. Everything is
 written as CSV ('.' decimal, ',' separator, 17 significant digits) or JSON
 (one line with sorted keys, each double in its shortest round-trip form,
-never NaN or Infinity), so the files round-trip exactly and identical
-inputs give byte-identical outputs at a fixed BLAS thread count. The run
+never NaN or Infinity; the g and phi grids that every entry of an SVD
+document repeats are formatted once per document, and the bytes are the
+plain encoder's), so the files round-trip exactly and identical inputs
+give byte-identical outputs at a fixed BLAS thread count. The run
 manifest is the only file with a clock in it; its `environment` holds the
 numpy version, longdouble eps, the BLAS name and version and the BLAS
 thread-count variables, and its `cache` the key and hit of each SVD
@@ -74,11 +76,68 @@ def csv_bytes(header, rows) -> bytes:
     return ("\n".join(lines) + "\n").encode("ascii")
 
 
+JSON_OPTIONS = {"sort_keys": True, "allow_nan": False}
+
+
+def _lists_reached_twice(node, seen: set, twice: dict):
+    """Add to twice (id -> list) each list that the walk from node reaches
+    again. The walk goes through dicts and through lists that start with a
+    dict or a list, so it never steps through a row of numbers."""
+    if isinstance(node, dict):
+        for value in node.values():
+            _lists_reached_twice(value, seen, twice)
+    elif isinstance(node, list):
+        if id(node) in seen:
+            twice[id(node)] = node
+        else:
+            seen.add(id(node))
+            if node and isinstance(node[0], (dict, list)):
+                for value in node:
+                    _lists_reached_twice(value, seen, twice)
+
+
+def _with_placeholders(node, labels: dict, uses: list):
+    """A copy of node, along the walk of _lists_reached_twice, in which each
+    list of labels (id -> label) is the string NUL + label; uses gets the
+    label of every list so replaced."""
+    if isinstance(node, dict):
+        return {key: _with_placeholders(value, labels, uses)
+                for key, value in node.items()}
+    if isinstance(node, list):
+        if id(node) in labels:
+            uses.append(labels[id(node)])
+            return "\0" + labels[id(node)]
+        if node and isinstance(node[0], (dict, list)):
+            return [_with_placeholders(value, labels, uses) for value in node]
+    return node
+
+
 def json_bytes(doc) -> bytes:
-    """One line of JSON with sorted keys, by the C encoder. A non-finite
-    float raises ValueError, which the command line maps to exit 3."""
-    return (json.dumps(doc, sort_keys=True, allow_nan=False)
-            + "\n").encode("ascii")
+    """One line of JSON with sorted keys, by the C encoder: always the bytes
+    of json.dumps(doc, **JSON_OPTIONS) + "\\n". A list that the document
+    holds more than once, such as the g and phi grids that svd_to_json_dict
+    puts in every entry, is formatted once: the document is encoded with a
+    placeholder string in its place, whose text "\\u0000<label>" is then
+    replaced by the list's. Only a string of the document that holds a NUL
+    can encode like that; the labels found then differ from those placed,
+    and the document is encoded whole. A non-finite float raises
+    ValueError, which the command line maps to exit 3."""
+    twice = {}
+    _lists_reached_twice(doc, set(), twice)
+    labels = {key: str(k) for k, key in enumerate(twice)}
+    uses = []
+    text = json.dumps(_with_placeholders(doc, labels, uses), **JSON_OPTIONS)
+    if uses:
+        formatted = {labels[key]: json.dumps(value, **JSON_OPTIONS)
+                     for key, value in twice.items()}
+        first, *pieces = text.split('"\\u0000')
+        found = [piece.partition('"') for piece in pieces]
+        if sorted(label for label, _, _ in found) == sorted(uses):
+            text = "".join([first, *(part for label, _, rest in found
+                                     for part in (formatted[label], rest))])
+        else:
+            text = json.dumps(doc, **JSON_OPTIONS)
+    return (text + "\n").encode("ascii")
 
 
 def atomic_write(path: str, data: bytes):

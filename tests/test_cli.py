@@ -16,7 +16,9 @@ from click.testing import CliRunner
 import sechprolate.bounds as bounds_lib
 import sechprolate.cli as cli
 from sechprolate.cli import main
-from sechprolate.svd_assembly import triplets_from_json_dict
+from sechprolate.sech_operator import OperatorParams
+from sechprolate.svd_assembly import (compute_svd, svd_to_json_dict,
+                                      triplets_from_json_dict)
 
 from conftest import strict_json_loads
 from oracles.svd_assembly import rescale_phi
@@ -97,6 +99,8 @@ def test_svd_rerun_is_byte_identical(tmp_path):
         assert (outs[0] / name).read_bytes() == (outs[1] / name).read_bytes()
     data = (outs[0] / "svd.json").read_bytes()
     assert data == cli.json_bytes(strict_json_loads(data))
+    manifest = (outs[0] / "svd_manifest.json").read_bytes()
+    assert manifest == plain_json_bytes(strict_json_loads(manifest))
     assert data.count(b"\n") == 1 and data.endswith(b"\n")
     key = cli.svd_cache_key(1.0, 1.0, 12, None)
     assert data == (cache_dir / (key + ".json")).read_bytes()
@@ -136,6 +140,62 @@ def test_non_finite_manifest_value_exits_3(tmp_path, cache, monkeypatch,
     assert res.exit_code == 3
     assert "numerical failure:" in res.stderr
     assert not (out / "extrapolate_manifest.json").exists()
+
+
+def plain_json_bytes(doc):
+    """The bytes json_bytes must give: the C encoder on the whole document."""
+    return (json.dumps(doc, sort_keys=True, allow_nan=False)
+            + "\n").encode("ascii")
+
+
+@pytest.mark.parametrize("b, c, m_max, n", [
+    (1.0, 1.0, 0, None), (1.0, 1.0, 8, None), (0.75, 3.0, 30, None),
+    (2.0, 1.0, 5, 37), (0.01, 1.0, 8, None), (5.0, 1.0, 8, None)])
+def test_json_bytes_of_an_svd_document_is_the_plain_encoding(b, c, m_max, n):
+    """The writer's document holds each grid as one list object in every
+    entry; formatting it once gives the bytes of the plain encoder."""
+    doc = svd_to_json_dict(compute_svd(OperatorParams(b=b, c=c),
+                                       m_max=m_max, n=n))
+    first, last = doc["entries"][0], doc["entries"][-1]
+    assert first["g"]["nodes"] is last["g"]["nodes"]
+    assert first["phi"]["nodes"] is last["phi"]["nodes"]
+    assert cli.json_bytes(doc) == plain_json_bytes(doc)
+
+
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("where", [("g", "nodes"), ("phi", "nodes"),
+                                   ("g", "values"), ("phi", "re"),
+                                   ("phi", "im")])
+def test_json_bytes_refuses_a_non_finite_value_in_a_grid_or_row(
+        svd_b1_c1, where, value):
+    """A non-finite value in a shared grid, reached once per entry, or in
+    the g or phi row of one entry still raises."""
+    doc = svd_to_json_dict(svd_b1_c1)
+    doc["entries"][3][where[0]][where[1]][5] = value
+    with pytest.raises(ValueError):
+        cli.json_bytes(doc)
+
+
+GRID = [0.1, -2.5, 1e300]
+
+
+@pytest.mark.parametrize("doc", [
+    {"command": "svd", "parameters": {"b": 1.0, "c": [0.5, 2.0], "n": None},
+     "cache": [{"key": "ab", "hit": True}, {"key": "cd", "hit": False}],
+     "outputs": ["svd.json"], "input_hashes": {}, "wall_time_s": 0.25},
+    {"entries": [{"nodes": [0.1, -2.5]}, {"nodes": [0.1, -2.5]}]},
+    [GRID, {"x": GRID, "y": [[GRID, 1], [GRID, 2]]}, GRID],
+    {"a": GRID, "b": GRID, "s": "\x000"},
+    {"a": GRID, "b": GRID, "\x000": "\x001", "\x00": "\x000\""},
+    {"a": GRID, "b": GRID, "c": [{"d": "\x00x"}]},
+    {"a": [GRID], "b": [GRID], "e": []},
+], ids=["manifest", "equal_unshared_lists", "nested", "nul_value",
+        "nul_keys", "nul_unknown_label", "list_of_one_shared"])
+def test_json_bytes_is_the_plain_encoding(doc):
+    """Manifests and documents with equal but distinct lists encode as by
+    the plain encoder; so do shared lists at any depth, and strings that
+    hold a NUL, which a placeholder's text could otherwise match."""
+    assert cli.json_bytes(doc) == plain_json_bytes(doc)
 
 
 def test_svd_summary_roundtrips_to_json(tmp_path, cache):
@@ -201,6 +261,28 @@ def test_svd_cache_key_changes_with_version(monkeypatch):
     assert cli.svd_cache_key(1.0, 1.0, 12, 260) == key
     monkeypatch.setattr(cli, "__version__", "0.0.0")
     assert cli.svd_cache_key(1.0, 1.0, 12, None) != key
+
+
+def test_plain_encoded_cached_document_is_a_hit(tmp_path):
+    """A document that the plain encoder wrote under the current key, as
+    this version wrote them before json_bytes formatted each grid once, is
+    served as a hit, and its svd.json is the bytes of a miss."""
+    args = ("svd", "--b", "1", "--c", "0.5", "--m-max", "8")
+    res = run_cli(str(tmp_path / "fresh"), *args,
+                  "--out", str(tmp_path / "miss"))
+    assert res.exit_code == 0
+    cache_dir = tmp_path / "cache"
+    cache_dir.mkdir()
+    doc = svd_to_json_dict(compute_svd(OperatorParams(b=1.0, c=0.5),
+                                       m_max=8))
+    name = cli.svd_cache_key(1.0, 0.5, 8, None) + ".json"
+    (cache_dir / name).write_bytes(plain_json_bytes(doc))
+    res = run_cli(str(cache_dir), *args, "--out", str(tmp_path / "hit"))
+    assert res.exit_code == 0
+    man = strict_json_loads((tmp_path / "hit" / "svd_manifest.json").read_text())
+    assert man["cache"] == [{"key": name[:-5], "hit": True}]
+    assert ((tmp_path / "hit" / "svd.json").read_bytes()
+            == (tmp_path / "miss" / "svd.json").read_bytes())
 
 
 @pytest.mark.filterwarnings("ignore::UserWarning")
@@ -305,6 +387,20 @@ def test_bounds_table(tmp_path, cache):
 
     for bad in ("0", "-1", "nan", "inf"):
         run_usage_error(tmp_path, "bounds", "--c", "0.5", "--c", bad)
+
+
+def test_bounds_at_m_max_0_has_no_slope_fit(tmp_path, cache):
+    """One point has no slope: build_report gives None, and the CSV row
+    ends in an empty cell, as a missing upper_exponent does."""
+    assert bounds_lib.build_report(1.0, 0).slope_fit is None
+    out = tmp_path / "run"
+    res = run_cli(cache, "bounds", "--c", "1", "--m-max", "0",
+                  "--out", str(out))
+    assert res.exit_code == 0
+    header, rows = read_csv(out / "bounds.csv")
+    assert header[-1] == "slope_fit"
+    assert len(rows) == 1 and len(rows[0]) == len(header)
+    assert rows[0][-1] == ""
 
 
 def test_widom_default_grid(tmp_path, cache):

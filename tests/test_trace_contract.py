@@ -9,7 +9,9 @@ import inspect
 import os
 
 import pytest
+from click.testing import CliRunner
 
+import sechprolate.cli as cli
 from sechprolate.extrapolation import builtin_case, cutoff_estimate
 from sechprolate.sech_operator import NystromSpectrum
 from sechprolate.svd_assembly import compute_svd
@@ -67,3 +69,26 @@ def test_nystrom_spectrum_keeps_the_traced_fields():
     """worker._n_points reads .n; the accuracy pass calls trace_error()."""
     assert "n" in NystromSpectrum.__dataclass_fields__
     assert callable(NystromSpectrum.trace_error)
+
+
+def test_svd_miss_encodes_its_document_in_one_json_bytes_call(tmp_path,
+                                                             monkeypatch):
+    """The benchmark times the document's encoding as the cli.json_bytes
+    span and reads its size from the returned bytes: on a cache miss `svd`
+    encodes the document in one call, whose result is svd.json."""
+    calls = []
+    original = cli.json_bytes
+
+    def counted(doc):
+        data = original(doc)
+        calls.append(("entries" in doc, len(data)))
+        return data
+
+    monkeypatch.setattr(cli, "json_bytes", counted)
+    out = tmp_path / "run"
+    res = CliRunner().invoke(cli.main, ["svd", "--b", "1", "--c", "1",
+                                        "--m-max", "4", "--out", str(out)],
+                             env={"SECHPROLATE_CACHE": str(tmp_path / "c")})
+    assert res.exit_code == 0, res.output
+    assert [size for is_document, size in calls if is_document] == [
+        os.path.getsize(out / "svd.json")]
