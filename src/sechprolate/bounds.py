@@ -180,7 +180,8 @@ def build_report(c: float, m_max: int = 12) -> BoundsReport:
     """Tabulate the commuting-operator spectrum (commuting_eigenpairs)
     against every closed-form bound that applies at this c."""
     ode, _, rhos = commuting_eigenpairs(c, m_max)
-    fine = np.linspace(-1.0, 1.0, 2001)
+    # |g_m| is even, so the half [0, 1] holds the sup
+    fine = np.linspace(0.0, 1.0, 1001)
     sup = np.max(np.abs(ode.evaluate_g(np.arange(m_max + 1), fine)), axis=1)
     chi_lo, chi_hi = chi_sandwich(c, np.arange(m_max + 1))
     rows = []

@@ -20,6 +20,12 @@ U = 2 s(0) the complete one; both come in closed form from Carlson's R_F,
 so no quadrature rule evaluates the map. The Galerkin potential is
 integrated in u = sqrt(1 - |x|), where x = +-(1 - u^2) is explicit and
 dy = pi/(U F^2) dx.
+
+The kernel is even, so g_m has parity (-1)^m, and the code makes that
+exact: the potential couples only Legendre indices of equal parity, the
+Galerkin matrix is solved as an even and an odd block, each coefficient
+column is exactly 0 off its parity, and evaluate_g maps |x| and applies
+the sign (-1)^m at x < 0.
 """
 import math
 from dataclasses import dataclass, field
@@ -165,13 +171,18 @@ class OdeSpectrum:
         """Eigenfunction g_m(x) = sqrt(pi/U) Gamma_m(Y(x)) / F(Y(x)) at
         points x in [-1,1]: unit L2 norm, g_m(1) > 0.
 
-        An int m gives the values of shape (len(x),); an array of indices
-        gives one row per index, shape (len(m), len(x)), from one map of x
-        and one matrix product.
+        The map runs at |x|, and the value at x < 0 is (-1)^m times the
+        value at -x, so g_m(-x) = (-1)^m g_m(x) holds bit for bit at any
+        points. An int m gives the values of shape (len(x),); an array of
+        indices gives one row per index, shape (len(m), len(x)), from one
+        map of x and one matrix product.
         """
-        Yv, Fv = self.transform.forward(x)
+        x = np.atleast_1d(np.asarray(x, dtype=float))
+        Yv, Fv = self.transform.forward(np.abs(x))
         G = self.coefficients[:, m].T @ legendre_table(self.n_b - 1, Yv)
-        return G * math.sqrt(math.pi / self.transform.U) / Fv
+        G = G * math.sqrt(math.pi / self.transform.U) / Fv
+        flip = (np.asarray(m) % 2 == 1)[..., None] & (x < 0)
+        return np.where(flip, -G, G)
 
 
 def galerkin_basis_size(m_max: int, n_b: int = None) -> int:
@@ -186,33 +197,56 @@ def galerkin_basis_size(m_max: int, n_b: int = None) -> int:
 
 
 def galerkin_eigensystem(c: float, n_b: int = None, m_max: int = 20) -> OdeSpectrum:
-    """Legendre-Galerkin eigensolve of the flattened operator.
+    """Legendre-Galerkin eigensolve of the flattened operator, in two
+    blocks of one parity each.
 
     In the normalized Legendre basis the leading part is the diagonal
     k(k+1); only the bounded potential needs quadrature, which runs in
-    u = sqrt(1-|x|), where the map to y is explicit. Eigenvalues chi of
-    the original operator are (pi/U)^2 times the matrix eigenvalues, and
-    eigenvectors map back through the Liouville transform, unit and with
-    g_m(1) > 0. m_max sizes the default basis and must stay clear of the
-    truncation-polluted top of the spectrum.
+    u = sqrt(1-|x|), where the map to y is explicit. The potential is even
+    and P-bar_k(-y) = (-1)^k P-bar_k(y), so it couples only indices of
+    equal parity: the matrix splits into an even and an odd block, each
+    diag(k(k+1)) + 2 (P qw) P^T with the table P on y >= 0 alone, and the
+    two spectra are merged by eigenvalue (Xiao, Rokhlin & Yarvin 2001).
+    Each coefficient column is then exactly 0 off its parity, and the
+    merged indices must alternate in parity up to m_max, as the
+    Sturm-Liouville oscillation count demands (ValueError otherwise).
+    Eigenvalues chi of the original operator are (pi/U)^2 times the matrix
+    eigenvalues, and eigenvectors map back through the Liouville
+    transform, unit and with g_m(1) > 0. m_max sizes the default basis and
+    must stay clear of the truncation-polluted top of the spectrum.
     """
     tr = LiouvilleTransform(c)
     n_b = galerkin_basis_size(m_max, n_b)
-    # the potential integral in u = sqrt(1 - |x|) on x >= 0, mirrored onto
-    # x < 0: y = Y(1 - u^2), dy = 2u pi/(U F^2) du, and q is even
+    # the potential integral in u = sqrt(1 - |x|) on x >= 0, doubled for
+    # x < 0: y = Y(1 - u^2), dy = 2u pi/(U F^2) du
     rule = panel_grid([0.0, 1.0], int(0.7 * n_b) + 16)
     x = 1.0 - rule.nodes ** 2
     Y, F = tr.forward(x)
     w = rule.weights * 2 * rule.nodes * math.pi / (tr.U * F * F)
-    qw = np.tile(q_c_potential(tr, x) * w, 2)
-    P = legendre_table(n_b - 1, np.concatenate([-Y, Y]))
+    qw = 2 * q_c_potential(tr, x) * w
+    P = legendre_table(n_b - 1, Y)
     ks = np.arange(n_b, dtype=float)
-    M = np.diag(ks * (ks + 1)) + (P * qw) @ P.T
-    try:
-        mu, W = np.linalg.eigh(M)
-    except np.linalg.LinAlgError as e:
-        raise np.linalg.LinAlgError(
-            f"Galerkin eigendecomposition failed for c={c}, n_b={n_b}: {e}") from e
+    blocks = []
+    for p in (0, 1):
+        kp = ks[p::2]
+        try:
+            blocks.append(np.linalg.eigh(
+                np.diag(kp * (kp + 1)) + (P[p::2] * qw) @ P[p::2].T))
+        except np.linalg.LinAlgError as e:
+            raise np.linalg.LinAlgError(
+                f"Galerkin eigendecomposition failed for c={c}, n_b={n_b}: {e}") from e
+    (mu_even, V_even), (mu_odd, V_odd) = blocks
+    n_even = mu_even.size
+    W = np.zeros((n_b, n_b))
+    W[0::2, :n_even] = V_even
+    W[1::2, n_even:] = V_odd
+    mu = np.concatenate([mu_even, mu_odd])
+    order = np.argsort(mu, kind="stable")
+    mu, W = mu[order], W[:, order]
+    # column m comes from the odd block where order[m] >= n_even
+    if np.any((order[: m_max + 1] >= n_even) != np.arange(m_max + 1) % 2):
+        raise ValueError("Galerkin eigenvalues do not alternate in parity "
+                         f"up to m_max = {m_max} at c = {c}")
     if mu[m_max] > 0.99 * mu[n_b - 5]:
         raise ValueError("basis too small: requested eigenvalues reach the "
                          "truncation-polluted top of the spectrum")

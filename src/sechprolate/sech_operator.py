@@ -6,7 +6,10 @@ transform to a window, with effective parameter c/b. The Rayleigh integral
 gives the SVD every eigenvalue, far below what a dense solver can see. The
 Nystrom discretization, the independent dense oracle, refines its small
 eigenpairs in extended precision, so that eigenvectors stay accurate down
-to eigenvalues around 1e-10.
+to eigenvalues around 1e-10. The Rayleigh integral and the adjoint take
+functions on a grid that is exactly symmetric about 0, as every Gauss rule
+is, and fold it onto its nonnegative nodes: the even part of a function
+against cos, the odd part against sin.
 """
 import math
 from dataclasses import dataclass
@@ -216,6 +219,24 @@ def nystrom_eigensystem(c: float, n: int = None, m_max: int = 12) -> NystromSpec
                            m_max=m_max, trust_floor=trust_floor)
 
 
+def _fold(grid: QuadratureGrid, values):
+    """(t, even, odd) of the weighted samples w v on an exactly symmetric
+    grid: t the nonnegative nodes, even = w (v(t) + v(-t)) and
+    odd = w (v(t) - v(-t)), node axis first, with a middle node at 0
+    counted once in even. Then sum_j w_j v_j f(t_j) = f_e(t) @ even +
+    f_o(t) @ odd for f = f_e + f_o, its even and odd parts, exactly in
+    exact arithmetic, for real or complex v."""
+    x, w = grid.nodes, grid.weights
+    if not (np.array_equal(x, -x[::-1]) and np.array_equal(w, w[::-1])):
+        raise ValueError("the grid is not exactly symmetric about 0")
+    h = x.size // 2
+    wh = w[h:].copy()
+    if x.size % 2:
+        wh[0] *= 0.5
+    pos, neg = values[..., h:], values[..., x.size - 1 - h::-1]
+    return x[h:], (wh * (pos + neg)).T, (wh * (pos - neg)).T
+
+
 def rho_rayleigh(c: float, g: SampledFunction):
     """Eigenvalue of Q_c as the Rayleigh integral int sech(x/c)|g_hat(x)|^2 dx.
 
@@ -235,6 +256,12 @@ def rho_rayleigh(c: float, g: SampledFunction):
     rows of m_max = 30 this is within 3e-12 relative of unit panels for
     c = 1..64, bar one row at c = 1 (7.6e-11 where eps/sqrt(rho) is 2e-8).
 
+    The grid of g must be exactly symmetric about 0, as every Gauss rule
+    is (ValueError otherwise): the inner transform is folded onto its
+    nonnegative nodes, the even part of g against cos and the odd part
+    against sin, which halves the trigonometric and matrix work. For a g_m
+    of parity (-1)^m one of the two parts is exactly 0.
+
     g.values may hold one function (a float is returned) or M stacked rows
     of shape (M, n) (an array of M eigenvalues is returned); each panel's
     cos/sin matrices are formed once and multiply all rows together. Every
@@ -244,17 +271,16 @@ def rho_rayleigh(c: float, g: SampledFunction):
     nrm = g.norm()
     if np.any(np.abs(nrm - 1.0) > 1e-8):
         raise ValueError(f"input must be L2(-1,1)-normalized, got norm {nrm!r}")
-    xg = g.grid.nodes
-    wg = (g.grid.weights * np.real(g.values)).T      # (n,) or (n, M)
+    t, even, odd = _fold(g.grid, np.real(g.values))   # (n/2,) or (n/2, M)
     x_t = RAYLEIGH_TAIL_MULTIPLE * c
     panels = max(RAYLEIGH_PANELS, math.ceil(x_t / RAYLEIGH_MAX_PANEL_LENGTH))
     quad = panel_grid(np.linspace(0.0, x_t, panels + 1), RAYLEIGH_NODES)
     total = 0.0
     for xi, wi in zip(quad.nodes.reshape(panels, RAYLEIGH_NODES),
                       quad.weights.reshape(panels, RAYLEIGH_NODES)):
-        ph = xi[:, None] * xg[None, :]
-        re = np.cos(ph) @ wg
-        im = np.sin(ph) @ wg
+        ph = xi[:, None] * t[None, :]
+        re = np.cos(ph) @ even
+        im = np.sin(ph) @ odd
         total = total + (wi / np.cosh(xi / c)) @ (re * re + im * im)
     total = 2.0 * total
     return float(total) if np.ndim(total) == 0 else total
@@ -270,14 +296,20 @@ def apply_adjoint(params: OperatorParams, h: SampledFunction, x) -> np.ndarray:
     """Adjoint of the windowed transform: sech(b x) * int_{-1}^1 e^{-i c x t} h(t) dt
     at the points x.
 
+    The grid of h must be exactly symmetric about 0, as every Gauss rule
+    is (ValueError otherwise). The integral is folded onto the nonnegative
+    nodes: cos(c x t) against the even part of h minus i sin(c x t)
+    against the odd part, exact in exact arithmetic for real or complex h.
+    So a real h of parity (-1)^m has an image that is exactly (-i)^m times
+    a real row: its other part is exactly 0.
+
     h.values may hold one function, giving values of shape (len(x),), or M
     stacked rows of shape (M, n), giving (M, len(x)).
     """
     x = np.atleast_1d(np.asarray(x, dtype=float))
-    t = h.grid.nodes
-    wh = h.grid.weights * h.values
-    ph = np.exp(-1j * params.c * x[:, None] * t[None, :])
-    # the rows times ph^T, written so that a single function keeps its
-    # matrix-vector product
-    vals = (ph @ wh.T).T
+    t, even, odd = _fold(h.grid, h.values)
+    ph = params.c * x[:, None] * t[None, :]
+    # the rows times the matrices, transposed back, written so that a
+    # single function keeps its matrix-vector products
+    vals = (np.cos(ph) @ even - 1j * (np.sin(ph) @ odd)).T
     return vals / np.cosh(params.b * x)

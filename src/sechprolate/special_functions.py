@@ -55,7 +55,7 @@ def gauss_legendre(n: int) -> QuadratureGrid:
 
     Nodes found by Newton iteration on P_n starting from the Chebyshev-type
     guesses cos(pi*(i+3/4)/(n+1/2)); one half computed, then mirrored so the
-    rule is exactly symmetric.
+    rule is exactly symmetric, with the middle node of an odd rule exactly 0.
 
     Rules are memoised on n, so repeated calls return the same grid, whose
     nodes and weights are read-only: copy before writing.
@@ -107,6 +107,11 @@ def _gauss_legendre_rule(n: int) -> QuadratureGrid:
             x = x - dx
             if np.max(np.abs(dx)) < 1e-15:
                 break
+        if n % 2:
+            # P_n is odd: its middle root is exactly 0, where Newton leaves
+            # a residue (about 1e-79 from n = 79) that would break the
+            # symmetry
+            x[m - 1] = 0.0
         p, dp = _legendre_and_derivative(n, x)
         w_half = 2.0 / ((1.0 - x * x) * dp * dp)
         if n % 2:

@@ -8,7 +8,9 @@ grid. Every index takes one route, the commuting differential operator
 (Osipov, Rokhlin & Xiao 2013): its Galerkin eigenvectors give the g_m as
 stacked rows on one Gauss grid and one Rayleigh integral every rho_m; the
 dense Nystrom solve is only an oracle. The result is one SvdBasis, whose
-arrays hold every index at once.
+arrays hold every index at once. Each g_m has parity (-1)^m exactly, and
+phi_m is exactly (-i)^m times a real function: the document stores its
+other part as 0, and the reader checks both.
 """
 from dataclasses import dataclass
 
@@ -83,10 +85,16 @@ def commuting_eigenpairs(c: float, m_max: int, n: int = None):
     """(OdeSpectrum, g, rho) for m = 0..m_max of the kernel at parameter c:
     the g_m as unit rows on the nystrom_grid_size(m_max, n) Gauss grid
     (unit in L2 already; renormalised once on that grid, the one place that
-    does), and every rho_m from one Rayleigh integral."""
+    does), and every rho_m from one Rayleigh integral. The rows are
+    evaluated on the nonnegative half of the grid and mirrored with the
+    sign (-1)^m, so each has its parity exactly."""
     ode = galerkin_eigensystem(c, m_max=m_max)
     grid = gauss_legendre(nystrom_grid_size(m_max, n))
-    G = ode.evaluate_g(np.arange(m_max + 1), grid.nodes)
+    ms = np.arange(m_max + 1)
+    h = grid.nodes.size // 2
+    half = ode.evaluate_g(ms, grid.nodes[h:])
+    sign = np.where(ms % 2 == 1, -1.0, 1.0)[:, None]
+    G = np.concatenate([sign * half[:, ::-1][:, :h], half], axis=1)
     g = SampledFunction(grid, G / SampledFunction(grid, G).norm()[:, None])
     return ode, g, rho_rayleigh(c, g)
 
@@ -166,8 +174,10 @@ def triplets_from_json_dict(doc: dict) -> SvdBasis:
     """Rebuild the basis, checking the document against what the writer
     would write: valid (b, c), entries m = 0..M-1 in order, each exactly on
     the Gauss grid of the first one's size and on phi_grid(b), trusted a
-    JSON boolean, sigma and rho numbers, every value finite, and sigma and
-    trusted equal to those derived from rho. phi is checked, then dropped."""
+    JSON boolean, sigma and rho numbers, every value finite, sigma and
+    trusted equal to those derived from rho, each g row of exact parity
+    (-1)^m on the symmetric grid, and the other part of each phi row (im
+    for even m, re for odd m) exactly 0. phi is checked, then dropped."""
     params = OperatorParams(b=float(doc["b"]), c=float(doc["c"]))
     entries = doc["entries"]
     if not entries:
@@ -195,6 +205,14 @@ def triplets_from_json_dict(doc: dict) -> SvdBasis:
     rho = np.array([float(e["rho"]) for e in entries])
     if not all(np.isfinite(v).all() for v in (sigma, rho, g.values, phi)):
         raise ValueError("svd document holds non-finite values")
+    # the writer mirrors g_m with the sign (-1)^m and folds the adjoint, so
+    # both parities are exact: phi_m is (-i)^m times a real row
+    odd = np.arange(len(entries)) % 2 == 1
+    if not np.array_equal(g.values[:, ::-1],
+                          np.where(odd[:, None], -g.values, g.values)):
+        raise ValueError("g rows do not have the parity (-1)^m")
+    if np.any(phi[~odd, 1]) or np.any(phi[odd, 0]):
+        raise ValueError("phi rows are not (-i)^m times a real row")
     svd = SvdBasis(params.b, params.c, rho, g, np.arange(len(entries)))
     if not np.array_equal(sigma, svd.sigma):
         raise ValueError("stored sigma is not sqrt(rho / c)")

@@ -1,10 +1,13 @@
 """Independent checks of the commuting operator: its eigenvalues from the
-weak form in x, and the residual of its differential equation."""
+weak form in x, the Galerkin matrix assembled whole, and the residual of
+its differential equation."""
 import math
 
 import numpy as np
 
-from sechprolate.commuting_ode import family_parameter, galerkin_basis_size
+from sechprolate.commuting_ode import (LiouvilleTransform, OdeSpectrum,
+                                       family_parameter, galerkin_basis_size,
+                                       q_c_potential)
 from sechprolate.sech_operator import SampledFunction
 from sechprolate.special_functions import (gauss_legendre, legendre_table,
                                            panel_grid)
@@ -40,6 +43,25 @@ def weak_form_chi(c: float, n_b: int = None, m_max: int = 20) -> np.ndarray:
     M = (Pp * (p * qgrid.weights)) @ Pp.T + (P * (q * qgrid.weights)) @ P.T
     chi = np.linalg.eigvalsh(M)
     return chi[: m_max + 1]
+
+
+def galerkin_full_matrix(c: float, n_b: int = None,
+                         m_max: int = 20) -> OdeSpectrum:
+    """galerkin_eigensystem as one n_b x n_b eigensolve: the potential
+    integral on both halves, x = +-(1 - u^2), with no use of its parity."""
+    tr = LiouvilleTransform(c)
+    n_b = galerkin_basis_size(m_max, n_b)
+    rule = panel_grid([0.0, 1.0], int(0.7 * n_b) + 16)
+    x = 1.0 - rule.nodes ** 2
+    Y, F = tr.forward(x)
+    w = rule.weights * 2 * rule.nodes * math.pi / (tr.U * F * F)
+    qw = np.tile(q_c_potential(tr, x) * w, 2)
+    P = legendre_table(n_b - 1, np.concatenate([-Y, Y]))
+    ks = np.arange(n_b, dtype=float)
+    mu, W = np.linalg.eigh(np.diag(ks * (ks + 1)) + (P * qw) @ P.T)
+    chi = (math.pi / tr.U) ** 2 * mu[: m_max + 1]
+    W *= np.where(np.sqrt(ks + 0.5) @ W < 0, -1.0, 1.0)
+    return OdeSpectrum(c=c, n_b=n_b, transform=tr, chi=chi, coefficients=W)
 
 
 def commutation_residual(c: float, g: SampledFunction, chi: float) -> float:

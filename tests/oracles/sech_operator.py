@@ -1,10 +1,14 @@
-"""The forward windowed transform and the factorisation self-check."""
+"""The forward windowed transform, the factorisation self-check, and the
+Rayleigh integral and adjoint on the whole grid, unfolded."""
 import math
 
 import numpy as np
 
-from sechprolate.sech_operator import (OperatorParams, SampledFunction,
-                                       apply_adjoint, kernel)
+from sechprolate.sech_operator import (RAYLEIGH_MAX_PANEL_LENGTH,
+                                       RAYLEIGH_NODES, RAYLEIGH_PANELS,
+                                       RAYLEIGH_TAIL_MULTIPLE, OperatorParams,
+                                       SampledFunction, apply_adjoint, kernel)
+from sechprolate.special_functions import panel_grid
 
 from .special_functions import real_line_grid
 
@@ -37,3 +41,31 @@ def verify_factorization(params: OperatorParams, h: SampledFunction) -> float:
     num = math.sqrt(float(np.sum(h.grid.weights * np.abs(lhs - rhs) ** 2)))
     den = h.norm()
     return num / den if den > 0 else 0.0
+
+
+def rho_rayleigh_unfolded(c: float, g: SampledFunction):
+    """rho_rayleigh with cos and sin of x t formed at every node of the
+    grid, on the same outer panels: no symmetry of the grid is used."""
+    xg = g.grid.nodes
+    wg = (g.grid.weights * np.real(g.values)).T
+    x_t = RAYLEIGH_TAIL_MULTIPLE * c
+    panels = max(RAYLEIGH_PANELS, math.ceil(x_t / RAYLEIGH_MAX_PANEL_LENGTH))
+    quad = panel_grid(np.linspace(0.0, x_t, panels + 1), RAYLEIGH_NODES)
+    total = 0.0
+    for xi, wi in zip(quad.nodes.reshape(panels, RAYLEIGH_NODES),
+                      quad.weights.reshape(panels, RAYLEIGH_NODES)):
+        ph = xi[:, None] * xg[None, :]
+        re = np.cos(ph) @ wg
+        im = np.sin(ph) @ wg
+        total = total + (wi / np.cosh(xi / c)) @ (re * re + im * im)
+    return 2.0 * total
+
+
+def apply_adjoint_unfolded(params: OperatorParams, h: SampledFunction,
+                           x) -> np.ndarray:
+    """apply_adjoint as one complex exponential matrix on the whole grid."""
+    x = np.atleast_1d(np.asarray(x, dtype=float))
+    t = h.grid.nodes
+    ph = np.exp(-1j * params.c * x[:, None] * t[None, :])
+    vals = (ph @ (h.grid.weights * h.values).T).T
+    return vals / np.cosh(params.b * x)

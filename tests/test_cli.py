@@ -818,3 +818,30 @@ def test_cached_document_with_a_flipped_trusted_is_recomputed(tmp_path):
     assert (cache_dir / name).read_bytes() == document
     assert ((tmp_path / "run" / "svd.json").read_bytes()
             == (tmp_path / "ref" / "svd.json").read_bytes())
+
+
+@pytest.mark.parametrize("part", ["g", "phi"])
+def test_cached_document_of_the_wrong_parity_is_recomputed(tmp_path, part):
+    """A cached document with 0.5 added to one g value, or with a nonzero
+    value where phi_m's other part is exactly 0, is a miss: the run
+    overwrites it and writes the svd.json of a fresh-cache run."""
+    args = ("svd", "--b", "1", "--c", "1", "--m-max", "8")
+    fresh, cache_dir = tmp_path / "fresh", tmp_path / "cache"
+    res = run_cli(str(fresh), *args, "--out", str(tmp_path / "ref"))
+    assert res.exit_code == 0
+    name = cli.svd_cache_key(1.0, 1.0, 8, None) + ".json"
+    document = (fresh / name).read_bytes()
+    doc = strict_json_loads(document)
+    if part == "g":
+        doc["entries"][4]["g"]["values"][7] += 0.5
+    else:
+        doc["entries"][4]["phi"]["im"][7] = 1e-20
+    cache_dir.mkdir()
+    (cache_dir / name).write_bytes(cli.json_bytes(doc))
+    res = run_cli(str(cache_dir), *args, "--out", str(tmp_path / "run"))
+    assert res.exit_code == 0, res.output
+    man = strict_json_loads((tmp_path / "run" / "svd_manifest.json").read_text())
+    assert man["cache"] == [{"key": name[:-5], "hit": False}]
+    assert (cache_dir / name).read_bytes() == document
+    assert ((tmp_path / "run" / "svd.json").read_bytes()
+            == (tmp_path / "ref" / "svd.json").read_bytes())

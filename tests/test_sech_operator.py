@@ -8,11 +8,14 @@ from sechprolate.commuting_ode import galerkin_eigensystem
 from sechprolate.sech_operator import (RAYLEIGH_TAIL_MULTIPLE, OperatorParams,
                                        SampledFunction, apply_adjoint, kernel,
                                        nystrom_eigensystem, rho_rayleigh)
-from sechprolate.special_functions import (gauss_legendre, legendre_table,
-                                           panel_grid, phi_grid)
+from sechprolate.special_functions import (QuadratureGrid, gauss_legendre,
+                                           legendre_table, panel_grid,
+                                           phi_grid)
 from sechprolate.svd_assembly import compute_svd
 
-from oracles.sech_operator import apply_forward, verify_factorization
+from oracles.sech_operator import (apply_adjoint_unfolded, apply_forward,
+                                   rho_rayleigh_unfolded,
+                                   verify_factorization)
 from oracles.special_functions import spherical_bessel_ratio
 
 
@@ -174,6 +177,68 @@ def test_rho_rayleigh_checks_every_row(sample_g):
     g.values[3] *= 1.001
     with pytest.raises(ValueError, match="normalized"):
         rho_rayleigh(1.0, g)
+
+
+def rows_without_parity(n, seed):
+    """Six random rows on the n-point Gauss grid, unit in L2(-1, 1), with
+    no parity, and the grid."""
+    grid = gauss_legendre(n)
+    rows = np.random.default_rng(seed).standard_normal((6, n))
+    return SampledFunction(grid, rows / SampledFunction(grid, rows).norm()[:, None])
+
+
+@pytest.mark.parametrize("n", [200, 201])
+@pytest.mark.parametrize("c", [0.25, 1.0, 16.0])
+def test_folded_rayleigh_matches_the_unfolded_sum(c, n):
+    """The fold onto the nonnegative nodes against cos and sin formed at
+    every node, on rows of no parity and on the g_m, with and without a
+    middle node: 1e-13 relative wherever rho > 1e-8."""
+    g = rows_without_parity(n, seed=n)
+    G = galerkin_eigensystem(c, m_max=12).evaluate_g(np.arange(13), g.grid.nodes)
+    G /= SampledFunction(g.grid, G).norm()[:, None]
+    for rows in (g, SampledFunction(g.grid, G)):
+        got, ref = rho_rayleigh(c, rows), rho_rayleigh_unfolded(c, rows)
+        big = ref > 1e-8
+        assert np.any(big)
+        assert np.all(np.abs(got - ref)[big] <= 1e-13 * ref[big])
+
+
+@pytest.mark.parametrize("n", [200, 201])
+def test_folded_adjoint_matches_the_exponential_matrix(n):
+    """The fold (cos against the even part, sin against the odd part) against
+    one complex exponential matrix over every node, for real rows of no
+    parity and for complex rows: within 1e-13 of each row's largest value."""
+    g = rows_without_parity(n, seed=n)
+    rng = np.random.default_rng(n + 1)
+    complex_rows = g.values + 1j * rng.standard_normal(g.values.shape)
+    params = OperatorParams(b=1.0, c=2.0)
+    x = np.linspace(-8.0, 8.0, 161)
+    for values in (g.values, complex_rows, complex_rows[0]):
+        h = SampledFunction(g.grid, values)
+        got = apply_adjoint(params, h, x)
+        ref = apply_adjoint_unfolded(params, h, x)
+        assert got.shape == ref.shape
+        scale = np.max(np.abs(ref), axis=-1, keepdims=True)
+        assert np.all(np.abs(got - ref) <= 1e-13 * scale)
+
+
+@pytest.mark.parametrize("shift", ["one_ulp", "panels"])
+def test_fold_rejects_a_grid_that_is_not_symmetric(shift):
+    """Both folds need a grid that is exactly symmetric about 0: one node
+    one ulp off, or panels placed off centre, raise."""
+    if shift == "one_ulp":
+        base = gauss_legendre(40)
+        nodes = base.nodes.copy()
+        nodes[0] = np.nextafter(nodes[0], 0.0)
+        grid = QuadratureGrid(nodes, base.weights)
+    else:
+        grid = panel_grid([-1.0, 0.2, 1.0], 20)
+    values = np.ones(grid.nodes.size)
+    h = SampledFunction(grid, values / SampledFunction(grid, values).norm())
+    with pytest.raises(ValueError, match="symmetric"):
+        rho_rayleigh(1.0, h)
+    with pytest.raises(ValueError, match="symmetric"):
+        apply_adjoint(OperatorParams(b=1.0, c=1.0), h, [0.0, 1.0])
 
 
 def _adjoint_longdouble(b, c, h, x):

@@ -64,6 +64,28 @@ def test_phi_parity_structure(svd_b1_c1):
         assert off < 1e-6 * scale, f"m={m}"
 
 
+@pytest.mark.parametrize("n", [None, 61])
+def test_g_rows_are_mirrored_exactly(n):
+    """g_m(-x) = (-1)^m g_m(x) bit for bit on the Gauss grid, with and
+    without a middle node."""
+    svd = compute_svd(OperatorParams(b=1.0, c=0.5), m_max=12, n=n)
+    G = svd.g.values
+    assert np.array_equal(G[:, ::-1], np.where(svd.m[:, None] % 2 == 1, -G, G))
+
+
+@pytest.mark.parametrize("cp", [0.25, 0.5, 1.0, 4.0])
+def test_phi_other_part_is_exactly_zero(cp):
+    """phi_m is (-i)^m times a real row: on phi_grid(b) the imaginary part
+    of an even index and the real part of an odd one are exactly 0, on the
+    trusted rows and the untrusted ones alike, and the other part is not."""
+    svd = compute_svd(OperatorParams(b=1.0, c=cp), m_max=30)
+    phi = phi_rows(svd).values
+    even = svd.m % 2 == 0
+    assert not np.any(phi[even].imag) and not np.any(phi[~even].real)
+    assert np.all(np.any(phi[even].real, axis=1))
+    assert np.all(np.any(phi[~even].imag, axis=1))
+
+
 def test_phi_gram(svd_b1_c1):
     P = phi_rows(svd_b1_c1).values
     gram = np.abs((P * phi_weight(1.0)) @ P.conj().T)
@@ -325,6 +347,20 @@ def test_json_rejects_non_finite_values(svd_b1_c1, field):
     else:
         entry[field] = math.nan
     with pytest.raises(ValueError, match="non-finite"):
+        triplets_from_json_dict(doc)
+
+
+@pytest.mark.parametrize("m, part", [(2, "g"), (3, "g"), (2, "im"), (3, "re")])
+def test_json_rejects_values_of_the_wrong_parity(svd_b1_c1, m, part):
+    """A g value that breaks g_m(-x) = (-1)^m g_m(x), or a nonzero value in
+    the part of phi_m that is exactly 0, is rejected."""
+    doc = json.loads(json.dumps(svd_to_json_dict(svd_b1_c1)))
+    entry = doc["entries"][m]
+    if part == "g":
+        entry["g"]["values"][5] += 0.5
+    else:
+        entry["phi"][part][40] = 1e-300
+    with pytest.raises(ValueError, match="parity|real row"):
         triplets_from_json_dict(doc)
 
 
