@@ -7,6 +7,6 @@ independently computed spectra, and uses the truncated SVD for stable
 analytic continuation of noisily observed functions.
 """
 
-__version__ = "0.3.5"
+__version__ = "0.3.6"
 
 __all__ = ["__version__"]

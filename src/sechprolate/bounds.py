@@ -16,7 +16,7 @@ import numpy as np
 
 from .special_functions import carlson_rf
 from .commuting_ode import LiouvilleTransform, family_parameter
-from .sech_operator import check_c
+from .sech_operator import check_c, rayleigh_trust_floor
 from .svd_assembly import commuting_eigenpairs
 
 __all__ = [
@@ -168,7 +168,7 @@ class BoundsReport:
     m_max: int
     rows: list                      # one dict per m
     widom_slope: float
-    slope_fit: float | None         # None when fewer than 2 points are fitted
+    slope_fit: float | None         # None when fewer than 2 trusted rows are fitted
 
 
 ROW_FIELDS = ["m", "lower_small_c", "lower_all_c", "lower_combined",
@@ -178,7 +178,9 @@ ROW_FIELDS = ["m", "lower_small_c", "lower_all_c", "lower_combined",
 
 def build_report(c: float, m_max: int = 12) -> BoundsReport:
     """Tabulate the commuting-operator spectrum (commuting_eigenpairs)
-    against every closed-form bound that applies at this c."""
+    against every closed-form bound that applies at this c. slope_fit is
+    the line fit of -log rho_m over the trusted rows (rho above
+    rayleigh_trust_floor(c)) from m = min(6, m_max - 4) on."""
     ode, _, rhos = commuting_eigenpairs(c, m_max)
     # |g_m| is even, so the half [0, 1] holds the sup
     fine = np.linspace(0.0, 1.0, 1001)
@@ -199,8 +201,10 @@ def build_report(c: float, m_max: int = 12) -> BoundsReport:
             "supnorm_bound": supnorm_bound(c, m),
             "supnorm_observed": float(sup[m]),
         })
-    m_fit_lo = min(6, max(0, m_max - 4))
-    ms = np.arange(m_fit_lo, m_max + 1)
+    # the fit runs from m = min(6, m_max - 4) over the trusted rows only:
+    # below the trust floor rho is Rayleigh roundoff, not the decay
+    ms = np.arange(min(6, max(0, m_max - 4)), m_max + 1)
+    ms = ms[rhos[ms] > rayleigh_trust_floor(c)]
     fit = fit_log_slope(ms, rhos[ms]) if len(ms) >= 2 else None
     return BoundsReport(c=c, m_max=m_max, rows=rows,
                         widom_slope=widom_slope(c), slope_fit=fit)

@@ -5,34 +5,38 @@ the Sturm-Liouville family below is parametrized by that scale: every
 coefficient formula uses t = pi*c/2, never the bandwidth c itself. With
 p(x) = cosh(4t) - cosh(4tx) and q(x) = 3t^2 cosh(4tx), the operator
 L g = -(p g')' + q g commutes with the integral operator, so both have the
-same eigenvectors g_m. A Liouville change of variables y = Y(x) turns L into
--((1-y^2) G')' + q^c(y) G with a BOUNDED potential q^c, which makes a
-Legendre-Galerkin discretization spectrally accurate even for high indices
-where the integral operator's eigenvalues are far below machine precision.
-The change of variables g(x) = sqrt(pi/U) G(Y(x)) / F(Y(x)) is unitary from
-L2(dy) to L2(dx), so each g_m has the unit norm of its
-coefficient column, and g_m(1) > 0 follows from the column's sign: the
-coefficients alone describe g_m.
+same eigenvectors g_m.
 
-The map is array code and runs in the forward direction only. s(x) =
-int_x^1 p^{-1/2} is an incomplete elliptic integral of modulus tanh 2t, and
-U = 2 s(0) the complete one; both come in closed form from Carlson's R_F,
-so no quadrature rule evaluates the map. The Galerkin potential is
-integrated in u = sqrt(1 - |x|), where x = +-(1 - u^2) is explicit and
-dy = pi/(U F^2) dx.
+The eigenproblem is solved in x itself, in the normalized Legendre basis
+(Xiao, Rokhlin & Yarvin 2001; Osipov, Rokhlin & Xiao 2013). Divided by
+cosh 4t, the coefficients
+    p~ = expm1(-4t(1+x)) expm1(-4t(1-x)) / (1 + e^{-8t}),
+    q~ = 3t^2 (e^{-4t(1-x)} + e^{-4t(1+x)}) / (1 + e^{-8t})
+are bounded for every t, and the basis is orthonormal, so the weak form
+A_jk = int p~ P_j' P_k' + q~ P_j P_k is a plain symmetric eigenproblem.
+Its coefficient column m is g_m as a Legendre series: g_m has the unit
+norm of its column, and g_m(1) = sum_k W_km sqrt(k + 1/2) > 0 by the sign
+convention, so the coefficients alone describe g_m.
 
 The kernel is even, so g_m has parity (-1)^m, and the code makes that
-exact: the potential couples only Legendre indices of equal parity, the
-Galerkin matrix is solved as an even and an odd block, each coefficient
-column is exactly 0 off its parity, and evaluate_g maps |x| and applies
-the sign (-1)^m at x < 0.
+exact: the matrix couples only Legendre indices of equal parity and is
+solved as an even and an odd block, each coefficient column is exactly 0
+off its parity, and evaluate_g sums the series at |x| and applies the sign
+(-1)^m at x < 0.
+
+The Liouville change of variables y = Y(x) serves the closed-form bounds
+only: it turns L into -((1-y^2) G')' + q^c(y) G with a bounded potential
+q^c, whose width gives the chi enclosure. s(x) = int_x^1 p^{-1/2} is an
+incomplete elliptic integral of modulus tanh 2t, and U = 2 s(0) the
+complete one; both come in closed form from Carlson's R_F.
 """
 import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .special_functions import carlson_rf, legendre_table, panel_grid
+from .special_functions import (carlson_rf, legendre_derivative_table,
+                                legendre_table, panel_grid)
 from .sech_operator import check_c
 
 __all__ = [
@@ -50,21 +54,27 @@ def family_parameter(c: float) -> float:
     return math.pi * c / 2.0
 
 
-def _map_points(x) -> np.ndarray:
+def _interval_points(x) -> np.ndarray:
     x = np.asarray(x, dtype=float)
     if not np.all(np.abs(x) <= 1.0):     # written so that nan fails too
-        raise ValueError("the Liouville map is defined on [-1, 1]")
+        raise ValueError("points must lie in [-1, 1]")
     return x
+
+
+def _check_range(t: float):
+    # cosh 4t, the scale of chi, and the map's normalizer leave the float
+    # range a little above 4t = 700
+    if 4 * t > 700:
+        raise ValueError("parameter too large for the transform normalizer")
 
 
 @dataclass
 class LiouvilleTransform:
-    """Change of variables y = Y(x) flattening the commuting operator.
+    """Change of variables y = Y(x) flattening the commuting operator, as
+    far as the bounds use it: t, U = 2 s(0) and s of points x.
 
-    s(x) = int_x^1 p^{-1/2}, X(x) = pi*(1/2 - s(x)/U), Y = sin(X), and
-    F(y) = (p(Y^{-1}(y))/(1-y^2))^{1/4} is the Jacobian factor relating
-    solutions g and G on the two sides. forward gives Y and F at points x,
-    and s of a scalar gives a float. t and U = 2 s(0) follow from c.
+    s(x) = int_x^1 p^{-1/2}, X(x) = pi*(1/2 - s(x)/U) and Y = sin(X); s of a
+    scalar gives a float.
 
     With w = tanh 2tx and T = tanh 2t, p = 2 cosh^2 2t cosh^2 2tx (T^2 - w^2),
     and the substitution w turns s into an incomplete elliptic integral of
@@ -81,8 +91,7 @@ class LiouvilleTransform:
     def __post_init__(self):
         check_c(self.c)
         self.t = family_parameter(self.c)
-        if 4 * self.t > 700:
-            raise ValueError("parameter too large for the transform normalizer")
+        _check_range(self.t)
         self.U = 2.0 * self.s(0.0)
 
     def _p(self, h):
@@ -103,22 +112,6 @@ class LiouvilleTransform:
             v = np.where(x < 0, self.U - v, v)
         return float(v) if v.ndim == 0 else v
 
-    def forward(self, x):
-        """(Y(x), F(Y(x))) at the points x in [-1, 1], as 1-D arrays."""
-        x = np.atleast_1d(_map_points(x))
-        ax = np.abs(x)
-        h = 1.0 - ax
-        # X is odd in x, so Y = sign(x) cos(pi s(|x|)/U), which is exactly
-        # +-1 at x = +-1, and 1 - Y^2 = sin(pi s(|x|)/U)^2 needs no
-        # cancellation at the endpoints; below h = 1e-16 the 0/0 limit of F,
-        # (2 U t sinh(4t)/pi)^(1/2), is exact to roundoff. Two square roots,
-        # not ** 0.25, which rounds differently.
-        arg = math.pi * self.s(ax) / self.U
-        limit = math.sqrt(2.0 * self.U * self.t * math.sinh(4 * self.t) / math.pi)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            F = np.sqrt(np.sqrt(self._p(h)) / np.abs(np.sin(arg)))
-        return np.sign(x) * np.cos(arg), np.where(h > 1e-16, F, limit)
-
 
 def q_c_potential(transform: LiouvilleTransform, x):
     """Bounded potential of the flattened operator at y = Y(x), for points x
@@ -133,7 +126,7 @@ def q_c_potential(transform: LiouvilleTransform, x):
     """
     t, U = transform.t, transform.U
     scalar = np.ndim(x) == 0
-    x = np.abs(np.atleast_1d(_map_points(x)))
+    x = np.abs(np.atleast_1d(_interval_points(x)))
     h = 1.0 - x
     S = transform.s(x)
     w2 = (U * t / math.pi) ** 2
@@ -159,28 +152,25 @@ def q_c_potential(transform: LiouvilleTransform, x):
 @dataclass
 class OdeSpectrum:
     """Galerkin eigensystem of the commuting operator. Column m of
-    coefficients is Gamma_m in the normalized Legendre basis of y, unit in
-    l2 and signed so that Gamma_m(1) > 0; g_m is evaluated from it alone."""
+    coefficients is g_m in the normalized Legendre basis of x, unit in l2
+    and signed so that g_m(1) > 0; g_m is evaluated from it alone."""
     c: float
     n_b: int
-    transform: LiouvilleTransform
     chi: np.ndarray                  # increasing, chi_0 .. chi_m_max
-    coefficients: np.ndarray         # (n_b, n_b), column m = Gamma_m in P-bar basis
+    coefficients: np.ndarray         # (n_b, n_b), column m = g_m in P-bar basis
 
     def evaluate_g(self, m, x) -> np.ndarray:
-        """Eigenfunction g_m(x) = sqrt(pi/U) Gamma_m(Y(x)) / F(Y(x)) at
-        points x in [-1,1]: unit L2 norm, g_m(1) > 0.
+        """Eigenfunction g_m(x) = sum_k W_km P-bar_k(x) at points x in
+        [-1,1]: unit L2 norm, g_m(1) > 0.
 
-        The map runs at |x|, and the value at x < 0 is (-1)^m times the
-        value at -x, so g_m(-x) = (-1)^m g_m(x) holds bit for bit at any
+        The series is summed at |x|, and the value at x < 0 is (-1)^m times
+        the value at -x, so g_m(-x) = (-1)^m g_m(x) holds bit for bit at any
         points. An int m gives the values of shape (len(x),); an array of
         indices gives one row per index, shape (len(m), len(x)), from one
-        map of x and one matrix product.
+        Legendre table and one matrix product.
         """
-        x = np.atleast_1d(np.asarray(x, dtype=float))
-        Yv, Fv = self.transform.forward(np.abs(x))
-        G = self.coefficients[:, m].T @ legendre_table(self.n_b - 1, Yv)
-        G = G * math.sqrt(math.pi / self.transform.U) / Fv
+        x = np.atleast_1d(_interval_points(x))
+        G = self.coefficients[:, m].T @ legendre_table(self.n_b - 1, np.abs(x))
         flip = (np.asarray(m) % 2 == 1)[..., None] & (x < 0)
         return np.where(flip, -G, G)
 
@@ -197,41 +187,46 @@ def galerkin_basis_size(m_max: int, n_b: int = None) -> int:
 
 
 def galerkin_eigensystem(c: float, n_b: int = None, m_max: int = 20) -> OdeSpectrum:
-    """Legendre-Galerkin eigensolve of the flattened operator, in two
+    """Legendre-Galerkin eigensolve of the commuting operator in x, in two
     blocks of one parity each.
 
-    In the normalized Legendre basis the leading part is the diagonal
-    k(k+1); only the bounded potential needs quadrature, which runs in
-    u = sqrt(1-|x|), where the map to y is explicit. The potential is even
-    and P-bar_k(-y) = (-1)^k P-bar_k(y), so it couples only indices of
-    equal parity: the matrix splits into an even and an odd block, each
-    diag(k(k+1)) + 2 (P qw) P^T with the table P on y >= 0 alone, and the
-    two spectra are merged by eigenvalue (Xiao, Rokhlin & Yarvin 2001).
-    Each coefficient column is then exactly 0 off its parity, and the
-    merged indices must alternate in parity up to m_max, as the
-    Sturm-Liouville oscillation count demands (ValueError otherwise).
-    Eigenvalues chi of the original operator are (pi/U)^2 times the matrix
-    eigenvalues, and eigenvectors map back through the Liouville
-    transform, unit and with g_m(1) > 0. m_max sizes the default basis and
-    must stay clear of the truncation-polluted top of the spectrum.
+    A_jk = int p~ P_j' P_k' + q~ P_j P_k, with the bounded coefficients of
+    the module docstring, is integrated by Gauss with n_b + 24 nodes on
+    each panel of [0, 1 - 30/(4t), 1], the first panel dropped when
+    4t <= 30. p~ and q~ are even and P-bar_k(-x) = (-1)^k P-bar_k(x), so
+    the integrand of A is even, the rule covers x >= 0 and is doubled, and
+    A splits into an even and an odd block whose spectra are merged by
+    eigenvalue. Each coefficient column is then exactly 0 off its parity,
+    and the merged indices must alternate in parity up to m_max, as the
+    Sturm-Liouville oscillation count demands (ValueError otherwise). chi
+    is cosh(4t) times the matrix eigenvalues. m_max sizes the default
+    basis and must stay clear of the truncation-polluted top of the
+    spectrum. c is refused above 4t = 700, where cosh 4t nears the float
+    range.
     """
-    tr = LiouvilleTransform(c)
+    check_c(c)
+    t = family_parameter(c)
+    _check_range(t)
     n_b = galerkin_basis_size(m_max, n_b)
-    # the potential integral in u = sqrt(1 - |x|) on x >= 0, doubled for
-    # x < 0: y = Y(1 - u^2), dy = 2u pi/(U F^2) du
-    rule = panel_grid([0.0, 1.0], int(0.7 * n_b) + 16)
-    x = 1.0 - rule.nodes ** 2
-    Y, F = tr.forward(x)
-    w = rule.weights * 2 * rule.nodes * math.pi / (tr.U * F * F)
-    qw = 2 * q_c_potential(tr, x) * w
-    P = legendre_table(n_b - 1, Y)
-    ks = np.arange(n_b, dtype=float)
+    # the second panel holds the endpoint layer of width 1/(4t), beyond
+    # which q~ has fallen by e^-30; no panel has fewer than n_b nodes,
+    # because the polynomial part of the integrand has degree 2 n_b
+    rule = panel_grid([0.0, 1.0] if 4 * t <= 30 else
+                      [0.0, 1.0 - 30 / (4 * t), 1.0], n_b + 24)
+    x = rule.nodes
+    # the weights carry the doubling for x < 0 and the 1/(1 + e^-8t) of
+    # both coefficients; p~ is a product of expm1, never 1 - E, which would
+    # cancel at small t
+    w = 2 * rule.weights / (1 + math.exp(-8 * t))
+    pw = np.expm1(-4 * t * (1 + x)) * np.expm1(-4 * t * (1 - x)) * w
+    qw = 3 * t * t * (np.exp(-4 * t * (1 - x)) + np.exp(-4 * t * (1 + x))) * w
+    P = legendre_table(n_b - 1, x)
+    D = legendre_derivative_table(P)
     blocks = []
     for p in (0, 1):
-        kp = ks[p::2]
         try:
             blocks.append(np.linalg.eigh(
-                np.diag(kp * (kp + 1)) + (P[p::2] * qw) @ P[p::2].T))
+                (D[p::2] * pw) @ D[p::2].T + (P[p::2] * qw) @ P[p::2].T))
         except np.linalg.LinAlgError as e:
             raise np.linalg.LinAlgError(
                 f"Galerkin eigendecomposition failed for c={c}, n_b={n_b}: {e}") from e
@@ -252,7 +247,7 @@ def galerkin_eigensystem(c: float, n_b: int = None, m_max: int = 20) -> OdeSpect
                          "truncation-polluted top of the spectrum")
     # only the requested eigenvalues: the truncation-polluted top of mu
     # overflows when scaled at the top of the supported range
-    chi = (math.pi / tr.U) ** 2 * mu[: m_max + 1]
-    # sign convention Gamma_m(1) = sum_k W_km sqrt(k + 1/2) > 0
-    W *= np.where(np.sqrt(ks + 0.5) @ W < 0, -1.0, 1.0)
-    return OdeSpectrum(c=c, n_b=n_b, transform=tr, chi=chi, coefficients=W)
+    chi = math.cosh(4 * t) * mu[: m_max + 1]
+    # sign convention g_m(1) = sum_k W_km sqrt(k + 1/2) > 0
+    W *= np.where(np.sqrt(np.arange(n_b) + 0.5) @ W < 0, -1.0, 1.0)
+    return OdeSpectrum(c=c, n_b=n_b, chi=chi, coefficients=W)

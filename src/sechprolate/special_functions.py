@@ -2,8 +2,10 @@
 
 Everything here is dependency-light on purpose: Gauss-Legendre rules by
 Newton iteration, the composite panel rules on the real line, normalized
-Legendre polynomials by recurrence, and Carlson's symmetric integral R_F,
-from which every elliptic integral of the package is formed.
+Legendre polynomials by recurrence and their derivatives from those values
+(the Galerkin weak form of commuting_ode needs both), and Carlson's
+symmetric integral R_F, from which every elliptic integral of the package
+is formed.
 """
 import functools
 import math
@@ -24,6 +26,7 @@ __all__ = [
     "PHI_NODES_PER_PANEL",
     "REAL_LINE_HALF_WIDTH",
     "legendre_table",
+    "legendre_derivative_table",
     "carlson_rf",
 ]
 
@@ -141,9 +144,25 @@ def legendre_table(m_max: int, x) -> np.ndarray:
     for k in range(2, m_max + 1):
         p0, p1 = p1, ((2 * k - 1) * x * p1 - (k - 1) * p0) / k
         out[k] = p1
-    for k in range(m_max + 1):
-        out[k] *= math.sqrt(k + 0.5)
+    out *= np.sqrt(np.arange(m_max + 1) + 0.5)[:, None]
     return out
+
+
+def legendre_derivative_table(P: np.ndarray) -> np.ndarray:
+    """Derivatives of the orthonormal Legendre polynomials, from their
+    values P = legendre_table(m_max, x) and in the same layout.
+
+    P'_k = P'_{k-2} + (2k-1) P_{k-1} on the unnormalized polynomials, so the
+    derivatives of one parity are running sums of the other parity's
+    values: (2j+1) P_j = 2 sqrt(j+1/2) P-bar_j.
+    """
+    m_max = P.shape[0] - 1
+    r = np.sqrt(np.arange(m_max + 1) + 0.5)[:, None]
+    terms = 2 * r * P
+    D = np.zeros_like(P)
+    D[1::2] = np.cumsum(terms[0::2], axis=0)[: (m_max + 1) // 2]
+    D[2::2] = np.cumsum(terms[1::2], axis=0)[: m_max // 2]
+    return D * r
 
 
 def carlson_rf(x, y, z):

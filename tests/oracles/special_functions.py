@@ -20,29 +20,6 @@ def real_line_grid(b: float) -> QuadratureGrid:
     return panel_grid(edges, 24)
 
 
-def legendre_derivative_table(m_max: int, x) -> np.ndarray:
-    """Derivatives of the orthonormal Legendre polynomials (same layout as legendre_table).
-
-    Uses P'_k = P'_{k-2} + (2k-1) P_{k-1} on the unnormalized polynomials.
-    """
-    x = np.atleast_1d(np.asarray(x, dtype=float))
-    vals = np.empty((m_max + 1, x.size))
-    ders = np.empty((m_max + 1, x.size))
-    p0 = np.ones_like(x)
-    p1 = x.copy()
-    vals[0] = p0
-    ders[0] = 0.0
-    if m_max >= 1:
-        vals[1] = p1
-        ders[1] = 1.0
-    for k in range(2, m_max + 1):
-        vals[k] = ((2 * k - 1) * x * vals[k - 1] - (k - 1) * vals[k - 2]) / k
-        ders[k] = ders[k - 2] + (2 * k - 1) * vals[k - 1]
-    for k in range(m_max + 1):
-        ders[k] *= math.sqrt(k + 0.5)
-    return ders
-
-
 def spherical_bessel_ratio(k: int, z: float) -> float:
     """Spherical Bessel function j_k(z) for k >= 0, z >= 0.
 

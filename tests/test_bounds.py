@@ -243,6 +243,16 @@ def test_widom_slope_matches_fit():
     assert abs(rep.slope_fit - target) / target < 0.05
 
 
+def test_slope_fit_skips_untrusted_rows():
+    """At c = 0.25 the rows past m = 16 are below the trust floor, so
+    m_max = 30 fits the same rows as m_max = 16 (a fit over the untrusted
+    rows too gives 2.368 there, against a Widom slope of 3.350)."""
+    deep = bounds.build_report(0.25, m_max=30).slope_fit
+    assert deep == pytest.approx(bounds.build_report(0.25, m_max=16).slope_fit,
+                                 rel=1e-6)
+    assert abs(deep - bounds.widom_slope(0.25)) / bounds.widom_slope(0.25) < 0.01
+
+
 def test_fit_log_slope_exact_on_synthetic():
     ms = np.arange(4, 13)
     slope = 0.7312

@@ -1,7 +1,7 @@
 import math
 
 import numpy as np
-from numpy.polynomial.legendre import legvander
+from numpy.polynomial.legendre import legder, legval, legvander
 import pytest
 import scipy.integrate
 import scipy.special
@@ -10,10 +10,10 @@ from hypothesis import strategies as st
 
 from sechprolate import special_functions
 from sechprolate.special_functions import (carlson_rf, gauss_legendre,
+                                           legendre_derivative_table,
                                            legendre_table, panel_grid)
 
-from oracles.special_functions import (legendre_derivative_table,
-                                       spherical_bessel_ratio)
+from oracles.special_functions import spherical_bessel_ratio
 
 
 def test_gauss_n1():
@@ -142,11 +142,23 @@ def test_legendre_tables_consistent():
     ref = legvander(x, 6) * np.sqrt(np.arange(7) + 0.5)
     assert np.allclose(tab, ref.T, atol=1e-14)
     # derivative table vs central differences
-    dtab = legendre_derivative_table(6, x)
+    dtab = legendre_derivative_table(tab)
     h = 1e-6
     for m in range(7):
         fd = (legendre_table(6, x + h)[m] - legendre_table(6, x - h)[m]) / (2 * h)
         assert np.max(np.abs(dtab[m] - fd)) < 1e-6
+    # up to degree 139, the top of the default Galerkin basis, on its Gauss
+    # nodes and +-1, against numpy's legder of each unit coefficient
+    # vector: within 1e-12 of P-bar'_k(1) = k(k+1)/2 sqrt(k+1/2), the
+    # largest value of the derivative (measured at most 7.3e-14)
+    n = 140
+    x = np.concatenate([[-1.0], gauss_legendre(n).nodes, [1.0]])
+    k = np.arange(n)
+    ref = np.array([legval(x, legder(e)) for e in np.eye(n)]) \
+        * np.sqrt(k + 0.5)[:, None]
+    dtab = legendre_derivative_table(legendre_table(n - 1, x))
+    scale = k * (k + 1) / 2 * np.sqrt(k + 0.5)
+    assert np.all(np.abs(dtab - ref) <= 1e-12 * scale[:, None])
 
 
 def elliptic_K(k):
